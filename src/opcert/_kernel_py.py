@@ -7,7 +7,10 @@ dictionaries map words to nonzero int/Fraction values.
 The entry points are the innermost operations of two-sided reduction and
 completion: word keys for the deglex heap, locating the best reducible factor
 under the fixed tie-break, the fused "subtract a scaled two-sided multiple"
-update, and the batched overlap/containment scans over leading words.
+update, a lead's self-overlaps and the scan for leads a new lead retires.
+``batch_overlaps`` is the pairwise overlap/containment scan behind
+``rewrite.find_obstructions``; the completion engine finds the same rows
+through its lead indexes and is tested against this scan.
 """
 
 BACKEND = "python"

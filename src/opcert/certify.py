@@ -359,6 +359,8 @@ def certificate_to_dict(cert: Certificate) -> dict:
 
 
 def certificate_from_dict(data: dict) -> Certificate:
+    if not isinstance(data, dict):
+        raise AlgebraError("not a certificate file (JSON is not an object)")
     if data.get("format") != CERT_FORMAT:
         raise AlgebraError(f"not a certificate file (format {data.get('format')!r})")
     alg = algebra_from_ops(data["ops"])

@@ -187,7 +187,10 @@ class FreeAlgebra:
         parentheses.  ``defs`` maps abbreviation names to polynomials; they are
         spliced in as atoms.
         """
-        return _Parser(self, text, defs or {}).parse()
+        try:
+            return _Parser(self, text, defs or {}).parse()
+        except RecursionError:
+            raise ParseError("expression nested too deeply") from None
 
     def render_word(self, w: Word) -> str:
         if not w:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from bisect import insort
+from bisect import bisect_left, insort
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -104,8 +104,8 @@ def _div(c, lc):
 
 
 # ---------------------------------------------------------------------------
-# Obstruction enumeration (reference implementation; the engine uses the
-# batched kernel equivalents)
+# Obstruction enumeration (reference implementation on the kernel's pairwise
+# scan; the engine finds the same overlaps through its lead indexes)
 # ---------------------------------------------------------------------------
 
 def _pair_obstructions(i: int, u: Word, j: int, v: Word):
@@ -315,7 +315,10 @@ class CompletionEngine:
     Obstructions are processed as a FIFO keyed by (overlap degree, creation
     index).  Elements whose lead becomes reducible by a newer lead are retired
     and their normal forms re-enter the basis, so the active lead set stays
-    interreduced.  S-polynomial formation for queued obstructions may run on a
+    interreduced.  A new lead finds its overlap partners through hash
+    indexes of the active leads' proper prefixes and suffixes and its factor
+    partners through ``_by_lead``; partners beyond ``max_degree`` are only
+    counted.  S-polynomial formation for queued obstructions may run on a
     thread pool against an immutable snapshot; results merge sequentially, so
     output never depends on the worker count.
 
@@ -333,6 +336,9 @@ class CompletionEngine:
         self.queue: list = []
         self._active: dict = {}   # idx -> lead word (insertion ordered)
         self._by_lead: dict = {}  # lead word -> ascending active idx list
+        # proper prefix / suffix of an active lead -> ascending idx list
+        self._prefixes: dict = {}
+        self._suffixes: dict = {}
         self._seq = 0
         self._requeue: list = []
         self._pool = None
@@ -372,11 +378,36 @@ class CompletionEngine:
                 del self._by_lead[w]
                 self.reducer.del_entry(w)
 
-    def _retire(self, idx: int) -> None:
+    def _activate(self, idx: int, w: Word) -> None:
+        """Enter ``idx`` with lead ``w`` into the active set, ``_by_lead``
+        and the prefix/suffix indexes."""
+        self._active[idx] = w
+        self._lead_add(idx, w)
+        n = len(w)
+        for k in range(1, n):  # idx is the newest index: lists stay sorted
+            self._prefixes.setdefault(w[:k], []).append(idx)
+            self._suffixes.setdefault(w[n - k:], []).append(idx)
+
+    def _deactivate(self, idx: int) -> None:
+        """Drop ``idx`` from the active set and the prefix/suffix indexes
+        (``_by_lead`` is the caller's business)."""
         elem = self.elements[idx]
         elem.active = False
         del self._active[idx]
-        self._lead_remove(idx, elem.lead)
+        w = elem.lead
+        n = len(w)
+        for k in range(1, n):
+            for table, key in ((self._prefixes, w[:k]),
+                               (self._suffixes, w[n - k:])):
+                lst = table[key]
+                if len(lst) == 1:
+                    del table[key]
+                else:
+                    del lst[bisect_left(lst, idx)]
+
+    def _retire(self, idx: int) -> None:
+        self._deactivate(idx)
+        self._lead_remove(idx, self.elements[idx].lead)
 
     def active_indices(self) -> list:
         return sorted(self._active)
@@ -395,19 +426,58 @@ class CompletionEngine:
         idx = len(self.elements)
         self.elements.append(elem)
         self.stats.elements_added += 1
-        others = list(self._active.items())  # (idx, lead) snapshot
         # retire active elements whose lead contains the new lead as a factor
-        for m in self.kernel.find_retirees(lead, others):
+        for m in self.kernel.find_retirees(lead, list(self._active.items())):
             self._retire(m)
             self._requeue.append(m)
-        live = [(m, w) for m, w in others if self.elements[m].active]
-        # queue obstructions against the still-active snapshot, then self
-        self._push_rows(idx, self.kernel.batch_overlaps(lead, live))
+        # queue obstructions against the still-active leads, then self
+        self._push_rows(idx, self._pair_rows(lead))
         self._push_rows(idx, [(idx,) + row
                               for row in self.kernel.self_overlaps(lead)])
-        self._active[idx] = lead
-        self._lead_add(idx, lead)
+        self._activate(idx, lead)
         return idx
+
+    def _pair_rows(self, v: Word) -> list:
+        """Rows ``kernel.batch_overlaps(v, active leads)`` would give, in
+        its order, less those above ``max_degree``, which are only counted.
+
+        No active lead contains ``v`` (those were just retired), so the
+        containments left are active leads that are factors of ``v``,
+        including an empty lead.
+        """
+        nv = len(v)
+        maxdeg = self.limits.max_degree
+        room = maxdeg - nv  # an overlap of length k fits iff |u| - k <= room
+        active = self._active
+        prefixes, suffixes = self._prefixes, self._suffixes
+        skipped = 0
+        hits = []  # (i, k, orientation, row): the kernel's order per i
+        for k in range(1, nv):
+            for i in suffixes.get(v[:k], ()):
+                u = active[i]
+                if len(u) - k > room:
+                    skipped += 1
+                else:
+                    hits.append((i, k, 0, ((), v[k:], u[:len(u) - k], (),
+                                           u + v[k:])))
+            for i in prefixes.get(v[nv - k:], ()):
+                u = active[i]
+                if len(u) - k > room:
+                    skipped += 1
+                else:
+                    hits.append((i, k, 1, (v[:nv - k], (), (), u[k:],
+                                           v + u[k:])))
+        by_lead = self._by_lead
+        for n in range(nv):
+            for t in range(nv - n + 1):
+                for i in by_lead.get(v[t:t + n], ()):
+                    if nv > maxdeg:
+                        skipped += 1
+                    else:  # after every overlap row of i: nv > any k
+                        hits.append((i, nv, t, (v[:t], v[t + n:], (), (), v)))
+        self.stats.obstructions_skipped_degree += skipped
+        hits.sort()
+        return [(i,) + row for i, _, _, row in hits]
 
     def _push_rows(self, j: int, rows) -> None:
         maxdeg = self.limits.max_degree
@@ -606,8 +676,7 @@ class CompletionEngine:
                 if len(steps) == 1:  # nothing reduced; restore
                     self._lead_add(k, elem.lead)
                     continue
-                elem.active = False
-                del self._active[k]
+                self._deactivate(k)
                 if terms:
                     self._append(terms, steps)
                 self._process_requeue()

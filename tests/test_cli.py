@@ -37,6 +37,14 @@ def test_check_cert_detects_tampering(tmp_path, capsys):
     assert "INVALID" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("text", ["[1,2]", "null", "3", '"cert"'])
+def test_check_cert_non_object_json_is_an_input_error(tmp_path, capsys, text):
+    bad = tmp_path / "bad.cert"
+    bad.write_text(text, encoding="utf-8")
+    assert main(["check-cert", str(bad)]) == 3
+    assert "not a certificate file" in capsys.readouterr().err
+
+
 def test_budget_exhausted_exit_code(capsys):
     rc = main(["certify", "nonmember"])
     assert rc == 2

@@ -52,6 +52,13 @@ def test_parse_reports_offset(werner_algebra):
     assert err.value.position == 4
 
 
+def test_parse_deep_nesting_is_a_parse_error(werner_algebra):
+    with pytest.raises(ParseError):
+        werner_algebra.parse("(" * 5000 + "a" + ")" * 5000)
+    assert werner_algebra.parse("(" * 50 + "a" + ")" * 50) == \
+        werner_algebra.gen("a")
+
+
 def test_duplicate_names_rejected():
     A = FreeAlgebra()
     A.add("x")
