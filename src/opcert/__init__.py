@@ -11,7 +11,6 @@ counterexample checks.
 
 from .freealg import (AdjointError, AlgebraError, DegLexOrder, FreeAlgebra,
                       Indeterminate, ParseError, Polynomial, compare_words)
-from .kernels import BACKEND as KERNEL_BACKEND
 from .rewrite import (BUDGET_EXHAUSTED, COMPLETE, CompletionLimits,
                       Obstruction, TracedPolynomial, TraceStep, complete,
                       find_obstructions, reduce, s_polynomial)

@@ -1,8 +1,7 @@
-"""Pure-Python reduction kernels.
+"""Pure-Python reduction kernels, the hot loops of ``rewrite``.
 
-Same interface as the compiled ``_kernel`` extension; selected as a fallback
-at import time (see ``kernels``).  Words are tuples of ints, coefficient
-dictionaries map words to nonzero int/Fraction values.
+Words are tuples of ints, coefficient dictionaries map words to nonzero
+int/Fraction values.
 
 The entry points are the innermost operations of two-sided reduction and
 completion: word keys for the deglex heap, locating the best reducible factor
@@ -12,8 +11,6 @@ update, a lead's self-overlaps and the scan for leads a new lead retires.
 ``rewrite.find_obstructions``; the completion engine finds the same rows
 through its lead indexes and is tested against this scan.
 """
-
-BACKEND = "python"
 
 
 def word_key(w, rank):
@@ -118,10 +115,13 @@ def batch_overlaps(v, others):
 
 
 def find_retirees(lead, others):
-    """Indices from (i, w) pairs whose word contains ``lead`` as a factor."""
-    out = []
+    """Indices from (i, w) pairs whose word contains ``lead`` as a factor;
+    an empty lead is a factor of every word."""
     n = len(lead)
-    first = lead[0] if n else None
+    if not n:
+        return [i for i, _ in others]
+    out = []
+    first = lead[0]
     for i, w in others:
         nw = len(w)
         if nw < n:

@@ -204,7 +204,6 @@ def certify(assumptions: Sequence[Polynomial], claims: Sequence[Polynomial],
             limits: Optional[CompletionLimits] = None, *,
             assumption_names: Optional[Sequence[str]] = None,
             claim_names: Optional[Sequence[str]] = None,
-            workers: int = 1, kernel=None,
             minimize: bool = True,
             require_zero_constant: bool = True) -> CertifyReport:
     """Prove each claim a member of the two-sided ideal of the assumptions.
@@ -242,8 +241,7 @@ def certify(assumptions: Sequence[Polynomial], claims: Sequence[Polynomial],
     limits = limits or CompletionLimits()
 
     start = time.monotonic()
-    engine = CompletionEngine(list(enumerate(assumptions)), order, limits,
-                              kernel=kernel, workers=workers)
+    engine = CompletionEngine(list(enumerate(assumptions)), order, limits)
 
     states = [{"name": n, "claim": c, "terms": dict(c._terms), "steps": [],
                "done": False} for n, c in zip(cnames, claims)]

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .certify import load_certificate, save_certificate, verify_certificate
 from .freealg import AlgebraError
-from .kernels import BACKEND
 from .matcheck import example1_check, example2_check, fixture_penrose_report
-from .rewrite import CompletionLimits, reduce as nf_reduce
+from .rewrite import reduce as nf_reduce
 from .statements import load_problem, run_problem, translate
 
 EXIT_OK = 0
@@ -44,16 +44,16 @@ def fixture_path(name: str) -> Path:
 
 
 def _apply_limit_overrides(problem, args) -> None:
-    lim = problem.options.limits
-    problem.options.limits = CompletionLimits(
-        args.max_degree or lim.max_degree,
-        args.max_iterations or lim.max_iterations,
-        lim.max_basis_size,
-        args.time_budget or lim.time_budget)
+    given = {name: getattr(args, name)
+             for name in ("max_degree", "max_iterations", "time_budget")
+             if getattr(args, name) is not None}
+    try:
+        problem.options.limits = replace(problem.options.limits, **given)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_INPUT) from None
     if args.order:
         problem.options.ranking = [s.strip() for s in args.order.split(",")]
-    if args.workers:
-        problem.options.workers = args.workers
     if args.no_closure:
         problem.options.closure = False
 
@@ -76,8 +76,7 @@ def cmd_certify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     print(f"problem {path.stem}: {trans.indeterminate_count} indeterminates, "
-          f"{len(trans.assumptions)} assumptions, {len(trans.claims)} claims "
-          f"[{BACKEND} kernel]")
+          f"{len(trans.assumptions)} assumptions, {len(trans.claims)} claims")
     if trans.quiver_check is not None:
         _print_quiver_check(trans)
         if not trans.quiver_check.ok:
@@ -212,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--time-budget", type=float, default=None)
         p.add_argument("--order", default=None,
                        help="comma-separated variable ranking")
-        p.add_argument("--workers", type=int, default=None)
         p.add_argument("--no-closure", action="store_true")
 
     p = sub.add_parser("certify", help="solve a problem file, emit certificates")

@@ -18,14 +18,13 @@ from __future__ import annotations
 import heapq
 import time
 from bisect import bisect_left, insort
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
 
+from . import _kernel_py
 from .freealg import (AlgebraError, DegLexOrder, Polynomial, Word,
                       normalize_coeff)
-from .kernels import KERNEL
 
 
 class TraceStep(NamedTuple):
@@ -89,7 +88,7 @@ class CompletionLimits:
 
     def __post_init__(self):
         if min(self.max_degree, self.max_iterations, self.max_basis_size) <= 0 \
-                or self.time_budget <= 0:
+                or not self.time_budget > 0:  # NaN would disable the deadline
             raise ValueError("completion limits must be positive")
 
 
@@ -116,9 +115,9 @@ def _pair_obstructions(i: int, u: Word, j: int, v: Word):
     (including equal words).
     """
     if i == j:
-        return [Obstruction(i, i, *row) for row in KERNEL.self_overlaps(u)]
+        return [Obstruction(i, i, *row) for row in _kernel_py.self_overlaps(u)]
     return [Obstruction(row[0], j, *row[1:])
-            for row in KERNEL.batch_overlaps(v, [(i, u)])]
+            for row in _kernel_py.batch_overlaps(v, [(i, u)])]
 
 
 def find_obstructions(basis: Sequence[Polynomial],
@@ -175,9 +174,8 @@ class _Reducer:
     leading words resolve to the lowest index.
     """
 
-    def __init__(self, rank, kernel=None):
+    def __init__(self, rank):
         self.rank = rank
-        self.kernel = kernel or KERNEL
         self.leadmap: dict = {}
         self._len_counts: dict = {}
         self._lengths: Optional[tuple] = ()
@@ -197,7 +195,7 @@ class _Reducer:
             self._lengths = None
         elif idx >= cur[0]:
             return
-        self.leadmap[w] = (idx, lc, self.kernel.word_key(w, self.rank)[1])
+        self.leadmap[w] = (idx, lc, _kernel_py.word_key(w, self.rank)[1])
 
     def del_entry(self, w: Word) -> None:
         if w in self.leadmap:
@@ -216,7 +214,7 @@ class _Reducer:
         return self._lengths
 
     def _neg_key(self, w):
-        n, mapped = self.kernel.word_key(w, self.rank)
+        n, mapped = _kernel_py.word_key(w, self.rank)
         return (-n, tuple(-x for x in mapped))
 
     def normal_form(self, terms: dict, items_of, steps: list,
@@ -227,7 +225,6 @@ class _Reducer:
         Returns False if the deadline struck before the normal form was
         reached (terms are then left mid-reduction).
         """
-        kernel = self.kernel
         leadmap = self.leadmap
         lengths = self.lengths
         if not leadmap:
@@ -240,7 +237,7 @@ class _Reducer:
             _, w = heapq.heappop(heap)
             if w in done or w not in terms:
                 continue
-            hit = kernel.find_best_match(w, leadmap, lengths)
+            hit = _kernel_py.find_best_match(w, leadmap, lengths)
             if hit is None:
                 done.add(w)
                 continue
@@ -248,7 +245,7 @@ class _Reducer:
             left = w[:pos]
             right = w[pos + len(lead):]
             c = _div(terms[w], lc)
-            new_words = kernel.submul(terms, items_of(idx), c, left, right)
+            new_words = _kernel_py.submul(terms, items_of(idx), c, left, right)
             steps.append(TraceStep(c, left, idx, right))
             for nw in new_words:
                 if nw not in done:
@@ -261,7 +258,7 @@ class _Reducer:
 
 
 def reduce(p: Polynomial, basis: Sequence[Polynomial],
-           order: Optional[DegLexOrder] = None, kernel=None) -> TracedPolynomial:
+           order: Optional[DegLexOrder] = None) -> TracedPolynomial:
     """Full two-sided normal form of ``p`` modulo ``basis``.
 
     The result value contains no monomial with a basis leading word as a
@@ -269,7 +266,7 @@ def reduce(p: Polynomial, basis: Sequence[Polynomial],
     (the order is well-founded).
     """
     order = order or p.alg.default_order()
-    red = _Reducer(order.ranking, kernel)
+    red = _Reducer(order.ranking)
     stored = []
     for idx, g in enumerate(basis):
         if g.is_zero:
@@ -318,20 +315,16 @@ class CompletionEngine:
     interreduced.  A new lead finds its overlap partners through hash
     indexes of the active leads' proper prefixes and suffixes and its factor
     partners through ``_by_lead``; partners beyond ``max_degree`` are only
-    counted.  S-polynomial formation for queued obstructions may run on a
-    thread pool against an immutable snapshot; results merge sequentially, so
-    output never depends on the worker count.
+    counted.
 
     Queue entries are raw rows (degree, seq, i, j, li, ri, lj, rj).
     """
 
     def __init__(self, generators, order: DegLexOrder,
-                 limits: CompletionLimits, kernel=None, workers: int = 1):
+                 limits: CompletionLimits):
         self.order = order
         self.limits = limits
-        self.kernel = kernel or KERNEL
-        self.workers = max(1, workers)
-        self.reducer = _Reducer(order.ranking, self.kernel)
+        self.reducer = _Reducer(order.ranking)
         self.elements: list[_Element] = []
         self.queue: list = []
         self._active: dict = {}   # idx -> lead word (insertion ordered)
@@ -341,7 +334,6 @@ class CompletionEngine:
         self._suffixes: dict = {}
         self._seq = 0
         self._requeue: list = []
-        self._pool = None
         self.stats = CompletionStats()
         self._start = time.monotonic()
         self._deadline = self._start + limits.time_budget
@@ -427,18 +419,18 @@ class CompletionEngine:
         self.elements.append(elem)
         self.stats.elements_added += 1
         # retire active elements whose lead contains the new lead as a factor
-        for m in self.kernel.find_retirees(lead, list(self._active.items())):
+        for m in _kernel_py.find_retirees(lead, list(self._active.items())):
             self._retire(m)
             self._requeue.append(m)
         # queue obstructions against the still-active leads, then self
         self._push_rows(idx, self._pair_rows(lead))
         self._push_rows(idx, [(idx,) + row
-                              for row in self.kernel.self_overlaps(lead)])
+                              for row in _kernel_py.self_overlaps(lead)])
         self._activate(idx, lead)
         return idx
 
     def _pair_rows(self, v: Word) -> list:
-        """Rows ``kernel.batch_overlaps(v, active leads)`` would give, in
+        """Rows ``_kernel_py.batch_overlaps(v, active leads)`` would give, in
         its order, less those above ``max_degree``, which are only counted.
 
         No active lead contains ``v`` (those were just retired), so the
@@ -539,13 +531,6 @@ class CompletionEngine:
 
     # -- main loop -----------------------------------------------------------------
 
-    def _form_spoly(self, row) -> dict:
-        _, _, i, j, li, ri, lj, rj = row
-        terms: dict = {}
-        self.kernel.submul(terms, self.elements[i].items, -1, li, ri)
-        self.kernel.submul(terms, self.elements[j].items, 1, lj, rj)
-        return terms
-
     def process(self, max_new_elements: int = 1) -> bool:
         """Work the queue until ``max_new_elements`` were added, the queue is
         exhausted, or a budget tripped.  Returns True iff an element was added.
@@ -556,41 +541,23 @@ class CompletionEngine:
             self._process_requeue()
             if self._exhausted or not self.queue or not self._budget_ok():
                 break
-            batch: list = []
-            while self.queue and len(batch) < self.workers:
-                row = heapq.heappop(self.queue)
-                if elements[row[2]].active and elements[row[3]].active:
-                    batch.append(row)
-            if not batch:
+            _, _, i, j, li, ri, lj, rj = heapq.heappop(self.queue)
+            # a retired partner cannot survive into the final basis, so its
+            # obstruction is moot
+            if not (elements[i].active and elements[j].active):
                 continue
-            if len(batch) > 1:
-                if self._pool is None:
-                    self._pool = ThreadPoolExecutor(self.workers)
-                spolys = list(self._pool.map(self._form_spoly, batch))
-            else:
-                spolys = [self._form_spoly(batch[0])]
-            for n, (row, terms) in enumerate(zip(batch, spolys)):
-                if added >= max_new_elements or not self._budget_ok():
-                    for leftover in batch[n:]:
-                        heapq.heappush(self.queue, leftover)
-                    return added > 0
-                _, _, i, j, li, ri, lj, rj = row
-                # retired mid-batch: the pair cannot survive into the final
-                # basis, so its obstruction is moot
-                if not (elements[i].active and elements[j].active):
-                    continue
-                self.stats.obstructions_processed += 1
-                steps: list = [TraceStep(1, li, i, ri),
-                               TraceStep(-1, lj, j, rj)]
-                if not self._nf_into(terms, steps):
-                    self._exhausted = True
-                    for leftover in batch[n + 1:]:
-                        heapq.heappush(self.queue, leftover)
-                    return added > 0
-                if terms:
-                    self._append(terms, steps)
-                    added += 1
-                self._process_requeue()
+            self.stats.obstructions_processed += 1
+            terms: dict = {}
+            _kernel_py.submul(terms, elements[i].items, -1, li, ri)
+            _kernel_py.submul(terms, elements[j].items, 1, lj, rj)
+            steps: list = [TraceStep(1, li, i, ri), TraceStep(-1, lj, j, rj)]
+            if not self._nf_into(terms, steps):
+                self._exhausted = True
+                break
+            if terms:
+                self._append(terms, steps)
+                added += 1
+            self._process_requeue()
         return added > 0
 
     def run(self) -> str:
@@ -686,8 +653,7 @@ class CompletionEngine:
 
 def complete(generators: Sequence[Polynomial],
              order: Optional[DegLexOrder] = None,
-             limits: Optional[CompletionLimits] = None,
-             kernel=None, workers: int = 1):
+             limits: Optional[CompletionLimits] = None):
     """Bounded completion of the generator set.
 
     Returns ``(basis, status)`` where each basis element is a
@@ -700,8 +666,7 @@ def complete(generators: Sequence[Polynomial],
         return [], COMPLETE
     order = order or generators[0].alg.default_order()
     limits = limits or CompletionLimits()
-    engine = CompletionEngine(list(enumerate(generators)), order, limits,
-                              kernel=kernel, workers=workers)
+    engine = CompletionEngine(list(enumerate(generators)), order, limits)
     engine.interreduce()
     status = engine.run()
     alg = generators[0].alg

@@ -142,6 +142,23 @@ def _monic_key(p: Polynomial, order: DegLexOrder):
                      for w, c in p._terms.items())
 
 
+def _missing_adjoints(present: Sequence[Polynomial],
+                      new: Sequence[Polynomial], order: DegLexOrder) -> list:
+    """``(k, new[k].adjoint())`` for each adjoint not in ``present`` nor
+    met earlier, up to sign and scalar multiple."""
+    seen = {_monic_key(p, order) for p in present if p}
+    out = []
+    for k, p in enumerate(new):
+        if p.is_zero:
+            continue
+        q = p.adjoint()
+        key = _monic_key(q, order)
+        if key not in seen:
+            seen.add(key)
+            out.append((k, q))
+    return out
+
+
 def involution_closure(polys: Sequence[Polynomial],
                        order: Optional[DegLexOrder] = None) -> list:
     """Input polynomials plus their adjoints, deduplicated up to sign and
@@ -150,17 +167,7 @@ def involution_closure(polys: Sequence[Polynomial],
     if not polys:
         return []
     order = order or polys[0].alg.default_order()
-    seen = {_monic_key(p, order) for p in polys if p}
-    out = list(polys)
-    for p in polys:
-        if p.is_zero:
-            continue
-        q = p.adjoint()
-        key = _monic_key(q, order)
-        if key not in seen:
-            seen.add(key)
-            out.append(q)
-    return out
+    return polys + [q for _, q in _missing_adjoints(polys, polys, order)]
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +238,6 @@ def apply_cancellability(step: CancellabilityStep,
                          order: Optional[DegLexOrder] = None,
                          limits: Optional[CompletionLimits] = None, *,
                          assumption_names: Optional[Sequence[str]] = None,
-                         workers: int = 1,
                          require_zero_constant: bool = True):
     """Certify the witness in the current ideal and return the conclusion.
 
@@ -242,7 +248,7 @@ def apply_cancellability(step: CancellabilityStep,
     validate_step(step)
     report = certify(list(assumptions), [step.witness], order, limits,
                      assumption_names=assumption_names,
-                     claim_names=["witness"], workers=workers,
+                     claim_names=["witness"],
                      require_zero_constant=require_zero_constant)
     res = report.results[0]
     if not res.certified:
@@ -261,7 +267,6 @@ class ProblemOptions:
     limits: CompletionLimits = field(default_factory=CompletionLimits)
     closure: bool = False
     ranking: Optional[list] = None  # list of names for the order
-    workers: int = 1
     allow_constant_terms: bool = False
 
 
@@ -311,7 +316,7 @@ class Translation:
         return len(self.algebra)
 
 
-def translate(problem: Problem, workers: Optional[int] = None) -> Translation:
+def translate(problem: Problem) -> Translation:
     """Expand a problem into assumption/claim polynomials plus the quiver.
 
     Applies the involution closure when declared, runs workflow steps in
@@ -322,36 +327,27 @@ def translate(problem: Problem, workers: Optional[int] = None) -> Translation:
     alg = problem.algebra
     order = problem.order()
     opts = problem.options
-    workers = opts.workers if workers is None else workers
     names = [n for n, _ in problem.assumptions]
     polys = [p for _, p in problem.assumptions]
 
-    def close_into(new_names, new_polys):
-        # append adjoints not yet present up to sign and scalar
-        seen = {_monic_key(p, order) for p in polys if p}
-        for name, p in list(zip(new_names, new_polys)):
-            if p.is_zero:
-                continue
-            q = p.adjoint()
-            key = _monic_key(q, order)
-            if key not in seen:
-                seen.add(key)
-                names.append(name + "*")
-                polys.append(q)
+    def close_from(first):
+        # append the adjoints of polys[first:] not yet present
+        for k, q in _missing_adjoints(polys, polys[first:], order):
+            names.append(names[first + k] + "*")
+            polys.append(q)
 
     if opts.closure:
-        close_into(list(names), list(polys))
+        close_from(0)
     reports = []
     for k, step in enumerate(problem.workflow, start=1):
         conclusion, cert = apply_cancellability(
             step, polys, order, opts.limits, assumption_names=names,
-            workers=workers,
             require_zero_constant=not opts.allow_constant_terms)
         base = f"step{k}"
         names.append(base)
         polys.append(conclusion)
         if opts.closure:
-            close_into([base], [conclusion])
+            close_from(len(polys) - 1)
         reports.append(WorkflowReport(step, base, cert))
     claims = [p for _, p in problem.claims]
     claim_names = [n for n, _ in problem.claims]
@@ -372,16 +368,15 @@ def translate(problem: Problem, workers: Optional[int] = None) -> Translation:
                        reports, order, opts)
 
 
-def run_problem(problem: Problem, workers: Optional[int] = None,
+def run_problem(problem: Problem,
                 limits: Optional[CompletionLimits] = None):
     """translate + certify; returns (Translation, CertifyReport)."""
-    trans = translate(problem, workers=workers)
+    trans = translate(problem)
     opts = problem.options
     report = certify(trans.assumptions, trans.claims, trans.order,
                      limits or opts.limits,
                      assumption_names=trans.assumption_names,
                      claim_names=trans.claim_names,
-                     workers=opts.workers if workers is None else workers,
                      require_zero_constant=not opts.allow_constant_terms)
     return trans, report
 
@@ -647,7 +642,7 @@ def _parse_option_line(problem, line, line_no):
     words = line.split()
     key, rest = words[0], words[1:]
     known = ("max_degree", "max_iterations", "max_basis_size", "time_budget",
-             "closure", "allow_constant_terms", "workers", "order")
+             "closure", "allow_constant_terms", "order")
     if key not in known:
         raise ProblemFileError(f"unknown option {key!r}", line_no)
     lim = opts.limits
@@ -668,8 +663,6 @@ def _parse_option_line(problem, line, line_no):
             opts.closure = _on_off(rest[0], line_no)
         elif key == "allow_constant_terms":
             opts.allow_constant_terms = _on_off(rest[0], line_no)
-        elif key == "workers":
-            opts.workers = int(rest[0])
         elif key == "order":
             opts.ranking = rest
     except ProblemFileError:

@@ -115,6 +115,18 @@ def test_constant_term_assumption_rejected(werner_algebra):
     assert "constant" in str(err.value)
 
 
+def test_constant_assumption_after_nonconstant_one():
+    # ring level: the constant lead retires the earlier lead a·b
+    A = FreeAlgebra()
+    A.add("a")
+    A.add("b")
+    report = certify([A.parse("a·b − a"), A.parse("1")], [A.parse("b")],
+                     require_zero_constant=False)
+    res = report.results[0]
+    assert res.certified
+    assert verify_certificate(res.certificate).valid
+
+
 def test_negative_control_budget_exhausted():
     A = FreeAlgebra()
     A.add("a")

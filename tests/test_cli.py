@@ -107,3 +107,13 @@ def test_reduce_claim_filter(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "claim cancel:" in out and "claim idem:" not in out
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--max-degree", "-1"), ("--max-degree", "0"),
+    ("--max-iterations", "0"), ("--time-budget", "0"),
+    ("--time-budget", "nan")])
+def test_bad_limit_override_is_an_input_error(capsys, flag, value):
+    assert main(["certify", "werner", flag, value]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -47,18 +47,6 @@ def test_nonmember_fixture_budget_exhausts():
     assert report.results[0].status == BUDGET_EXHAUSTED
 
 
-def test_workers_flag_does_not_change_certificates():
-    prob = load_problem(FIXTURES / "thm2_3_i_to_v.prob")
-    _, rep1 = run_problem(prob, workers=1)
-    prob2 = load_problem(FIXTURES / "thm2_3_i_to_v.prob")
-    _, rep2 = run_problem(prob2, workers=3)
-    summands1 = [[(s.left.terms(), s.index, s.right.terms())
-                  for s in r.certificate.summands] for r in rep1.results]
-    summands2 = [[(s.left.terms(), s.index, s.right.terms())
-                  for s in r.certificate.summands] for r in rep2.results]
-    assert summands1 == summands2
-
-
 def test_mp_equations_vanish_on_true_inverse_matrices():
     """Cross-check between the statement macros and exact matrices: the four
     defining equations, realized with Y the true Moore-Penrose inverse of a

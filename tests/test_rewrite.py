@@ -10,16 +10,10 @@ import random
 
 import pytest
 
-from opcert import _kernel_py
 from opcert.freealg import AlgebraError, FreeAlgebra
 from opcert.rewrite import (BUDGET_EXHAUSTED, COMPLETE, CompletionLimits,
                             Obstruction, TracedPolynomial, complete,
                             find_obstructions, reduce, s_polynomial)
-
-try:
-    from opcert import _kernel
-except ImportError:  # extension not built; fallback-only environment
-    _kernel = None
 
 
 def expand_trace(trace, sources, alg):
@@ -275,46 +269,6 @@ def test_limits_must_be_positive():
         CompletionLimits(max_degree=0)
     with pytest.raises(ValueError):
         CompletionLimits(time_budget=-1)
-
-
-# -- kernels agree -----------------------------------------------------------------------
-
-@pytest.mark.skipif(_kernel is None, reason="compiled kernel not built")
-def test_backends_identical(werner_system):
-    A, F, f = werner_system
-    for kernel in (_kernel, _kernel_py):
-        traced = reduce(f, F, kernel=kernel)
-        assert traced.value.is_zero
-    b1, s1 = complete(F, kernel=_kernel,
-                      limits=CompletionLimits(max_degree=8, time_budget=60))
-    b2, s2 = complete(F, kernel=_kernel_py,
-                      limits=CompletionLimits(max_degree=8, time_budget=60))
-    assert s1 == s2
-    assert [tp.value for tp in b1] == [tp.value for tp in b2]
-    assert [tp.trace for tp in b1] == [tp.trace for tp in b2]
-
-
-@pytest.mark.skipif(_kernel is None, reason="compiled kernel not built")
-def test_kernel_primitives_agree():
-    rng = random.Random(3)
-    for _ in range(300):
-        u = tuple(rng.randrange(4) for _ in range(rng.randrange(1, 6)))
-        v = tuple(rng.randrange(4) for _ in range(rng.randrange(1, 6)))
-        assert _kernel.self_overlaps(u) == _kernel_py.self_overlaps(u)
-        assert _kernel.batch_overlaps(v, [(0, u)]) == \
-            _kernel_py.batch_overlaps(v, [(0, u)])
-        assert _kernel.find_retirees(u, [(5, v)]) == \
-            _kernel_py.find_retirees(u, [(5, v)])
-        assert _kernel.word_key(u, None) == _kernel_py.word_key(u, None)
-
-
-def test_workers_do_not_change_results(werner_system):
-    A, F, f = werner_system
-    limits = CompletionLimits(max_degree=8, time_budget=60)
-    b1, s1 = complete(F, limits=limits, workers=1)
-    b4, s4 = complete(F, limits=limits, workers=4)
-    assert s1 == s4
-    assert [tp.value for tp in b1] == [tp.value for tp in b4]
 
 
 # -- invariants from the fine print ---------------------------------------------

@@ -259,10 +259,9 @@ def test_problem_duplicate_and_clashing_names():
 def test_problem_options_and_order():
     prob = parse_problem(
         "[ops]\nb\na\n[assume]\nf = a·b − b·a\n[claim]\ng = a·b\n"
-        "[options]\nmax_degree 7\ntime_budget 9\nworkers 2\norder a b\n")
+        "[options]\nmax_degree 7\ntime_budget 9\norder a b\n")
     assert prob.options.limits.max_degree == 7
     assert prob.options.limits.time_budget == 9
-    assert prob.options.workers == 2
     order = prob.order()
     a, b = prob.algebra.word("a")[0], prob.algebra.word("b")[0]
     assert order.ranking[a] < order.ranking[b]
