@@ -11,9 +11,9 @@ counterexample checks.
 
 from .freealg import (AdjointError, AlgebraError, DegLexOrder, FreeAlgebra,
                       Indeterminate, ParseError, Polynomial, compare_words)
-from .rewrite import (BUDGET_EXHAUSTED, COMPLETE, CompletionLimits,
-                      Obstruction, TracedPolynomial, TraceStep, complete,
-                      find_obstructions, reduce, s_polynomial)
+from .rewrite import (BUDGET_EXHAUSTED, COMPLETE, STOPPED_EARLY,
+                      CompletionLimits, TracedPolynomial, TraceStep, complete,
+                      reduce)
 from .certify import (Certificate, CertifyReport, ClaimResult, Summand,
                       VerificationResult, certify, load_certificate,
                       make_certificate, minimize_certificate, save_certificate,

@@ -4,21 +4,13 @@ Words are tuples of ints, coefficient dictionaries map words to nonzero
 int/Fraction values.
 
 The entry points are the innermost operations of two-sided reduction and
-completion: word keys for the deglex heap, locating the best reducible factor
-under the fixed tie-break, the fused "subtract a scaled two-sided multiple"
-update, a lead's self-overlaps and the scan for leads a new lead retires.
-``batch_overlaps`` is the pairwise overlap/containment scan behind
-``rewrite.find_obstructions``; the completion engine finds the same rows
-through its lead indexes and is tested against this scan.
+completion: locating the best reducible factor under the fixed tie-break, the
+fused "subtract a scaled two-sided multiple" update, a lead's self-overlaps
+and the scan for leads a new lead retires.  ``batch_overlaps`` is the
+pairwise overlap/containment scan of one lead against many; the completion
+engine finds the same rows through its lead indexes and is tested against
+this scan.
 """
-
-
-def word_key(w, rank):
-    """Deglex sort key: degree first, then ranked letters.  rank=None means
-    the id numbering is the ranking."""
-    if rank is None:
-        return (len(w), w)
-    return (len(w), tuple(rank[x] for x in w))
 
 
 def find_best_match(w, leadmap, lengths):

@@ -16,8 +16,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .freealg import AlgebraError, DegLexOrder, FreeAlgebra, Polynomial
-from .rewrite import (BUDGET_EXHAUSTED, COMPLETE, CompletionEngine,
-                      CompletionLimits, TraceStep)
+from .rewrite import (BUDGET_EXHAUSTED, COMPLETE, STOPPED_EARLY,
+                      CompletionEngine, CompletionLimits, TraceStep)
 
 CERT_FORMAT = "opcert-certificate/1"
 
@@ -246,16 +246,10 @@ def certify(assumptions: Sequence[Polynomial], claims: Sequence[Polynomial],
     states = [{"name": n, "claim": c, "terms": dict(c._terms), "steps": [],
                "done": False} for n, c in zip(cnames, claims)]
 
-    def attempt(state) -> bool:
-        ok = engine.reducer.normal_form(
-            state["terms"], lambda idx: engine.elements[idx].items,
-            state["steps"], engine._deadline)
-        if not ok:
-            engine._exhausted = True
-            return False
-        if not state["terms"]:
+    def attempt(state) -> None:
+        if engine.normal_form(state["terms"], state["steps"]) \
+                and not state["terms"]:
             state["done"] = True
-        return state["done"]
 
     # First pass against the raw generators: direct reductions keep the
     # cofactor attribution on the assumptions as stated (and are cheap).
@@ -297,12 +291,10 @@ def certify(assumptions: Sequence[Polynomial], claims: Sequence[Polynomial],
                 st["name"], st["claim"], BUDGET_EXHAUSTED,
                 remainder=alg.poly(st["terms"])))
 
-    if not engine.has_work() and not engine._exhausted:
-        completion_status = COMPLETE
-    elif all(r.certified for r in results):
-        completion_status = "stopped_early"  # all claims done, queue remains
-    else:
-        completion_status = BUDGET_EXHAUSTED
+    completion_status = engine.status()
+    if completion_status == BUDGET_EXHAUSTED and \
+            all(r.certified for r in results):
+        completion_status = STOPPED_EARLY
     stats = CertifyStats(
         basis_size=len(engine.active_indices()),
         obstructions_processed=engine.stats.obstructions_processed,

@@ -353,15 +353,11 @@ class Polynomial:
         adj = [ind.adjoint for ind in self.alg]
         acc: dict = {}
         for w, c in self._terms.items():
-            try:
-                nw = tuple(adj[x] for x in reversed(w))
-            except TypeError:
+            nw = tuple(adj[x] for x in reversed(w))
+            if None in nw:
                 bad = next(x for x in w if adj[x] is None)
                 raise AdjointError(
-                    f"indeterminate {self.alg.by_id(bad).name!r} has no adjoint"
-                ) from None
-            if None in nw:  # defensive; TypeError above normally triggers first
-                raise AdjointError("unpaired indeterminate in adjoint")
+                    f"indeterminate {self.alg.by_id(bad).name!r} has no adjoint")
             acc[nw] = acc.get(nw, 0) + c
         return Polynomial._make(self.alg, {w: c for w, c in acc.items() if c})
 

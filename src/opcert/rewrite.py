@@ -8,19 +8,17 @@ expanded back into a two-sided combination of the inputs.
 Trace conventions:
 
 * ``reduce(p, basis)``:  p = value + sum(c * l . basis[i] . r)
-* ``s_polynomial(o, basis)`` and ``complete`` basis elements:
-  value = sum(c * l . source[i] . r)   (sources are the original generators
-  for ``complete``).
+* ``complete`` basis elements:  value = sum(c * l . generators[i] . r)
 """
 
 from __future__ import annotations
 
 import heapq
 import time
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import _kernel_py
 from .freealg import (AlgebraError, DegLexOrder, Polynomial, Word,
@@ -61,23 +59,6 @@ class TracedPolynomial:
 
 
 @dataclass(frozen=True)
-class Obstruction:
-    """Overlap of two leading words: both padded products equal ``overlap``."""
-
-    i: int
-    j: int
-    left_i: Word
-    right_i: Word
-    left_j: Word
-    right_j: Word
-    overlap: Word
-
-    @property
-    def degree(self) -> int:
-        return len(self.overlap)
-
-
-@dataclass(frozen=True)
 class CompletionLimits:
     """Budgets for the (generally non-terminating) completion loop."""
 
@@ -94,72 +75,14 @@ class CompletionLimits:
 
 COMPLETE = "complete"
 BUDGET_EXHAUSTED = "budget_exhausted"
+# ``certify`` only: every claim was certified before the queue drained
+STOPPED_EARLY = "stopped_early"
 
 
 def _div(c, lc):
     if lc == 1:
         return c
     return normalize_coeff(Fraction(c) / lc)
-
-
-# ---------------------------------------------------------------------------
-# Obstruction enumeration (reference implementation on the kernel's pairwise
-# scan; the engine finds the same overlaps through its lead indexes)
-# ---------------------------------------------------------------------------
-
-def _pair_obstructions(i: int, u: Word, j: int, v: Word):
-    """All nontrivial overlaps between leading words u (index i) and v (j).
-
-    For i == j only proper self-overlaps exist; for i < j we enumerate
-    suffix/prefix overlaps in both orientations plus factor containments
-    (including equal words).
-    """
-    if i == j:
-        return [Obstruction(i, i, *row) for row in _kernel_py.self_overlaps(u)]
-    return [Obstruction(row[0], j, *row[1:])
-            for row in _kernel_py.batch_overlaps(v, [(i, u)])]
-
-
-def find_obstructions(basis: Sequence[Polynomial],
-                      order: Optional[DegLexOrder] = None) -> list:
-    """Enumerate all self- and pairwise obstructions of the basis leads."""
-    if not basis:
-        return []
-    order = order or basis[0].alg.default_order()
-    leads = []
-    for g in basis:
-        if g.is_zero:
-            raise AlgebraError("basis elements must be nonzero")
-        leads.append(g.lead_word(order))
-    seen = set()
-    out = []
-    for j in range(len(basis)):
-        for i in range(j + 1):
-            for ob in _pair_obstructions(i, leads[i], j, leads[j]):
-                if ob not in seen:
-                    seen.add(ob)
-                    out.append(ob)
-    return out
-
-
-def s_polynomial(o: Obstruction, basis: Sequence[Polynomial],
-                 order: Optional[DegLexOrder] = None) -> TracedPolynomial:
-    """Difference of the two padded, lead-normalized multiples.
-
-    The leading terms cancel by construction; ``value = sum(trace)``.
-    """
-    order = order or basis[0].alg.default_order()
-    gi, gj = basis[o.i], basis[o.j]
-    alg = gi.alg
-    ci = _div(1, gi.lead_coeff(order))
-    cj = _div(1, gj.lead_coeff(order))
-    left_i = alg.monomial(o.left_i, ci)
-    left_j = alg.monomial(o.left_j, cj)
-    value = left_i * gi * alg.monomial(o.right_i) \
-        - left_j * gj * alg.monomial(o.right_j)
-    trace = (TraceStep(ci, o.left_i, o.i, o.right_i),
-             TraceStep(normalize_coeff(-cj), o.left_j, o.j, o.right_j))
-    return TracedPolynomial(value, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -174,19 +97,11 @@ class _Reducer:
     leading words resolve to the lowest index.
     """
 
-    def __init__(self, rank):
-        self.rank = rank
+    def __init__(self, order: DegLexOrder):
+        self.key = order.key
         self.leadmap: dict = {}
         self._len_counts: dict = {}
         self._lengths: Optional[tuple] = ()
-
-    def set_leads(self, leads: Iterable) -> None:
-        """leads: iterable of (word, index, lead_coeff); lowest index wins."""
-        self.leadmap = {}
-        self._len_counts = {}
-        self._lengths = ()
-        for w, idx, lc in leads:
-            self.set_entry(w, idx, lc)
 
     def set_entry(self, w: Word, idx: int, lc) -> None:
         cur = self.leadmap.get(w)
@@ -195,7 +110,7 @@ class _Reducer:
             self._lengths = None
         elif idx >= cur[0]:
             return
-        self.leadmap[w] = (idx, lc, _kernel_py.word_key(w, self.rank)[1])
+        self.leadmap[w] = (idx, lc, self.key(w)[1])
 
     def del_entry(self, w: Word) -> None:
         if w in self.leadmap:
@@ -214,7 +129,7 @@ class _Reducer:
         return self._lengths
 
     def _neg_key(self, w):
-        n, mapped = _kernel_py.word_key(w, self.rank)
+        n, mapped = self.key(w)
         return (-n, tuple(-x for x in mapped))
 
     def normal_form(self, terms: dict, items_of, steps: list,
@@ -266,7 +181,7 @@ def reduce(p: Polynomial, basis: Sequence[Polynomial],
     (the order is well-founded).
     """
     order = order or p.alg.default_order()
-    red = _Reducer(order.ranking)
+    red = _Reducer(order)
     stored = []
     for idx, g in enumerate(basis):
         if g.is_zero:
@@ -287,7 +202,7 @@ _GEN = "g"
 
 
 class _Element:
-    __slots__ = ("terms", "items", "lead", "active", "steps")
+    __slots__ = ("terms", "items", "lead", "steps")
 
     def __init__(self, terms, lead, steps):
         self.terms = terms
@@ -295,7 +210,6 @@ class _Element:
         self.lead = lead
         self.steps = steps  # (coeff, left, ref, right); ref int -> element,
         #                     (_GEN, i) -> original generator i
-        self.active = True
 
 
 @dataclass
@@ -306,16 +220,31 @@ class CompletionStats:
     elapsed: float = 0.0
 
 
+def _accumulate(acc: dict, c, l: Word, ref, r: Word, memo: dict) -> None:
+    """Add ``c * l . ref . r`` to ``acc`` at generator level; ``memo`` maps
+    an element to its own accumulation.  Zero sums drop out."""
+    parts = [(((), ref[1], ()), 1)] if isinstance(ref, tuple) \
+        else memo[ref].items()
+    for (l2, gi, r2), c2 in parts:
+        key = (l + l2, gi, r2 + r)
+        v = acc.get(key, 0) + c * c2
+        if v:
+            acc[key] = v
+        else:
+            acc.pop(key, None)
+
+
 class CompletionEngine:
     """Fair bounded completion with generator-level trace bookkeeping.
 
     Obstructions are processed as a FIFO keyed by (overlap degree, creation
     index).  Elements whose lead becomes reducible by a newer lead are retired
     and their normal forms re-enter the basis, so the active lead set stays
-    interreduced.  A new lead finds its overlap partners through hash
-    indexes of the active leads' proper prefixes and suffixes and its factor
-    partners through ``_by_lead``; partners beyond ``max_degree`` are only
-    counted.
+    interreduced: each active lead word belongs to exactly one element, and
+    the reducer's ``leadmap`` is the table of active leads.  A new lead finds
+    its overlap partners through hash indexes of the active leads' proper
+    prefixes and suffixes and its factor partners through ``leadmap``;
+    partners beyond ``max_degree`` are only counted.
 
     Queue entries are raw rows (degree, seq, i, j, li, ri, lj, rj).
     """
@@ -324,11 +253,10 @@ class CompletionEngine:
                  limits: CompletionLimits):
         self.order = order
         self.limits = limits
-        self.reducer = _Reducer(order.ranking)
+        self.reducer = _Reducer(order)
         self.elements: list[_Element] = []
         self.queue: list = []
         self._active: dict = {}   # idx -> lead word (insertion ordered)
-        self._by_lead: dict = {}  # lead word -> ascending active idx list
         # proper prefix / suffix of an active lead -> ascending idx list
         self._prefixes: dict = {}
         self._suffixes: dict = {}
@@ -353,28 +281,11 @@ class CompletionEngine:
 
     # -- lead bookkeeping ----------------------------------------------------
 
-    def _lead_add(self, idx: int, w: Word) -> None:
-        lst = self._by_lead.setdefault(w, [])
-        insort(lst, idx)
-        self.reducer.del_entry(w)
-        self.reducer.set_entry(w, lst[0], 1)
-
-    def _lead_remove(self, idx: int, w: Word) -> None:
-        lst = self._by_lead.get(w)
-        if lst and idx in lst:
-            lst.remove(idx)
-            if lst:
-                self.reducer.del_entry(w)
-                self.reducer.set_entry(w, lst[0], 1)
-            else:
-                del self._by_lead[w]
-                self.reducer.del_entry(w)
-
     def _activate(self, idx: int, w: Word) -> None:
-        """Enter ``idx`` with lead ``w`` into the active set, ``_by_lead``
+        """Enter ``idx`` with lead ``w`` into the active set, the reducer
         and the prefix/suffix indexes."""
         self._active[idx] = w
-        self._lead_add(idx, w)
+        self.reducer.set_entry(w, idx, 1)
         n = len(w)
         for k in range(1, n):  # idx is the newest index: lists stay sorted
             self._prefixes.setdefault(w[:k], []).append(idx)
@@ -382,11 +293,8 @@ class CompletionEngine:
 
     def _deactivate(self, idx: int) -> None:
         """Drop ``idx`` from the active set and the prefix/suffix indexes
-        (``_by_lead`` is the caller's business)."""
-        elem = self.elements[idx]
-        elem.active = False
-        del self._active[idx]
-        w = elem.lead
+        (the reducer entry is the caller's business)."""
+        w = self._active.pop(idx)
         n = len(w)
         for k in range(1, n):
             for table, key in ((self._prefixes, w[:k]),
@@ -399,7 +307,7 @@ class CompletionEngine:
 
     def _retire(self, idx: int) -> None:
         self._deactivate(idx)
-        self._lead_remove(idx, self.elements[idx].lead)
+        self.reducer.del_entry(self.elements[idx].lead)
 
     def active_indices(self) -> list:
         return sorted(self._active)
@@ -419,6 +327,7 @@ class CompletionEngine:
         self.elements.append(elem)
         self.stats.elements_added += 1
         # retire active elements whose lead contains the new lead as a factor
+        # (an equal lead included, so active leads stay distinct)
         for m in _kernel_py.find_retirees(lead, list(self._active.items())):
             self._retire(m)
             self._requeue.append(m)
@@ -459,14 +368,16 @@ class CompletionEngine:
                 else:
                     hits.append((i, k, 1, (v[:nv - k], (), (), u[k:],
                                            v + u[k:])))
-        by_lead = self._by_lead
+        leadmap = self.reducer.leadmap
         for n in range(nv):
             for t in range(nv - n + 1):
-                for i in by_lead.get(v[t:t + n], ()):
-                    if nv > maxdeg:
-                        skipped += 1
-                    else:  # after every overlap row of i: nv > any k
-                        hits.append((i, nv, t, (v[:t], v[t + n:], (), (), v)))
+                hit = leadmap.get(v[t:t + n])
+                if hit is None:
+                    continue
+                if nv > maxdeg:
+                    skipped += 1
+                else:  # after every overlap row of i: nv > any k
+                    hits.append((hit[0], nv, t, (v[:t], v[t + n:], (), (), v)))
         self.stats.obstructions_skipped_degree += skipped
         hits.sort()
         return [(i,) + row for i, _, _, row in hits]
@@ -485,9 +396,18 @@ class CompletionEngine:
 
     # -- normal forms ----------------------------------------------------------
 
-    def _normal_form(self, terms: dict, steps: list) -> bool:
-        return self.reducer.normal_form(
-            terms, lambda idx: self.elements[idx].items, steps, self._deadline)
+    def normal_form(self, terms: dict, steps: list) -> bool:
+        """Reduce ``terms`` in place by the reducer's leads, appending the
+        subtracted multiples (c, l, idx, r) to ``steps``.
+
+        Returns False if the deadline struck first; the engine is then
+        exhausted and ``terms`` are left mid-reduction.
+        """
+        if self.reducer.normal_form(terms, lambda idx: self.elements[idx].items,
+                                    steps, self._deadline):
+            return True
+        self._exhausted = True
+        return False
 
     def _nf_into(self, terms: dict, steps: list) -> bool:
         """Normal form that preserves ``terms_after = sum(steps)``.
@@ -496,7 +416,7 @@ class CompletionEngine:
         so appended entries are negated to keep the element-level identity.
         """
         mark = len(steps)
-        ok = self._normal_form(terms, steps)
+        ok = self.normal_form(terms, steps)
         for n in range(mark, len(steps)):
             c, l, ref, r = steps[n]
             steps[n] = TraceStep(-c, l, ref, r)
@@ -508,7 +428,6 @@ class CompletionEngine:
             terms = dict(self.elements[m].terms)
             steps: list = [TraceStep(1, (), m, ())]
             if not self._nf_into(terms, steps):
-                self._exhausted = True
                 return
             if terms:
                 self._append(terms, steps)
@@ -529,22 +448,31 @@ class CompletionEngine:
     def has_work(self) -> bool:
         return bool(self.queue or self._requeue)
 
+    def status(self) -> str:
+        """COMPLETE if every obstruction within ``max_degree`` was resolved
+        within budget, else BUDGET_EXHAUSTED."""
+        if self.has_work() or self._exhausted:
+            return BUDGET_EXHAUSTED
+        return COMPLETE
+
     # -- main loop -----------------------------------------------------------------
 
-    def process(self, max_new_elements: int = 1) -> bool:
-        """Work the queue until ``max_new_elements`` were added, the queue is
-        exhausted, or a budget tripped.  Returns True iff an element was added.
+    def process(self, max_new_elements: Optional[int] = 1) -> bool:
+        """Work the queue until ``max_new_elements`` were added (no cap if
+        None), the queue is exhausted, or a budget tripped.  Returns True iff
+        an element was added.
         """
         added = 0
         elements = self.elements
-        while added < max_new_elements:
+        active = self._active
+        while max_new_elements is None or added < max_new_elements:
             self._process_requeue()
-            if self._exhausted or not self.queue or not self._budget_ok():
+            if not self.queue or not self._budget_ok():
                 break
             _, _, i, j, li, ri, lj, rj = heapq.heappop(self.queue)
             # a retired partner cannot survive into the final basis, so its
             # obstruction is moot
-            if not (elements[i].active and elements[j].active):
+            if i not in active or j not in active:
                 continue
             self.stats.obstructions_processed += 1
             terms: dict = {}
@@ -552,7 +480,6 @@ class CompletionEngine:
             _kernel_py.submul(terms, elements[j].items, 1, lj, rj)
             steps: list = [TraceStep(1, li, i, ri), TraceStep(-1, lj, j, rj)]
             if not self._nf_into(terms, steps):
-                self._exhausted = True
                 break
             if terms:
                 self._append(terms, steps)
@@ -562,13 +489,10 @@ class CompletionEngine:
 
     def run(self) -> str:
         """Drain the queue; returns COMPLETE or BUDGET_EXHAUSTED."""
-        while self.has_work():
-            if not self._budget_ok():
-                self.stats.elapsed = time.monotonic() - self._start
-                return BUDGET_EXHAUSTED
-            self.process(max_new_elements=2 ** 30)
+        if self._budget_ok():
+            self.process(max_new_elements=None)
         self.stats.elapsed = time.monotonic() - self._start
-        return COMPLETE if not self._exhausted else BUDGET_EXHAUSTED
+        return self.status()
 
     # -- trace expansion --------------------------------------------------------------
 
@@ -591,57 +515,31 @@ class CompletionEngine:
         for k in sorted(needed):
             acc: dict = {}
             for c, l, ref, r in self.elements[k].steps:
-                if isinstance(ref, tuple):
-                    key = (l, ref[1], r)
-                    v = acc.get(key, 0) + c
-                    if v:
-                        acc[key] = v
-                    else:
-                        acc.pop(key, None)
-                else:
-                    for (l2, gi, r2), c2 in memo[ref].items():
-                        key = (l + l2, gi, r2 + r)
-                        v = acc.get(key, 0) + c * c2
-                        if v:
-                            acc[key] = v
-                        else:
-                            acc.pop(key, None)
+                _accumulate(acc, c, l, ref, r, memo)
             memo[k] = acc
         out: dict = {}
         for c, l, ref, r in steps:
-            if isinstance(ref, tuple):
-                key = (l, ref[1], r)
-                v = out.get(key, 0) + c
-                if v:
-                    out[key] = v
-                else:
-                    out.pop(key, None)
-            else:
-                for (l2, gi, r2), c2 in memo[ref].items():
-                    key = (l + l2, gi, r2 + r)
-                    v = out.get(key, 0) + c * c2
-                    if v:
-                        out[key] = v
-                    else:
-                        del out[key]
+            _accumulate(out, c, l, ref, r, memo)
         return [TraceStep(normalize_coeff(c), l, gi, r)
-                for (l, gi, r), c in out.items() if c]
+                for (l, gi, r), c in out.items()]
 
     def interreduce(self) -> None:
         """Reduce every active element against the others until stable."""
         changed = True
         guard = 0
-        while changed and guard < 10_000:
+        while changed and guard < 10_000 and not self._exhausted:
             changed = False
             guard += 1
             for k in self.active_indices():
-                elem = self.elements[k]
-                self._lead_remove(k, elem.lead)  # reduce k by the others
-                terms = dict(elem.terms)
+                lead = self.elements[k].lead
+                self.reducer.del_entry(lead)  # reduce k by the others
+                terms = dict(self.elements[k].terms)
                 steps: list = [TraceStep(1, (), k, ())]
-                self._nf_into(terms, steps)
-                if len(steps) == 1:  # nothing reduced; restore
-                    self._lead_add(k, elem.lead)
+                if not self._nf_into(terms, steps) or len(steps) == 1:
+                    # deadline struck or nothing reduced: restore
+                    self.reducer.set_entry(lead, k, 1)
+                    if self._exhausted:
+                        return
                     continue
                 self._deactivate(k)
                 if terms:

@@ -10,7 +10,7 @@ problem file format tying them together.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -58,9 +58,7 @@ def mp_equations(x, y, alg: Optional[FreeAlgebra] = None) -> list:
     ``x`` may be a product (polynomial), e.g. a triple abc; equations 3 and 4
     need every letter of x and y to carry an adjoint partner.
     """
-    alg = alg or (x.alg if isinstance(x, Polynomial) else y.alg)
-    x, y = _as_poly(alg, x), _as_poly(alg, y)
-    return [penrose_equation(x, y, k) for k in (1, 2, 3, 4)]
+    return ij_equations(x, y, (1, 2, 3, 4), alg)
 
 
 def ij_equations(x, y, subset: Iterable[int],
@@ -637,28 +635,22 @@ def _parse_workflow_line(problem, line, line_no, expr):
     problem.workflow.append(step)
 
 
+# ``CompletionLimits`` field -> type of its problem-file value
+_LIMIT_OPTIONS = {"max_degree": int, "max_iterations": int,
+                  "max_basis_size": int, "time_budget": float}
+
+
 def _parse_option_line(problem, line, line_no):
     opts = problem.options
     words = line.split()
     key, rest = words[0], words[1:]
-    known = ("max_degree", "max_iterations", "max_basis_size", "time_budget",
-             "closure", "allow_constant_terms", "order")
-    if key not in known:
+    if key not in _LIMIT_OPTIONS and \
+            key not in ("closure", "allow_constant_terms", "order"):
         raise ProblemFileError(f"unknown option {key!r}", line_no)
-    lim = opts.limits
     try:
-        if key == "max_degree":
-            opts.limits = CompletionLimits(int(rest[0]), lim.max_iterations,
-                                           lim.max_basis_size, lim.time_budget)
-        elif key == "max_iterations":
-            opts.limits = CompletionLimits(lim.max_degree, int(rest[0]),
-                                           lim.max_basis_size, lim.time_budget)
-        elif key == "max_basis_size":
-            opts.limits = CompletionLimits(lim.max_degree, lim.max_iterations,
-                                           int(rest[0]), lim.time_budget)
-        elif key == "time_budget":
-            opts.limits = CompletionLimits(lim.max_degree, lim.max_iterations,
-                                           lim.max_basis_size, float(rest[0]))
+        if key in _LIMIT_OPTIONS:
+            opts.limits = replace(opts.limits,
+                                  **{key: _LIMIT_OPTIONS[key](rest[0])})
         elif key == "closure":
             opts.closure = _on_off(rest[0], line_no)
         elif key == "allow_constant_terms":

@@ -10,7 +10,8 @@ from opcert.certify import (Summand, certificate_from_dict, certificate_to_dict,
                             minimize_certificate, save_certificate,
                             verify_certificate)
 from opcert.freealg import AlgebraError, FreeAlgebra
-from opcert.rewrite import BUDGET_EXHAUSTED, CompletionLimits
+from opcert.rewrite import (BUDGET_EXHAUSTED, COMPLETE, STOPPED_EARLY,
+                            CompletionLimits)
 
 
 FNAMES = [f"f{k}" for k in range(1, 9)]
@@ -138,6 +139,30 @@ def test_negative_control_budget_exhausted():
     assert res.status == BUDGET_EXHAUSTED
     assert res.certificate is None
     assert res.remainder == A.parse("b·a − 1")
+
+
+@pytest.mark.parametrize("claim, status", [
+    ("a·b·a − b", STOPPED_EARLY),    # certified, obstructions left queued
+    ("a", BUDGET_EXHAUSTED),         # max_iterations struck first
+])
+def test_completion_status_says_why_completion_stopped(claim, status):
+    A = FreeAlgebra()
+    A.add("a")
+    A.add("b")
+    report = certify([A.parse("a·b·a − b"), A.parse("b·a·b − a")],
+                     [A.parse(claim)],
+                     limits=CompletionLimits(max_degree=20, max_iterations=3,
+                                             time_budget=60))
+    assert report.stats.completion_status == status
+
+
+def test_completion_status_complete_when_queue_drains():
+    A = FreeAlgebra()
+    A.add("a")
+    A.add("b")
+    report = certify([A.parse("a·b")], [A.parse("b·a")])
+    assert not report.ok
+    assert report.stats.completion_status == COMPLETE
 
 
 def test_claims_may_carry_constant_terms(werner_system):

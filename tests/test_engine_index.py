@@ -63,6 +63,10 @@ def assert_same_state(indexed, scan):
         dataclasses.replace(scan.stats, elapsed=0)
     assert indexed.active_indices() == scan.active_indices()
     assert (indexed._prefixes, indexed._suffixes) == rebuilt_indexes(indexed)
+    # the reducer's lead table holds exactly the active leads, one each
+    for e in (indexed, scan):
+        assert {w: hit[0] for w, hit in e.reducer.leadmap.items()} == \
+            {e.elements[k].lead: k for k in e.active_indices()}
 
 
 def run_both(alg, gens, max_degree):

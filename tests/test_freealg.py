@@ -42,8 +42,9 @@ def test_parse_unknown_name(werner_algebra):
 
 
 def test_parse_adjoint_unpaired(werner_algebra):
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as err:
         werner_algebra.parse("a*")
+    assert "'a' has no adjoint" in str(err.value)
 
 
 def test_parse_reports_offset(werner_algebra):
@@ -125,8 +126,9 @@ def test_adjoint_zero(paired_algebra):
 
 
 def test_adjoint_unpaired_raises(werner_algebra):
-    with pytest.raises(AdjointError):
-        werner_algebra.gen("a").adjoint()
+    with pytest.raises(AdjointError) as err:
+        werner_algebra.parse("b·b⁻ + a").adjoint()
+    assert "'b' has no adjoint" in str(err.value)
 
 
 def test_self_adjoint():

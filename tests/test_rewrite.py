@@ -12,8 +12,9 @@ import pytest
 
 from opcert.freealg import AlgebraError, FreeAlgebra
 from opcert.rewrite import (BUDGET_EXHAUSTED, COMPLETE, CompletionLimits,
-                            Obstruction, TracedPolynomial, complete,
-                            find_obstructions, reduce, s_polynomial)
+                            complete, reduce)
+
+from obstructions import Obstruction, find_obstructions, s_polynomial
 
 
 def expand_trace(trace, sources, alg):
@@ -262,6 +263,22 @@ def test_budget_exhaustion_is_a_status_not_an_error():
                                       time_budget=60))
     assert status == BUDGET_EXHAUSTED
     assert basis
+
+
+def test_deadline_during_interreduce_stops_completion():
+    # c·a³⁰⁰ − b takes 300 rewrites by a − b, past the reducer's first
+    # deadline check; the half-reduced element must not enter the basis
+    A = FreeAlgebra()
+    for n in "bac":
+        A.add(n)
+    gens = [A.parse("a − b"), A.parse("c·" + "·".join(["a"] * 300) + " − b")]
+    _, status = complete(gens, limits=CompletionLimits(time_budget=1e-6))
+    assert status == BUDGET_EXHAUSTED
+    basis, status = complete(gens, limits=CompletionLimits(time_budget=300))
+    assert status == COMPLETE
+    assert [tp.value for tp in basis] == [A.parse("a − b"),
+                                          A.parse("c·" + "·".join(["b"] * 300)
+                                                  + " − b")]
 
 
 def test_limits_must_be_positive():

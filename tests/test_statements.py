@@ -247,6 +247,16 @@ def test_problem_parse_errors_carry_line_numbers():
     assert "max_degree" in str(err2.value)
 
 
+@pytest.mark.parametrize("option", [
+    "max_degree 0", "max_iterations -1", "time_budget nan", "max_degree"])
+def test_bad_option_value_names_its_line(option):
+    with pytest.raises(ProblemFileError) as err:
+        parse_problem(f"[ops]\na\n[options]\nclosure off\n{option}\n")
+    assert err.value.line_no == 5
+    assert str(err.value).startswith("line 5: ")
+    assert option.split()[0] in str(err.value)
+
+
 def test_problem_duplicate_and_clashing_names():
     with pytest.raises(ProblemFileError):
         parse_problem("[ops]\na\na\n")
