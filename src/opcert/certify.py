@@ -204,13 +204,13 @@ def certify(assumptions: Sequence[Polynomial], claims: Sequence[Polynomial],
             limits: Optional[CompletionLimits] = None, *,
             assumption_names: Optional[Sequence[str]] = None,
             claim_names: Optional[Sequence[str]] = None,
-            minimize: bool = True,
             require_zero_constant: bool = True) -> CertifyReport:
     """Prove each claim a member of the two-sided ideal of the assumptions.
 
-    Every emitted certificate has passed ``verify_certificate``; a claim that
-    cannot be certified within the budgets gets status ``budget_exhausted``
-    together with its irreducible remainder as a diagnostic.  Assumptions must
+    Every emitted certificate is minimized (``minimize_certificate``) and
+    has passed ``verify_certificate``; a claim that cannot be certified
+    within the budgets gets status ``budget_exhausted`` together with its
+    irreducible remainder as a diagnostic.  Assumptions must
     have zero constant term: that hypothesis is what lets a certificate
     transfer to operators with domains and codomains.  Pass
     ``require_zero_constant=False`` for ring-level-only runs, which then must
@@ -275,9 +275,8 @@ def certify(assumptions: Sequence[Polynomial], claims: Sequence[Polynomial],
         if st["done"]:
             quads = engine.expand_steps(st["steps"])
             summands = _quads_to_summands(alg, quads, order)
-            cert = make_certificate(st["claim"], assumptions, names, summands)
-            if minimize:
-                cert = minimize_certificate(cert)
+            cert = minimize_certificate(
+                make_certificate(st["claim"], assumptions, names, summands))
             check = verify_certificate(cert)
             if not check:
                 raise RuntimeError(
@@ -315,11 +314,28 @@ def _ops_table(alg: FreeAlgebra) -> list:
     return out
 
 
+_JSON_TYPES = {str: "string", int: "integer", bool: "boolean", list: "list"}
+
+
+def _field(obj: dict, key: str, kind: type):
+    """``obj[key]`` if its JSON type is ``kind`` (so no boolean passes as int)."""
+    if type(obj.get(key)) is not kind:
+        raise AlgebraError(f"field {key!r} must be of type {_JSON_TYPES[kind]}")
+    return obj[key]
+
+
+def _objects(obj: dict, key: str) -> list:
+    if any(type(item) is not dict for item in _field(obj, key, list)):
+        raise AlgebraError(f"field {key!r} must be a list of objects")
+    return obj[key]
+
+
 def algebra_from_ops(ops: Sequence[dict]) -> FreeAlgebra:
     alg = FreeAlgebra()
     for entry in ops:
-        name = entry["name"]
-        adjoint = entry.get("adjoint")
+        name = _field(entry, "name", str)
+        adjoint = None if entry.get("adjoint") is None \
+            else _field(entry, "adjoint", str)
         if name in alg._by_name:
             continue  # created as a partner already
         if adjoint is None:
@@ -349,19 +365,23 @@ def certificate_to_dict(cert: Certificate) -> dict:
 
 
 def certificate_from_dict(data: dict) -> Certificate:
+    """Rebuild a certificate from its JSON form; any malformed shape raises
+    ``AlgebraError`` naming the field."""
     if not isinstance(data, dict):
         raise AlgebraError("not a certificate file (JSON is not an object)")
     if data.get("format") != CERT_FORMAT:
         raise AlgebraError(f"not a certificate file (format {data.get('format')!r})")
-    alg = algebra_from_ops(data["ops"])
-    assumptions = [alg.parse(a["expr"]) for a in data["assumptions"]]
-    names = [a["name"] for a in data["assumptions"]]
-    claim = alg.parse(data["claim"])
-    summands = tuple(Summand(alg.parse(s["left"]), int(s["index"]),
-                             alg.parse(s["right"]))
-                     for s in data["summands"])
-    return Certificate(claim, tuple(assumptions), tuple(names), summands,
-                       bool(data["integral"]))
+    alg = algebra_from_ops(_objects(data, "ops"))
+    entries = _objects(data, "assumptions")
+    assumptions = tuple(alg.parse(_field(a, "expr", str)) for a in entries)
+    names = tuple(_field(a, "name", str) for a in entries)
+    claim = alg.parse(_field(data, "claim", str))
+    summands = tuple(Summand(alg.parse(_field(s, "left", str)),
+                             _field(s, "index", int),
+                             alg.parse(_field(s, "right", str)))
+                     for s in _objects(data, "summands"))
+    return Certificate(claim, assumptions, names, summands,
+                       _field(data, "integral", bool))
 
 
 def save_certificate(cert: Certificate, path) -> None:
@@ -371,5 +391,10 @@ def save_certificate(cert: Certificate, path) -> None:
 
 
 def load_certificate(path) -> Certificate:
-    with open(path, encoding="utf-8") as fh:
-        return certificate_from_dict(json.load(fh))
+    """Read a certificate file; malformed content raises ``AlgebraError``
+    naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return certificate_from_dict(json.load(fh))
+    except (ValueError, RecursionError) as exc:  # AlgebraError; bad UTF-8, JSON
+        raise AlgebraError(f"{path}: {exc}") from None

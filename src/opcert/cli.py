@@ -7,7 +7,8 @@ assumptions, with traces), ``matcheck`` (exact-matrix example suites and
 fixture files).
 
 Exit codes: 0 success, 1 invalid certificate or incompatible statement,
-2 budget exhausted, 3 input error.
+2 budget exhausted, 3 input error: ``main`` reports any ``AlgebraError`` or
+``OSError`` as one ``error: ...`` line on stderr.
 """
 
 from __future__ import annotations
@@ -47,11 +48,7 @@ def _apply_limit_overrides(problem, args) -> None:
     given = {name: getattr(args, name)
              for name in ("max_degree", "max_iterations", "time_budget")
              if getattr(args, name) is not None}
-    try:
-        problem.options.limits = replace(problem.options.limits, **given)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_INPUT) from None
+    problem.options.limits = replace(problem.options.limits, **given)
     if args.order:
         problem.options.ranking = [s.strip() for s in args.order.split(",")]
     if args.no_closure:
@@ -59,22 +56,14 @@ def _apply_limit_overrides(problem, args) -> None:
 
 
 def _load(args):
-    try:
-        path = fixture_path(args.problem)
-        return path, load_problem(path)
-    except (OSError, AlgebraError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_INPUT) from None
+    path = fixture_path(args.problem)
+    return path, load_problem(path)
 
 
 def cmd_certify(args) -> int:
     path, problem = _load(args)
     _apply_limit_overrides(problem, args)
-    try:
-        trans, report = run_problem(problem)
-    except AlgebraError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    trans, report = run_problem(problem)
     print(f"problem {path.stem}: {trans.indeterminate_count} indeterminates, "
           f"{len(trans.assumptions)} assumptions, {len(trans.claims)} claims")
     if trans.quiver_check is not None:
@@ -118,11 +107,7 @@ def cmd_certify(args) -> int:
 def cmd_check_cert(args) -> int:
     worst = EXIT_OK
     for name in args.certificate:
-        try:
-            cert = load_certificate(fixture_path(name))
-        except (OSError, AlgebraError, KeyError, ValueError) as exc:
-            print(f"{name}: error: {exc}", file=sys.stderr)
-            return EXIT_INPUT
+        cert = load_certificate(fixture_path(name))
         result = verify_certificate(cert)
         if result.valid:
             print(f"{name}: valid | {cert.term_count} terms | "
@@ -135,11 +120,7 @@ def cmd_check_cert(args) -> int:
 
 def cmd_compat(args) -> int:
     path, problem = _load(args)
-    try:
-        trans = translate(problem)
-    except AlgebraError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    trans = translate(problem)
     if trans.quiver is None:
         print(f"{path.stem}: no quiver given and none inferable")
         return EXIT_INVALID
@@ -161,11 +142,7 @@ def _print_quiver_check(trans) -> None:
 def cmd_reduce(args) -> int:
     path, problem = _load(args)
     _apply_limit_overrides(problem, args)
-    try:
-        trans = translate(problem)
-    except AlgebraError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    trans = translate(problem)
     alg = trans.algebra
     for name, claim in zip(trans.claim_names, trans.claims):
         if args.claim and name != args.claim:
@@ -179,23 +156,14 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_matcheck(args) -> int:
-    reports = []
-    if args.fixture:
-        for name in args.fixture:
-            try:
-                reports.append(fixture_penrose_report(fixture_path(name)))
-            except (OSError, AlgebraError, KeyError, ValueError) as exc:
-                print(f"{name}: error: {exc}", file=sys.stderr)
-                return EXIT_INPUT
-    else:
-        reports = [example1_check(), example2_check()]
-    ok = True
+    reports = [fixture_penrose_report(fixture_path(name))
+               for name in args.fixture] if args.fixture \
+        else [example1_check(), example2_check()]
     for rep in reports:
         print(f"{rep.name}: {'pass' if rep.ok else 'FAIL'}")
         for line in rep.lines():
             print(line)
-        ok = ok and rep.ok
-    return EXIT_OK if ok else EXIT_INVALID
+    return EXIT_OK if all(rep.ok for rep in reports) else EXIT_INVALID
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -250,8 +218,9 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_INPUT
     try:
         return args.func(args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_INPUT
+    except (OSError, AlgebraError) as exc:  # unreadable or malformed input
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -458,9 +458,9 @@ def _tokenize(text: str):
             toks.append((_T_DOT, ch, i)); i += 1
         elif ch == "/":
             toks.append((_T_SLASH, ch, i)); i += 1
-        elif ch.isdigit():
+        elif "0" <= ch <= "9":  # "²" is a digit to str.isdigit but not to int
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             toks.append((_T_INT, text[i:j], i))
             i = j

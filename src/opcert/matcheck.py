@@ -19,11 +19,12 @@ from .quiver import WILDCARD, LabelledQuiver, compatible
 
 
 def _entry(x) -> Fraction:
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    raise TypeError(f"matrix entries must be exact rationals, got {type(x).__name__}")
+    if isinstance(x, (int, Fraction, str)) and not isinstance(x, bool):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):  # strings such as "x", "1/0"
+            pass
+    raise AlgebraError(f"matrix entries must be exact rationals, got {x!r}")
 
 
 class RatMatrix:
@@ -367,10 +368,20 @@ def example2_check() -> CheckReport:
 # ---------------------------------------------------------------------------
 
 def load_matrix_fixture(path) -> dict:
-    """Read {"matrices": {name: [[...], ...]}} with "p/q" string rationals."""
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    return {name: RatMatrix(rows) for name, rows in data["matrices"].items()}
+    """Read {"matrices": {name: [[...], ...]}} with "p/q" string rationals;
+    malformed content raises ``AlgebraError`` naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+        if type(data) is not dict or type(data.get("matrices")) is not dict:
+            raise AlgebraError('not a matrix file (expected {"matrices": {...}})')
+        mats = data["matrices"]
+        for name, rows in mats.items():
+            if type(rows) is not list or any(type(r) is not list for r in rows):
+                raise AlgebraError(f"matrix {name!r} must be a list of rows")
+        return {name: RatMatrix(rows) for name, rows in mats.items()}
+    except (ValueError, RecursionError) as exc:  # AlgebraError; bad UTF-8, JSON
+        raise AlgebraError(f"{path}: {exc}") from None
 
 
 def fixture_penrose_report(path) -> CheckReport:

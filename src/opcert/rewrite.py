@@ -37,20 +37,13 @@ class TraceStep(NamedTuple):
 class TracedPolynomial:
     """A polynomial together with a two-sided cofactor combination.
 
-    ``combination(sources)`` expands the trace exactly; which identity it
-    satisfies (see module docstring) depends on the operation that produced
-    this value.
+    ``trace`` holds ``(c, l, i, r)`` steps; which polynomials ``i`` indexes
+    and which identity the steps satisfy (see module docstring) depend on
+    the operation that produced this value.
     """
 
     value: Polynomial
     trace: tuple
-
-    def combination(self, sources: Sequence[Polynomial]) -> Polynomial:
-        alg = self.value.alg
-        acc = alg.zero()
-        for c, l, i, r in self.trace:
-            acc = acc + (alg.monomial(l, c) * sources[i] * alg.monomial(r))
-        return acc
 
     def trace_triples(self) -> list:
         """Trace as (left Polynomial, index, right Polynomial) triples."""
@@ -70,7 +63,7 @@ class CompletionLimits:
     def __post_init__(self):
         if min(self.max_degree, self.max_iterations, self.max_basis_size) <= 0 \
                 or not self.time_budget > 0:  # NaN would disable the deadline
-            raise ValueError("completion limits must be positive")
+            raise AlgebraError("completion limits must be positive")
 
 
 COMPLETE = "complete"

@@ -410,8 +410,14 @@ def _split_top_level(text: str, sep: str = ",") -> list:
 
 
 def load_problem(path) -> Problem:
-    with open(path, encoding="utf-8") as fh:
-        return parse_problem(fh.read())
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ProblemFileError(f"not UTF-8 text ({exc.reason})",
+                               raw.count(b"\n", 0, exc.start) + 1) from None
+    return parse_problem(text)
 
 
 def parse_problem(text: str) -> Problem:
@@ -550,16 +556,12 @@ def _parse_statement_line(problem, section, line, line_no, auto_names, expr):
 
 def _expand_macro(problem, macro, args, line_no, expr):
     alg = problem.algebra
-    if macro == "mp":
+    if macro in ("mp", "inv"):
         parts = _split_top_level(args)
-        if len(parts) != 2:
-            raise ProblemFileError("mp takes two arguments", line_no)
-        x, y = expr(parts[0], line_no), expr(parts[1], line_no)
-        label = f"mp({parts[0]},{parts[1]})"
-        return [(f"{label}.{k}", p)
-                for k, p in enumerate(mp_equations(x, y, alg), start=1)]
-    if macro == "inv":
-        parts = _split_top_level(args)
+        if macro == "mp":  # the {1,2,3,4}-inverse, labelled mp(x,y).k
+            if len(parts) != 2:
+                raise ProblemFileError("mp takes two arguments", line_no)
+            parts.append("{1,2,3,4}")
         if len(parts) != 3:
             raise ProblemFileError("inv takes (x, y, {i,...,j})", line_no)
         sub = _SUBSET_RE.match(parts[2].replace(" ", ""))
@@ -567,7 +569,7 @@ def _expand_macro(problem, macro, args, line_no, expr):
             raise ProblemFileError("inv subset reads {1,3}", line_no)
         ks = [int(s) for s in sub.group(1).split(",") if s]
         x, y = expr(parts[0], line_no), expr(parts[1], line_no)
-        label = f"inv({parts[0]},{parts[1]})"
+        label = f"{macro}({parts[0]},{parts[1]})"
         return [(f"{label}.{k}", p)
                 for k, p in zip(sorted(set(ks)), ij_equations(x, y, ks, alg))]
     if macro == "id":
@@ -628,10 +630,7 @@ def _parse_workflow_line(problem, line, line_no, expr):
     side, elem_s, wit_s, conc_s = m.groups()
     step = CancellabilityStep(side, expr(elem_s, line_no),
                               expr(wit_s, line_no), expr(conc_s, line_no))
-    try:
-        validate_step(step)
-    except WorkflowError as exc:
-        raise ProblemFileError(str(exc), line_no) from None
+    validate_step(step)  # a WorkflowError gets its line number in parse_problem
     problem.workflow.append(step)
 
 

@@ -117,3 +117,92 @@ def test_bad_limit_override_is_an_input_error(capsys, flag, value):
     assert main(["certify", "werner", flag, value]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _werner_cert(drop=(), **fields) -> bytes:
+    data = json.loads((FIXTURES / "werner_paper.cert").read_text("utf-8"))
+    data.update(fields)
+    for key in drop:
+        del data[key]
+    return json.dumps(data).encode("utf-8")
+
+
+def _matrices(matrices) -> bytes:
+    return json.dumps({"matrices": matrices}).encode("utf-8")
+
+
+_NOT_UTF8_PROBLEM = b"\xff\xfe" + (FIXTURES / "werner.prob").read_bytes()
+
+
+def _input_error(capsys, argv) -> str:
+    """Run the command line; assert exit 3 and one ``error:`` line."""
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    return err
+
+
+# one file per traceback that used to escape the command line
+_MALFORMED = {
+    "ops_names.cert": _werner_cert(ops=["a"]),
+    "ops_object.cert": _werner_cert(ops={"a": 1}),
+    "claim_number.cert": _werner_cert(claim=5),
+    "integral_string.cert": _werner_cert(integral="no"),  # was read as True
+    "float.mat": _matrices({"A": [[0.5]]}),
+    "list.mat": _matrices([1]),
+    "number.mat": _matrices({"A": 3}),
+    "not_utf8.prob": _NOT_UTF8_PROBLEM,
+}
+
+
+@pytest.mark.parametrize("command, filename", [
+    ("check-cert", "ops_names.cert"), ("check-cert", "ops_object.cert"),
+    ("check-cert", "claim_number.cert"), ("check-cert", "integral_string.cert"),
+    ("matcheck", "float.mat"), ("matcheck", "list.mat"),
+    ("matcheck", "number.mat"), ("certify", "not_utf8.prob"),
+    ("compat", "not_utf8.prob"), ("reduce", "not_utf8.prob")])
+def test_malformed_file_is_an_input_error(tmp_path, capsys, command, filename):
+    bad = tmp_path / filename
+    bad.write_bytes(_MALFORMED[filename])
+    _input_error(capsys, [command, str(bad)])
+
+
+# the loaders, not a KeyError or ValueError catch-all in the command line,
+# turn each of these into an AlgebraError naming the file
+_CAUGHT_BY_LOADER = {
+    "missing_claim.cert": _werner_cert(drop=["claim"]),
+    "index_word.cert": _werner_cert(
+        summands=[{"left": "1", "index": "x", "right": "b"}]),
+    "truncated.cert": _werner_cert()[:40],
+    "not_utf8.cert": b"\xff\xfe" + _werner_cert(),
+    "word.mat": _matrices({"A": [["x"]]}),
+    "zero_denominator.mat": _matrices({"A": [["1/0"]]}),
+    "empty.mat": b"",
+    "nested.cert": b"[" * 100_000,  # RecursionError in the JSON decoder
+    "nested.mat": b"[" * 100_000,
+}
+
+
+@pytest.mark.parametrize("filename", sorted(_CAUGHT_BY_LOADER))
+def test_loaders_raise_input_errors_themselves(tmp_path, capsys, filename):
+    bad = tmp_path / filename
+    bad.write_bytes(_CAUGHT_BY_LOADER[filename])
+    command = "check-cert" if filename.endswith(".cert") else "matcheck"
+    assert str(bad) in _input_error(capsys, [command, str(bad)])
+
+
+def test_problem_file_encoding_error_names_its_line(tmp_path, capsys):
+    bad = tmp_path / "not_utf8.prob"
+    bad.write_bytes(b"[ops]\na adjoint\n\xe9\n")
+    err = _input_error(capsys, ["certify", str(bad)])
+    assert err.startswith("error: line 3: not UTF-8 text")
+
+
+def test_check_cert_names_the_file_and_stops_at_it(tmp_path, capsys):
+    bad = tmp_path / "claim_number.cert"
+    bad.write_bytes(_werner_cert(claim=5))
+    assert main(["check-cert", "werner_paper", str(bad), "werner_paper"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out.count("valid") == 1
+    assert captured.err == f"error: {bad}: field 'claim' must be of type string\n"

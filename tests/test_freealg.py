@@ -60,6 +60,13 @@ def test_parse_deep_nesting_is_a_parse_error(werner_algebra):
         werner_algebra.gen("a")
 
 
+@pytest.mark.parametrize("text", ["a·²", "2²", "a ³"])
+def test_parse_non_ascii_digit_is_a_parse_error(werner_algebra, text):
+    # str.isdigit accepts superscripts, which int() then rejects
+    with pytest.raises(ParseError):
+        werner_algebra.parse(text)
+
+
 def test_duplicate_names_rejected():
     A = FreeAlgebra()
     A.add("x")

@@ -55,7 +55,7 @@ def rand_matrix(rng, rows, cols, lo=-3, hi=3):
 def test_shapes_and_exactness():
     with pytest.raises(AlgebraError):
         RatMatrix([[1, 2], [3]])
-    with pytest.raises(TypeError):
+    with pytest.raises(AlgebraError):
         RatMatrix([[0.5]])
     m = RatMatrix([["1/3", 1], [0, 2]])
     assert m[0, 0] == Fraction(1, 3)

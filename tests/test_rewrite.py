@@ -248,7 +248,7 @@ def test_complete_traces_verify_and_spolys_resolve(werner_system):
     assert traced.value.is_zero
     composed = A.zero()
     for c, l, i, r in traced.trace:
-        part = A.monomial(l, c) * basis[i].combination(F) * A.monomial(r)
+        part = A.monomial(l, c) * expand_trace(basis[i].trace, F, A) * A.monomial(r)
         composed = composed + part
     assert composed == f
 
