@@ -187,10 +187,12 @@ class CertifyReport:
 
 def _quads_to_summands(alg: FreeAlgebra, quads: Sequence[TraceStep],
                        order: DegLexOrder) -> list:
+    """Summands adding up to ``-sum(quads)``: a claim reduced to zero by
+    ``normal_form`` satisfies 0 = claim + sum(steps)."""
     grouped: dict = {}
     for c, l, i, r in quads:
         rights = grouped.setdefault((i, l), {})
-        rights[r] = rights.get(r, 0) + c
+        rights[r] = rights.get(r, 0) - c
     out = []
     for (i, l) in sorted(grouped, key=lambda k: (k[0], order.key(k[1]))):
         rights = {w: c for w, c in grouped[(i, l)].items() if c}

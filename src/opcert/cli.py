@@ -143,6 +143,8 @@ def cmd_reduce(args) -> int:
     path, problem = _load(args)
     _apply_limit_overrides(problem, args)
     trans = translate(problem)
+    if args.claim and args.claim not in trans.claim_names:
+        raise AlgebraError(f"{path.stem} has no claim {args.claim!r}")
     alg = trans.algebra
     for name, claim in zip(trans.claim_names, trans.claims):
         if args.claim and name != args.claim:

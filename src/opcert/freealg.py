@@ -361,19 +361,6 @@ class Polynomial:
             acc[nw] = acc.get(nw, 0) + c
         return Polynomial._make(self.alg, {w: c for w, c in acc.items() if c})
 
-    def substitute(self, bindings: Mapping[int, "Polynomial"]) -> "Polynomial":
-        """Homomorphic substitution; unbound indeterminates map to themselves."""
-        result = self.alg.zero()
-        for w, c in self._terms.items():
-            factor = self.alg.monomial(EMPTY_WORD, c)
-            for x in w:
-                rep = bindings.get(x)
-                factor = factor * rep if rep is not None else \
-                    Polynomial._make(self.alg,
-                                     {u + (x,): cc for u, cc in factor._terms.items()})
-            result = result + factor
-        return result
-
     # -- equality ------------------------------------------------------------
 
     def __eq__(self, other):
@@ -541,6 +528,13 @@ class _Parser:
             except AdjointError as exc:
                 raise ParseError(str(exc), self.text, tok[2]) from None
 
+    def _int(self, tok) -> int:
+        try:
+            return int(tok[1])
+        except ValueError:  # more digits than Python converts from a string
+            raise ParseError("integer literal too long", self.text,
+                             tok[2]) from None
+
     def _atom(self) -> Polynomial:
         tok = self._next()
         kind, value, at = tok
@@ -551,15 +545,16 @@ class _Parser:
                 raise ParseError("expected ')'", self.text, closing[2])
             return p
         if kind == _T_INT:
-            num = int(value)
+            num = self._int(tok)
             nxt = self._peek()
             if nxt is not None and nxt[0] == _T_SLASH:
                 self._next()
                 den_tok = self._next()
-                if den_tok[0] != _T_INT or int(den_tok[1]) == 0:
+                den = self._int(den_tok) if den_tok[0] == _T_INT else 0
+                if den == 0:
                     raise ParseError("expected nonzero integer denominator",
                                      self.text, den_tok[2])
-                return self.alg.monomial(EMPTY_WORD, Fraction(num, int(den_tok[1])))
+                return self.alg.monomial(EMPTY_WORD, Fraction(num, den))
             return self.alg.monomial(EMPTY_WORD, num)
         if kind == _T_NAME:
             if value in self.alg._by_name:

@@ -9,13 +9,15 @@ Trace conventions:
 
 * ``reduce(p, basis)``:  p = value + sum(c * l . basis[i] . r)
 * ``complete`` basis elements:  value = sum(c * l . generators[i] . r)
+* internally, ``_Reducer.normal_form`` appends the steps it adds:
+  after = before + sum(steps).  An engine element therefore satisfies
+  terms = sum(steps), and ``reduce`` negates its steps once.
 """
 
 from __future__ import annotations
 
 import heapq
 import time
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
@@ -127,7 +129,8 @@ class _Reducer:
 
     def normal_form(self, terms: dict, items_of, steps: list,
                     deadline: Optional[float] = None) -> bool:
-        """Fully reduce ``terms`` in place; append (c, l, idx, r) steps.
+        """Fully reduce ``terms`` in place; append the added multiples
+        (c, l, idx, r), so that after = before + sum(appended steps).
 
         ``items_of(idx)`` yields the stored term items of reducer ``idx``.
         Returns False if the deadline struck before the normal form was
@@ -139,25 +142,26 @@ class _Reducer:
             return True
         heap = [(self._neg_key(w), w) for w in terms]
         heapq.heapify(heap)
-        done = set()
+        # words pop in descending order (submul only adds words below the one
+        # reduced), so a repeat of the last word is a duplicate heap entry
+        last = None
         ticks = 0
         while heap:
             _, w = heapq.heappop(heap)
-            if w in done or w not in terms:
+            if w == last or w not in terms:
                 continue
+            last = w
             hit = _kernel_py.find_best_match(w, leadmap, lengths)
             if hit is None:
-                done.add(w)
                 continue
             pos, lead, idx, lc = hit
             left = w[:pos]
             right = w[pos + len(lead):]
             c = _div(terms[w], lc)
             new_words = _kernel_py.submul(terms, items_of(idx), c, left, right)
-            steps.append(TraceStep(c, left, idx, right))
+            steps.append(TraceStep(-c, left, idx, right))
             for nw in new_words:
-                if nw not in done:
-                    heapq.heappush(heap, (self._neg_key(nw), nw))
+                heapq.heappush(heap, (self._neg_key(nw), nw))
             ticks += 1
             if deadline is not None and ticks % 256 == 0 \
                     and time.monotonic() > deadline:
@@ -184,7 +188,8 @@ def reduce(p: Polynomial, basis: Sequence[Polynomial],
     terms = dict(p._terms)
     steps: list = []
     red.normal_form(terms, lambda idx: stored[idx], steps)
-    return TracedPolynomial(Polynomial._make(p.alg, terms), tuple(steps))
+    return TracedPolynomial(Polynomial._make(p.alg, terms),
+                            tuple(TraceStep(-c, l, i, r) for c, l, i, r in steps))
 
 
 # ---------------------------------------------------------------------------
@@ -195,11 +200,10 @@ _GEN = "g"
 
 
 class _Element:
-    __slots__ = ("terms", "items", "lead", "steps")
+    __slots__ = ("terms", "lead", "steps")
 
     def __init__(self, terms, lead, steps):
         self.terms = terms
-        self.items = list(terms.items())
         self.lead = lead
         self.steps = steps  # (coeff, left, ref, right); ref int -> element,
         #                     (_GEN, i) -> original generator i
@@ -210,7 +214,6 @@ class CompletionStats:
     obstructions_processed: int = 0
     obstructions_skipped_degree: int = 0
     elements_added: int = 0
-    elapsed: float = 0.0
 
 
 def _accumulate(acc: dict, c, l: Word, ref, r: Word, memo: dict) -> None:
@@ -256,8 +259,7 @@ class CompletionEngine:
         self._seq = 0
         self._requeue: list = []
         self.stats = CompletionStats()
-        self._start = time.monotonic()
-        self._deadline = self._start + limits.time_budget
+        self._deadline = time.monotonic() + limits.time_budget
         self._exhausted = False
         seen_monic: dict = {}
         for src_index, g in generators:
@@ -296,7 +298,7 @@ class CompletionEngine:
                 if len(lst) == 1:
                     del table[key]
                 else:
-                    del lst[bisect_left(lst, idx)]
+                    lst.remove(idx)
 
     def _retire(self, idx: int) -> None:
         self._deactivate(idx)
@@ -321,7 +323,7 @@ class CompletionEngine:
         self.stats.elements_added += 1
         # retire active elements whose lead contains the new lead as a factor
         # (an equal lead included, so active leads stay distinct)
-        for m in _kernel_py.find_retirees(lead, list(self._active.items())):
+        for m in _kernel_py.find_retirees(lead, self._active.items()):
             self._retire(m)
             self._requeue.append(m)
         # queue obstructions against the still-active leads, then self
@@ -391,36 +393,25 @@ class CompletionEngine:
 
     def normal_form(self, terms: dict, steps: list) -> bool:
         """Reduce ``terms`` in place by the reducer's leads, appending the
-        subtracted multiples (c, l, idx, r) to ``steps``.
+        added multiples (c, l, idx, r) to ``steps``; if ``terms = sum(steps)``
+        held before, it holds after.
 
         Returns False if the deadline struck first; the engine is then
         exhausted and ``terms`` are left mid-reduction.
         """
-        if self.reducer.normal_form(terms, lambda idx: self.elements[idx].items,
-                                    steps, self._deadline):
+        if self.reducer.normal_form(
+                terms, lambda idx: self.elements[idx].terms.items(),
+                steps, self._deadline):
             return True
         self._exhausted = True
         return False
-
-    def _nf_into(self, terms: dict, steps: list) -> bool:
-        """Normal form that preserves ``terms_after = sum(steps)``.
-
-        The reducer appends the subtracted multiples (``before = after + sum``),
-        so appended entries are negated to keep the element-level identity.
-        """
-        mark = len(steps)
-        ok = self.normal_form(terms, steps)
-        for n in range(mark, len(steps)):
-            c, l, ref, r = steps[n]
-            steps[n] = TraceStep(-c, l, ref, r)
-        return ok
 
     def _process_requeue(self) -> None:
         while self._requeue:
             m = self._requeue.pop()
             terms = dict(self.elements[m].terms)
             steps: list = [TraceStep(1, (), m, ())]
-            if not self._nf_into(terms, steps):
+            if not self.normal_form(terms, steps):
                 return
             if terms:
                 self._append(terms, steps)
@@ -438,13 +429,10 @@ class CompletionEngine:
             return False
         return True
 
-    def has_work(self) -> bool:
-        return bool(self.queue or self._requeue)
-
     def status(self) -> str:
         """COMPLETE if every obstruction within ``max_degree`` was resolved
         within budget, else BUDGET_EXHAUSTED."""
-        if self.has_work() or self._exhausted:
+        if self.queue or self._requeue or self._exhausted:
             return BUDGET_EXHAUSTED
         return COMPLETE
 
@@ -469,23 +457,16 @@ class CompletionEngine:
                 continue
             self.stats.obstructions_processed += 1
             terms: dict = {}
-            _kernel_py.submul(terms, elements[i].items, -1, li, ri)
-            _kernel_py.submul(terms, elements[j].items, 1, lj, rj)
+            _kernel_py.submul(terms, elements[i].terms.items(), -1, li, ri)
+            _kernel_py.submul(terms, elements[j].terms.items(), 1, lj, rj)
             steps: list = [TraceStep(1, li, i, ri), TraceStep(-1, lj, j, rj)]
-            if not self._nf_into(terms, steps):
+            if not self.normal_form(terms, steps):
                 break
             if terms:
                 self._append(terms, steps)
                 added += 1
             self._process_requeue()
         return added > 0
-
-    def run(self) -> str:
-        """Drain the queue; returns COMPLETE or BUDGET_EXHAUSTED."""
-        if self._budget_ok():
-            self.process(max_new_elements=None)
-        self.stats.elapsed = time.monotonic() - self._start
-        return self.status()
 
     # -- trace expansion --------------------------------------------------------------
 
@@ -528,7 +509,7 @@ class CompletionEngine:
                 self.reducer.del_entry(lead)  # reduce k by the others
                 terms = dict(self.elements[k].terms)
                 steps: list = [TraceStep(1, (), k, ())]
-                if not self._nf_into(terms, steps) or len(steps) == 1:
+                if not self.normal_form(terms, steps) or len(steps) == 1:
                     # deadline struck or nothing reduced: restore
                     self.reducer.set_entry(lead, k, 1)
                     if self._exhausted:
@@ -559,7 +540,9 @@ def complete(generators: Sequence[Polynomial],
     limits = limits or CompletionLimits()
     engine = CompletionEngine(list(enumerate(generators)), order, limits)
     engine.interreduce()
-    status = engine.run()
+    if engine._budget_ok():
+        engine.process(max_new_elements=None)
+    status = engine.status()
     alg = generators[0].alg
     basis = []
     for k in engine.active_indices():

@@ -366,13 +366,12 @@ def translate(problem: Problem) -> Translation:
                        reports, order, opts)
 
 
-def run_problem(problem: Problem,
-                limits: Optional[CompletionLimits] = None):
+def run_problem(problem: Problem):
     """translate + certify; returns (Translation, CertifyReport)."""
     trans = translate(problem)
     opts = problem.options
     report = certify(trans.assumptions, trans.claims, trans.order,
-                     limits or opts.limits,
+                     opts.limits,
                      assumption_names=trans.assumption_names,
                      claim_names=trans.claim_names,
                      require_zero_constant=not opts.allow_constant_terms)
@@ -567,7 +566,11 @@ def _expand_macro(problem, macro, args, line_no, expr):
         sub = _SUBSET_RE.match(parts[2].replace(" ", ""))
         if not sub:
             raise ProblemFileError("inv subset reads {1,3}", line_no)
-        ks = [int(s) for s in sub.group(1).split(",") if s]
+        try:
+            ks = [int(s) for s in sub.group(1).split(",") if s]
+        except ValueError:  # more digits than Python converts from a string
+            raise ProblemFileError("inv subset entry too long", line_no) \
+                from None
         x, y = expr(parts[0], line_no), expr(parts[1], line_no)
         label = f"{macro}({parts[0]},{parts[1]})"
         return [(f"{label}.{k}", p)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import sys
 from pathlib import Path
 
@@ -5,9 +7,24 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from opcert.certify import save_certificate
 from opcert.freealg import FreeAlgebra
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "opcert" / "fixtures"
+
+# sha256 of every file ``opcert certify <fixture> --output`` writes; a change
+# that alters certificates on purpose updates this file and says why
+CERT_SHA256 = json.loads((Path(__file__).parent / "certificate_sha256.json")
+                         .read_text(encoding="utf-8"))
+
+
+def assert_certificate_file_unchanged(cert, filename, tmp_path):
+    """The file ``save_certificate`` writes for ``cert`` has the recorded
+    sha256 of ``filename`` (``<problem>.<claim>.cert``)."""
+    path = tmp_path / filename
+    save_certificate(cert, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        CERT_SHA256[filename], filename
 
 
 @pytest.fixture

@@ -13,7 +13,7 @@ from opcert.quiver import LabelledQuiver, check_problem
 from opcert.statements import load_problem, run_problem, translate
 
 import test_properties
-from conftest import FIXTURES
+from conftest import FIXTURES, assert_certificate_file_unchanged
 
 
 def _report(k, dt, desc):
@@ -47,7 +47,7 @@ def test_criterion_2_werner_solver_certificate(werner_system):
     _report(2, dt, "solver certificate minimal over {f1, f2, f3, f6}")
 
 
-def test_criterion_3_hartwig_v_to_i():
+def test_criterion_3_hartwig_v_to_i(tmp_path):
     t0 = time.monotonic()
     prob = load_problem(FIXTURES / "hartwig_v_to_i.prob")
     trans = translate(prob)
@@ -62,6 +62,8 @@ def test_criterion_3_hartwig_v_to_i():
     assert verify_certificate(res.certificate).valid
     assert res.certificate.integral
     assert dt < 300.0
+    assert_certificate_file_unchanged(
+        res.certificate, "hartwig_v_to_i.rol.cert", tmp_path)
     _report(3, dt, f"22 indeterminates; integral certificate with "
                    f"{res.certificate.term_count} terms (count reported, "
                    f"not asserted)")

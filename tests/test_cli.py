@@ -206,3 +206,33 @@ def test_check_cert_names_the_file_and_stops_at_it(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out.count("valid") == 1
     assert captured.err == f"error: {bad}: field 'claim' must be of type string\n"
+
+
+_WERNER_PROBLEM = (FIXTURES / "werner.prob").read_text(encoding="utf-8")
+_HUGE = "9" * 5_000  # beyond Python's limit on converting a string to int
+
+
+_HUGE_LINE = {
+    "coefficient": f"f1 = a·a⁻·a − {_HUGE}·a",
+    "denominator": f"f1 = a·a⁻·a − 1/{_HUGE}·a",
+    "inv_subset": f"inv(a, a⁻, {{{_HUGE}}})",
+}
+
+
+@pytest.mark.parametrize("command", ["certify", "compat", "reduce"])
+@pytest.mark.parametrize("where", sorted(_HUGE_LINE))
+def test_huge_integer_literal_is_an_input_error(tmp_path, capsys, command,
+                                                where):
+    bad = tmp_path / "huge.prob"
+    bad.write_text(_WERNER_PROBLEM.replace("f1 = a·a⁻·a − a",
+                                           _HUGE_LINE[where]),
+                   encoding="utf-8")
+    err = _input_error(capsys, [command, str(bad)])
+    assert err.startswith("error: line 21: ")
+
+
+def test_reduce_unknown_claim_is_an_input_error(capsys):
+    assert main(["reduce", "werner", "--claim", "nope"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: werner has no claim 'nope'\n"

@@ -11,7 +11,7 @@ from opcert.rewrite import BUDGET_EXHAUSTED
 from opcert.statements import load_problem, mp_equations, run_problem
 from opcert.freealg import FreeAlgebra
 
-from conftest import FIXTURES
+from conftest import FIXTURES, assert_certificate_file_unchanged
 from test_matcheck import rand_matrix
 
 CERTIFYING = [
@@ -30,7 +30,7 @@ CERTIFYING = [
 
 
 @pytest.mark.parametrize("name", CERTIFYING)
-def test_fixture_certifies(name):
+def test_fixture_certifies(name, tmp_path):
     prob = load_problem(FIXTURES / f"{name}.prob")
     trans, report = run_problem(prob)
     assert trans.quiver_check is not None and trans.quiver_check.ok
@@ -39,6 +39,8 @@ def test_fixture_certifies(name):
         assert res.certified, f"{name}/{res.name}: {res.remainder}"
         assert verify_certificate(res.certificate).valid
         assert res.certificate.integral, f"{name}/{res.name}"
+        assert_certificate_file_unchanged(
+            res.certificate, f"{name}.{res.name}.cert", tmp_path)
 
 
 def test_nonmember_fixture_budget_exhausts():

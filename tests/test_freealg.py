@@ -144,31 +144,6 @@ def test_self_adjoint():
     assert A.parse("i*") == A.gen("i")
 
 
-# -- substitution ---------------------------------------------------------------
-
-def test_substitute_expression():
-    A = FreeAlgebra()
-    for n in ("u1", "b", "c", "a", "a†"):
-        A.add_pair(n)
-    u1 = A.indeterminate("u1")
-    target = A.parse("b·c·c*·b*·a*·a†*")
-    assert A.gen("u1").substitute({u1.iid: target}) == target
-
-
-def test_substitute_empty_bindings(werner_algebra):
-    p = werner_algebra.parse("a·b − i")
-    assert p.substitute({}) == p
-
-
-def test_substitute_expands():
-    A = FreeAlgebra()
-    x = A.add("x")
-    A.add("y")
-    # xy with x -> x + 1 gives xy + y
-    assert A.parse("x·y").substitute({x.iid: A.parse("x + 1")}) == \
-        A.parse("x·y + y")
-
-
 # -- order ---------------------------------------------------------------------
 
 def test_compare_degree_dominates(werner_algebra):
