@@ -265,7 +265,7 @@ def certify(assumptions: Sequence[Polynomial], claims: Sequence[Polynomial],
                     attempt(st)
             if all(st["done"] for st in states):
                 break
-            if not engine.process(max_new_elements=1):
+            if not engine.process():
                 break
         for st in states:  # final pass against the last basis state
             if not st["done"]:

@@ -31,8 +31,10 @@ class AdjointError(AlgebraError):
 class ParseError(AlgebraError):
     """Expression text could not be parsed; ``position`` is a 0-based offset."""
 
-    def __init__(self, message: str, text: str = "", position: int = 0):
-        super().__init__(f"{message} (at offset {position})" if text else message)
+    def __init__(self, message: str, text: str = "",
+                 position: Optional[int] = None):
+        super().__init__(message if position is None
+                         else f"{message} (at offset {position})")
         self.text = text
         self.position = position
 
@@ -190,7 +192,7 @@ class FreeAlgebra:
         try:
             return _Parser(self, text, defs or {}).parse()
         except RecursionError:
-            raise ParseError("expression nested too deeply") from None
+            raise ParseError("expression nested too deeply", text) from None
 
     def render_word(self, w: Word) -> str:
         if not w:

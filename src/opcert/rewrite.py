@@ -438,18 +438,15 @@ class CompletionEngine:
 
     # -- main loop -----------------------------------------------------------------
 
-    def process(self, max_new_elements: Optional[int] = 1) -> bool:
-        """Work the queue until ``max_new_elements`` were added (no cap if
-        None), the queue is exhausted, or a budget tripped.  Returns True iff
-        an element was added.
-        """
-        added = 0
+    def process(self) -> bool:
+        """Work the queue until one element was added, the queue is
+        exhausted, or a budget tripped.  Returns True iff one was added."""
         elements = self.elements
         active = self._active
-        while max_new_elements is None or added < max_new_elements:
+        while True:
             self._process_requeue()
             if not self.queue or not self._budget_ok():
-                break
+                return False
             _, _, i, j, li, ri, lj, rj = heapq.heappop(self.queue)
             # a retired partner cannot survive into the final basis, so its
             # obstruction is moot
@@ -461,12 +458,11 @@ class CompletionEngine:
             _kernel_py.submul(terms, elements[j].terms.items(), 1, lj, rj)
             steps: list = [TraceStep(1, li, i, ri), TraceStep(-1, lj, j, rj)]
             if not self.normal_form(terms, steps):
-                break
+                return False
             if terms:
                 self._append(terms, steps)
-                added += 1
-            self._process_requeue()
-        return added > 0
+                self._process_requeue()
+                return True
 
     # -- trace expansion --------------------------------------------------------------
 
@@ -541,7 +537,8 @@ def complete(generators: Sequence[Polynomial],
     engine = CompletionEngine(list(enumerate(generators)), order, limits)
     engine.interreduce()
     if engine._budget_ok():
-        engine.process(max_new_elements=None)
+        while engine.process():
+            pass
     status = engine.status()
     alg = generators[0].alg
     basis = []

@@ -408,6 +408,10 @@ def _split_top_level(text: str, sep: str = ",") -> list:
     return [p.strip() for p in parts]
 
 
+def _clip(text: str, limit: int = 60) -> str:
+    return text if len(text) <= limit else text[:limit - 1] + "…"
+
+
 def load_problem(path) -> Problem:
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -420,69 +424,73 @@ def load_problem(path) -> Problem:
 
 
 def parse_problem(text: str) -> Problem:
-    """Parse the sectioned problem format (see README for the grammar)."""
+    """Parse the sectioned problem format (see README for the grammar).
+
+    The line helpers raise ``AlgebraError``; the one handler here turns it
+    into a ``ProblemFileError`` naming the line, echoed input cut short.
+    Defs, operators and witnesses share one namespace.  Quiver edges are
+    checked after the last line, each still reported at its own line.
+    """
     alg = FreeAlgebra()
     problem = Problem(alg, {}, [], [])
     section = None
-    quiver_vertices: list = []
-    quiver_edges: list = []
+    vertices: list = []
+    edges: list = []  # (label, source, target)
+    edge_lines: list = []
     saw_quiver = False
     auto_names = {"assume": 0, "claim": 0}
-
-    def expr(s: str, line_no: int) -> Polynomial:
-        try:
-            return alg.parse(s, defs=problem.defs)
-        except ParseError as exc:
-            raise ProblemFileError(f"{exc} in {s!r}", line_no) from None
-
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip()
-            if section not in _SECTIONS:
-                raise ProblemFileError(f"unknown section [{section}]", line_no)
-            if section == "quiver":
-                saw_quiver = True
-            continue
-        if section is None:
-            raise ProblemFileError("content before any [section]", line_no)
-        try:
+    line_no = 0
+    try:
+        for line_no, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if line.startswith("[") and line.endswith("]"):
+                section = line[1:-1].strip()
+                if section not in _SECTIONS:
+                    raise AlgebraError(f"unknown section [{section}]")
+                saw_quiver = saw_quiver or section == "quiver"
+                continue
+            if section is None:
+                raise AlgebraError("content before any [section]")
             if section == "ops":
-                _parse_op_line(problem, line, line_no)
+                _parse_op_line(problem, line)
             elif section == "defs":
-                name, _, body = line.partition("=")
-                name = name.strip()
-                if not _is_name(name) or not body.strip():
-                    raise ProblemFileError("defs lines read: name = expression",
-                                           line_no)
+                name, _, body = map(str.strip, line.partition("="))
+                if not _is_name(name) or not body:
+                    raise AlgebraError("defs lines read: name = expression")
                 if name in alg._by_name or name in problem.defs:
-                    raise ProblemFileError(f"name {name!r} already taken", line_no)
-                problem.defs[name] = expr(body.strip(), line_no)
+                    raise AlgebraError(f"name {name!r} already taken")
+                problem.defs[name] = _expr(problem, body)
+            elif section == "quiver" and line.startswith("vertices"):
+                vertices.extend(line.split()[1:])
             elif section == "quiver":
-                if line.startswith("vertices"):
-                    quiver_vertices.extend(line.split()[1:])
-                else:
-                    m = re.match(r"(.+?):(.+?)->(.+)", line)
-                    if not m:
-                        raise ProblemFileError(
-                            "quiver edges read: label : source -> target", line_no)
-                    quiver_edges.append((m.group(1).strip(), m.group(2).strip(),
-                                         m.group(3).strip()))
+                m = re.match(r"(.+?):(.+?)->(.+)", line)
+                if not m:
+                    raise AlgebraError(
+                        "quiver edges read: label : source -> target")
+                edges.append(tuple(g.strip() for g in m.groups()))
+                edge_lines.append(line_no)
             elif section in ("assume", "claim"):
-                _parse_statement_line(problem, section, line, line_no,
-                                      auto_names, expr)
+                _parse_statement_line(problem, section, line, auto_names)
             elif section == "workflow":
-                _parse_workflow_line(problem, line, line_no, expr)
+                _parse_workflow_line(problem, line)
             elif section == "options":
-                _parse_option_line(problem, line, line_no)
-        except ProblemFileError:
-            raise
-        except AlgebraError as exc:
-            raise ProblemFileError(str(exc), line_no) from None
-    if saw_quiver:
-        problem.quiver = LabelledQuiver(alg, quiver_vertices, quiver_edges)
+                _parse_option_line(problem, line)
+            clash = problem.defs.keys() & alg._by_name.keys()
+            if clash:
+                raise AlgebraError(f"name {min(clash)!r} already taken")
+        if saw_quiver:
+            # each prefix of the edge list is checked, so a bad edge is
+            # reported at its own line
+            for k, line_no in enumerate(edge_lines, start=1):
+                LabelledQuiver(alg, vertices, edges[:k])
+            problem.quiver = LabelledQuiver(alg, vertices, edges)
+    except AlgebraError as exc:
+        message = _clip(str(exc), 120)
+        if isinstance(exc, ParseError) and exc.text:
+            message += f" in {_clip(exc.text)!r}"
+        raise ProblemFileError(message, line_no) from None
     return problem
 
 
@@ -490,15 +498,18 @@ def _is_name(s: str) -> bool:
     return bool(s) and " " not in s and "=" not in s
 
 
-def _parse_op_line(problem: Problem, line: str, line_no: int) -> None:
+def _expr(problem: Problem, text: str) -> Polynomial:
+    return problem.algebra.parse(text, defs=problem.defs)
+
+
+def _parse_op_line(problem: Problem, line: str) -> None:
     alg = problem.algebra
     sig = None
     if ":" in line:
         head, _, rest = line.partition(":")
         m = re.match(r"(.+?)->(.+)", rest)
         if not m:
-            raise ProblemFileError("op signatures read: name ... : src -> tgt",
-                                   line_no)
+            raise AlgebraError("op signatures read: name ... : src -> tgt")
         sig = (m.group(1).strip(), m.group(2).strip())
         line = head.strip()
     words = line.split()
@@ -511,9 +522,8 @@ def _parse_op_line(problem: Problem, line: str, line_no: int) -> None:
     elif len(words) == 3 and words[1] == "adjoint":
         ind, _ = alg.add_pair(words[0], words[2])
     else:
-        raise ProblemFileError(
-            "ops lines read: name [adjoint [partner] | selfadjoint] [: src -> tgt]",
-            line_no)
+        raise AlgebraError(
+            "ops lines read: name [adjoint [partner] | selfadjoint] [: src -> tgt]")
     if sig is not None:
         problem.pinned[ind.iid] = sig
 
@@ -521,20 +531,18 @@ def _parse_op_line(problem: Problem, line: str, line_no: int) -> None:
 _MACROS = ("mp", "inv", "id", "douglas", "hermitian", "ep")
 
 
-def _parse_statement_line(problem, section, line, line_no, auto_names, expr):
-    alg = problem.algebra
+def _parse_statement_line(problem, section, line, auto_names):
     name = None
     body = line
     eq = line.find("=")
     if eq > 0:
         candidate = line[:eq].strip()
         if _is_name(candidate) and not any(
-                line[:eq].strip().startswith(m + "(") for m in _MACROS):
+                candidate.startswith(m + "(") for m in _MACROS):
             name, body = candidate, line[eq + 1:].strip()
     m = re.match(r"([a-z]+)\((.*)\)\s*$", body)
-    produced: list = []
     if m and m.group(1) in _MACROS:
-        produced = _expand_macro(problem, m.group(1), m.group(2), line_no, expr)
+        produced = _expand_macro(problem, m.group(1), m.group(2))
         if name is not None:
             produced = [(f"{name}.{k + 1}" if len(produced) > 1 else name, p)
                         for k, (_, p) in enumerate(produced)]
@@ -543,47 +551,46 @@ def _parse_statement_line(problem, section, line, line_no, auto_names, expr):
             auto_names[section] += 1
             prefix = "f" if section == "assume" else "claim"
             name = f"{prefix}{auto_names[section]}"
-        produced = [(name, expr(body, line_no))]
+        produced = [(name, _expr(problem, body))]
     target = problem.assumptions if section == "assume" else problem.claims
     taken = {n for n, _ in problem.assumptions} | {n for n, _ in problem.claims}
     for n, p in produced:
         if n in taken:
-            raise ProblemFileError(f"duplicate statement name {n!r}", line_no)
+            raise AlgebraError(f"duplicate statement name {n!r}")
         taken.add(n)
         target.append((n, p))
 
 
-def _expand_macro(problem, macro, args, line_no, expr):
+def _expand_macro(problem, macro, args):
     alg = problem.algebra
     if macro in ("mp", "inv"):
         parts = _split_top_level(args)
         if macro == "mp":  # the {1,2,3,4}-inverse, labelled mp(x,y).k
             if len(parts) != 2:
-                raise ProblemFileError("mp takes two arguments", line_no)
+                raise AlgebraError("mp takes two arguments")
             parts.append("{1,2,3,4}")
         if len(parts) != 3:
-            raise ProblemFileError("inv takes (x, y, {i,...,j})", line_no)
+            raise AlgebraError("inv takes (x, y, {i,...,j})")
         sub = _SUBSET_RE.match(parts[2].replace(" ", ""))
         if not sub:
-            raise ProblemFileError("inv subset reads {1,3}", line_no)
+            raise AlgebraError("inv subset reads {1,3}")
         try:
             ks = [int(s) for s in sub.group(1).split(",") if s]
         except ValueError:  # more digits than Python converts from a string
-            raise ProblemFileError("inv subset entry too long", line_no) \
-                from None
-        x, y = expr(parts[0], line_no), expr(parts[1], line_no)
+            raise AlgebraError("inv subset entry too long") from None
+        x, y = _expr(problem, parts[0]), _expr(problem, parts[1])
         label = f"{macro}({parts[0]},{parts[1]})"
         return [(f"{label}.{k}", p)
                 for k, p in zip(sorted(set(ks)), ij_equations(x, y, ks, alg))]
     if macro == "id":
         head, _, tail = args.partition(";")
-        unit = expr(head.strip(), line_no)
+        unit = _expr(problem, head.strip())
         neighbors = []
         for item in _split_top_level(tail):
             if not item:
                 continue
             nm, _, side = item.partition(":")
-            neighbors.append((expr(nm.strip(), line_no), side.strip()))
+            neighbors.append((_expr(problem, nm.strip()), side.strip()))
         label = f"id({head.strip()})"
         return [(f"{label}.{k}", p) for k, p in
                 enumerate(identity_axioms(unit, neighbors, alg), start=1)]
@@ -593,11 +600,11 @@ def _expand_macro(problem, macro, args, line_no, expr):
         if len(parts) == 2:
             wm = re.match(r"witness\s+(\S+)$", parts[1])
             if not wm:
-                raise ProblemFileError(
-                    "douglas reads douglas(lhs ⊆ rhs[, witness name])", line_no)
+                raise AlgebraError(
+                    "douglas reads douglas(lhs ⊆ rhs[, witness name])")
             witness = wm.group(1)
         elif len(parts) != 1:
-            raise ProblemFileError("douglas takes one inclusion", line_no)
+            raise AlgebraError("douglas takes one inclusion")
         rel = parts[0]
         for sym, flip in (("⊆", False), ("<=", False),
                           ("⊇", True), (">=", True)):
@@ -605,69 +612,61 @@ def _expand_macro(problem, macro, args, line_no, expr):
                 lhs_s, rhs_s = rel.split(sym, 1)
                 break
         else:
-            raise ProblemFileError("douglas needs ⊆/⊇ (or <=/>=)", line_no)
-        lhs, rhs = expr(lhs_s.strip(), line_no), expr(rhs_s.strip(), line_no)
+            raise AlgebraError("douglas needs ⊆/⊇ (or <=/>=)")
+        lhs, rhs = _expr(problem, lhs_s.strip()), _expr(problem, rhs_s.strip())
         if flip:
             lhs, rhs = rhs, lhs
         w, p = douglas_factorization(alg, lhs, rhs, witness)
         return [(f"douglas({w.name})", p)]
     if macro == "hermitian":
-        x = expr(args.strip(), line_no)
+        x = _expr(problem, args.strip())
         return [(f"hermitian({args.strip()})", hermitian_condition(x))]
     if macro == "ep":
-        x = expr(args.strip(), line_no)
+        x = _expr(problem, args.strip())
         out = []
         for w, p in ep_condition(alg, x):
             out.append((f"ep({args.strip()},{w.name})", p))
         return out
-    raise ProblemFileError(f"unknown macro {macro}", line_no)
+    raise AlgebraError(f"unknown macro {macro}")
 
 
-def _parse_workflow_line(problem, line, line_no, expr):
+def _parse_workflow_line(problem, line):
     m = re.match(r"cancel\s+(left|right)\s+(.+?)\s+witness\s+(.+?)\s+conclude\s+(.+)$",
                  line)
     if not m:
-        raise ProblemFileError(
-            "workflow lines read: cancel left|right ELEM witness EXPR conclude EXPR",
-            line_no)
+        raise AlgebraError(
+            "workflow lines read: cancel left|right ELEM witness EXPR conclude EXPR")
     side, elem_s, wit_s, conc_s = m.groups()
-    step = CancellabilityStep(side, expr(elem_s, line_no),
-                              expr(wit_s, line_no), expr(conc_s, line_no))
-    validate_step(step)  # a WorkflowError gets its line number in parse_problem
+    step = CancellabilityStep(side, _expr(problem, elem_s),
+                              _expr(problem, wit_s), _expr(problem, conc_s))
+    validate_step(step)
     problem.workflow.append(step)
 
 
 # ``CompletionLimits`` field -> type of its problem-file value
 _LIMIT_OPTIONS = {"max_degree": int, "max_iterations": int,
                   "max_basis_size": int, "time_budget": float}
+_SWITCH_OPTIONS = ("closure", "allow_constant_terms")
+_ON_OFF = {"on": True, "true": True, "yes": True, "1": True,
+           "off": False, "false": False, "no": False, "0": False}
 
 
-def _parse_option_line(problem, line, line_no):
+def _parse_option_line(problem, line):
     opts = problem.options
-    words = line.split()
-    key, rest = words[0], words[1:]
-    if key not in _LIMIT_OPTIONS and \
-            key not in ("closure", "allow_constant_terms", "order"):
-        raise ProblemFileError(f"unknown option {key!r}", line_no)
-    try:
-        if key in _LIMIT_OPTIONS:
+    key, *rest = line.split()
+    if key == "order":
+        opts.ranking = rest
+    elif key not in _LIMIT_OPTIONS and key not in _SWITCH_OPTIONS:
+        raise AlgebraError(f"unknown option {key!r}")
+    elif not rest:
+        raise AlgebraError(f"bad value for option {key!r}")
+    elif key in _SWITCH_OPTIONS:
+        if rest[0] not in _ON_OFF:
+            raise AlgebraError(f"expected on/off, got {rest[0]!r}")
+        setattr(opts, key, _ON_OFF[rest[0]])
+    else:
+        try:  # CompletionLimits rejects a value that is not positive
             opts.limits = replace(opts.limits,
                                   **{key: _LIMIT_OPTIONS[key](rest[0])})
-        elif key == "closure":
-            opts.closure = _on_off(rest[0], line_no)
-        elif key == "allow_constant_terms":
-            opts.allow_constant_terms = _on_off(rest[0], line_no)
-        elif key == "order":
-            opts.ranking = rest
-    except ProblemFileError:
-        raise
-    except (IndexError, ValueError):
-        raise ProblemFileError(f"bad value for option {key!r}", line_no) from None
-
-
-def _on_off(s: str, line_no: int) -> bool:
-    if s in ("on", "true", "yes", "1"):
-        return True
-    if s in ("off", "false", "no", "0"):
-        return False
-    raise ProblemFileError(f"expected on/off, got {s!r}", line_no)
+        except ValueError:
+            raise AlgebraError(f"bad value for option {key!r}") from None

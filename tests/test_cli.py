@@ -229,6 +229,7 @@ def test_huge_integer_literal_is_an_input_error(tmp_path, capsys, command,
                    encoding="utf-8")
     err = _input_error(capsys, [command, str(bad)])
     assert err.startswith("error: line 21: ")
+    assert len(err.encode("utf-8")) < 200  # the echoed expression is cut
 
 
 def test_reduce_unknown_claim_is_an_input_error(capsys):

@@ -81,7 +81,7 @@ def run_both(alg, gens, max_degree):
         e.interreduce()
     assert_same_state(*engines)
     while True:
-        added = [e.process(max_new_elements=1) for e in engines]
+        added = [e.process() for e in engines]
         assert added[0] == added[1]
         assert_same_state(*engines)
         if not added[0]:

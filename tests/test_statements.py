@@ -266,6 +266,63 @@ def test_problem_duplicate_and_clashing_names():
         parse_problem("[ops]\na\n[assume]\nf = a\nf = a + a\n")
 
 
+def test_fresh_witness_named_like_a_def_is_rejected():
+    # douglas's fresh witness would be w1, which the claim means as the def
+    text = ("[ops]\na adjoint\nb adjoint\n[defs]\nw1 = a·a*\n"
+            "[assume]\ndouglas(a ⊆ b)\n[claim]\ng = w1 − a·a*\n")
+    with pytest.raises(ProblemFileError) as err:
+        parse_problem(text)
+    assert err.value.line_no == 7
+    assert "'w1'" in str(err.value)
+
+
+def test_operator_declared_after_a_def_of_its_name_is_rejected():
+    text = ("[ops]\na\n[defs]\nx = a·a\n[ops]\nx\n"
+            "[claim]\ng = x − a·a\n")
+    with pytest.raises(ProblemFileError) as err:
+        parse_problem(text)
+    assert err.value.line_no == 6
+    assert str(err.value) == "line 6: name 'x' already taken"
+
+
+_QUIVER_TEXT = ("[quiver]\nvertices v1 v2\na : v1 -> v2\nb : v2 -> v1\n"
+                "[ops]\na\nb\n[claim]\ng = a·b\n")
+
+
+@pytest.mark.parametrize("edit,line_no,message", [
+    (("a : v1 -> v2", "a : v1 -> v9"), 3, "undeclared vertex"),
+    (("b : v2 -> v1", "c : v2 -> v1"), 4, "unknown indeterminate 'c'"),
+    (("b : v2 -> v1", "a : v2 -> v1"), 4, "used on two edges"),
+    (("b : v2 -> v1", "b - v2 -> v1"), 4, "quiver edges read"),
+])
+def test_quiver_errors_name_the_edge_line(edit, line_no, message):
+    with pytest.raises(ProblemFileError) as err:
+        parse_problem(_QUIVER_TEXT.replace(*edit))
+    assert err.value.line_no == line_no
+    assert message in str(err.value)
+
+
+def test_quiver_may_precede_the_ops_it_labels():
+    quiver = parse_problem(_QUIVER_TEXT).quiver
+    assert quiver.signature("a") == ("v1", "v2")
+    assert quiver.signature("b") == ("v2", "v1")
+
+
+def test_echoed_expression_is_cut_short():
+    long_expr = "a·" * 500 + "nope"
+    with pytest.raises(ProblemFileError) as err:
+        parse_problem(f"[ops]\na\n[assume]\nf = {long_expr}\n")
+    message = str(err.value)
+    assert message.startswith("line 4: unknown name 'nope' (at offset 1000) "
+                              "in 'a·a·a·")
+    assert message.endswith("…'") and len(message) < 200
+    with pytest.raises(ProblemFileError) as err:
+        parse_problem("[ops]\na\n[assume]\nf = " + "(" * 5000 + "a\n")
+    assert str(err.value).startswith(
+        "line 4: expression nested too deeply in '(((")
+    assert len(str(err.value)) < 200
+
+
 def test_problem_options_and_order():
     prob = parse_problem(
         "[ops]\nb\na\n[assume]\nf = a·b − b·a\n[claim]\ng = a·b\n"
