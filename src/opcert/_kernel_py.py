@@ -6,10 +6,11 @@ int/Fraction values.
 The entry points are the innermost operations of two-sided reduction and
 completion: locating the best reducible factor under the fixed tie-break, the
 fused "subtract a scaled two-sided multiple" update, a lead's self-overlaps
-and the scan for leads a new lead retires.  ``batch_overlaps`` is the
-pairwise overlap/containment scan of one lead against many; the completion
-engine finds the same rows through its lead indexes and is tested against
-this scan.
+and the containment check that confirms which candidate leads a new lead
+retires (the completion engine draws the candidates from its two-letter
+factor index).  ``batch_overlaps`` is the pairwise overlap/containment scan
+of one lead against many; the completion engine finds the same rows through
+its lead indexes and is tested against this scan.
 """
 
 
@@ -107,8 +108,8 @@ def batch_overlaps(v, others):
 
 
 def find_retirees(lead, others):
-    """Indices from (i, w) pairs whose word contains ``lead`` as a factor;
-    an empty lead is a factor of every word."""
+    """Indices from (i, w) pairs whose word contains ``lead`` as a factor,
+    in the pairs' order; an empty lead is a factor of every word."""
     n = len(lead)
     if not n:
         return [i for i, _ in others]

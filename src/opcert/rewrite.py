@@ -237,10 +237,14 @@ class CompletionEngine:
     index).  Elements whose lead becomes reducible by a newer lead are retired
     and their normal forms re-enter the basis, so the active lead set stays
     interreduced: each active lead word belongs to exactly one element, and
-    the reducer's ``leadmap`` is the table of active leads.  A new lead finds
-    its overlap partners through hash indexes of the active leads' proper
-    prefixes and suffixes and its factor partners through ``leadmap``;
-    partners beyond ``max_degree`` are only counted.
+    the reducer's ``leadmap`` is the table of active leads.  Three hash
+    indexes of the active leads map a word to the ascending list of active
+    indices whose lead has it as a proper prefix (``_prefixes``), as a proper
+    suffix (``_suffixes``) or as a two-letter factor (``_digrams``).  A new
+    lead finds its overlap partners through the first two and its factor
+    partners through ``leadmap``; partners beyond ``max_degree`` are only
+    counted.  The leads it retires all hold each of its two-letter factors,
+    so ``_digrams`` narrows their search.
 
     Queue entries are raw rows (degree, seq, i, j, li, ri, lj, rj).
     """
@@ -256,6 +260,9 @@ class CompletionEngine:
         # proper prefix / suffix of an active lead -> ascending idx list
         self._prefixes: dict = {}
         self._suffixes: dict = {}
+        # two-letter factor of an active lead -> ascending idx list, each
+        # idx once however often the factor recurs in its lead
+        self._digrams: dict = {}
         self._seq = 0
         self._requeue: list = []
         self.stats = CompletionStats()
@@ -276,29 +283,33 @@ class CompletionEngine:
 
     # -- lead bookkeeping ----------------------------------------------------
 
-    def _activate(self, idx: int, w: Word) -> None:
-        """Enter ``idx`` with lead ``w`` into the active set, the reducer
-        and the prefix/suffix indexes."""
-        self._active[idx] = w
-        self.reducer.set_entry(w, idx, 1)
-        n = len(w)
-        for k in range(1, n):  # idx is the newest index: lists stay sorted
-            self._prefixes.setdefault(w[:k], []).append(idx)
-            self._suffixes.setdefault(w[n - k:], []).append(idx)
-
-    def _deactivate(self, idx: int) -> None:
-        """Drop ``idx`` from the active set and the prefix/suffix indexes
-        (the reducer entry is the caller's business)."""
-        w = self._active.pop(idx)
+    def _index_keys(self, w: Word):
+        """``(table, key)`` for each lead-index entry of the lead ``w``."""
         n = len(w)
         for k in range(1, n):
-            for table, key in ((self._prefixes, w[:k]),
-                               (self._suffixes, w[n - k:])):
-                lst = table[key]
-                if len(lst) == 1:
-                    del table[key]
-                else:
-                    lst.remove(idx)
+            yield self._prefixes, w[:k]
+            yield self._suffixes, w[n - k:]
+        for key in set(zip(w, w[1:])):  # each w[t:t + 2] once
+            yield self._digrams, key
+
+    def _activate(self, idx: int, w: Word) -> None:
+        """Enter ``idx`` with lead ``w`` into the active set, the reducer
+        and the lead indexes."""
+        self._active[idx] = w
+        self.reducer.set_entry(w, idx, 1)
+        for table, key in self._index_keys(w):
+            # idx is the newest index: lists stay sorted
+            table.setdefault(key, []).append(idx)
+
+    def _deactivate(self, idx: int) -> None:
+        """Drop ``idx`` from the active set and the lead indexes (the
+        reducer entry is the caller's business)."""
+        for table, key in self._index_keys(self._active.pop(idx)):
+            lst = table[key]
+            if len(lst) == 1:
+                del table[key]
+            else:
+                lst.remove(idx)
 
     def _retire(self, idx: int) -> None:
         self._deactivate(idx)
@@ -323,7 +334,7 @@ class CompletionEngine:
         self.stats.elements_added += 1
         # retire active elements whose lead contains the new lead as a factor
         # (an equal lead included, so active leads stay distinct)
-        for m in _kernel_py.find_retirees(lead, self._active.items()):
+        for m in self._retirees(lead):
             self._retire(m)
             self._requeue.append(m)
         # queue obstructions against the still-active leads, then self
@@ -332,6 +343,19 @@ class CompletionEngine:
                               for row in _kernel_py.self_overlaps(lead)])
         self._activate(idx, lead)
         return idx
+
+    def _retirees(self, lead: Word) -> list:
+        """Active indices, ascending, whose lead contains ``lead`` as a
+        factor.  Such a lead holds every two-letter factor of ``lead``, so
+        only the shortest ``_digrams`` list among them needs confirming; a
+        lead of fewer than two letters checks every active lead."""
+        active = self._active
+        if len(lead) < 2:
+            return _kernel_py.find_retirees(lead, active.items())
+        digrams = self._digrams
+        fewest = min([digrams.get(d, ()) for d in zip(lead, lead[1:])],
+                     key=len)
+        return _kernel_py.find_retirees(lead, [(i, active[i]) for i in fewest])
 
     def _pair_rows(self, v: Word) -> list:
         """Rows ``_kernel_py.batch_overlaps(v, active leads)`` would give, in

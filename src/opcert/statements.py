@@ -352,12 +352,6 @@ def translate(problem: Problem) -> Translation:
     quiver = problem.quiver
     if quiver is None:
         quiver = infer_signatures(polys + claims, alg, pinned=problem.pinned)
-    else:
-        for iid, sig in problem.pinned.items():
-            if quiver.edges.get(iid) != sig:
-                raise AlgebraError(
-                    f"declared signature of {alg.by_id(iid).name!r} contradicts "
-                    "the quiver section")
     qcheck = None
     if quiver is not None:
         qcheck = check_problem(polys, claims, quiver,
@@ -428,8 +422,10 @@ def parse_problem(text: str) -> Problem:
 
     The line helpers raise ``AlgebraError``; the one handler here turns it
     into a ``ProblemFileError`` naming the line, echoed input cut short.
-    Defs, operators and witnesses share one namespace.  Quiver edges are
-    checked after the last line, each still reported at its own line.
+    Defs, operators and witnesses share one namespace.  A name may be used
+    before the line that declares it, so quiver edges, signature pins
+    (against a ``[quiver]`` section) and the ``order`` option are checked
+    after the last line, each still reported at its own line.
     """
     alg = FreeAlgebra()
     problem = Problem(alg, {}, [], [])
@@ -437,6 +433,8 @@ def parse_problem(text: str) -> Problem:
     vertices: list = []
     edges: list = []  # (label, source, target)
     edge_lines: list = []
+    pin_lines: dict = {}  # iid -> line of its [ops] signature pin
+    order_line = 0
     saw_quiver = False
     auto_names = {"assume": 0, "claim": 0}
     line_no = 0
@@ -454,7 +452,9 @@ def parse_problem(text: str) -> Problem:
             if section is None:
                 raise AlgebraError("content before any [section]")
             if section == "ops":
-                _parse_op_line(problem, line)
+                iid = _parse_op_line(problem, line)
+                if iid in problem.pinned:
+                    pin_lines[iid] = line_no
             elif section == "defs":
                 name, _, body = map(str.strip, line.partition("="))
                 if not _is_name(name) or not body:
@@ -477,6 +477,8 @@ def parse_problem(text: str) -> Problem:
                 _parse_workflow_line(problem, line)
             elif section == "options":
                 _parse_option_line(problem, line)
+                if line.split()[0] == "order":
+                    order_line = line_no
             clash = problem.defs.keys() & alg._by_name.keys()
             if clash:
                 raise AlgebraError(f"name {min(clash)!r} already taken")
@@ -485,7 +487,15 @@ def parse_problem(text: str) -> Problem:
             # reported at its own line
             for k, line_no in enumerate(edge_lines, start=1):
                 LabelledQuiver(alg, vertices, edges[:k])
-            problem.quiver = LabelledQuiver(alg, vertices, edges)
+            problem.quiver = quiver = LabelledQuiver(alg, vertices, edges)
+            for iid, line_no in pin_lines.items():
+                if quiver.edges.get(iid) != problem.pinned[iid]:
+                    raise AlgebraError(
+                        f"declared signature of {alg.by_id(iid).name!r} "
+                        "contradicts the quiver section")
+        if order_line:
+            line_no = order_line
+            problem.order()  # every ranked name must be declared
     except AlgebraError as exc:
         message = _clip(str(exc), 120)
         if isinstance(exc, ParseError) and exc.text:
@@ -502,7 +512,8 @@ def _expr(problem: Problem, text: str) -> Polynomial:
     return problem.algebra.parse(text, defs=problem.defs)
 
 
-def _parse_op_line(problem: Problem, line: str) -> None:
+def _parse_op_line(problem: Problem, line: str) -> int:
+    """Declare the line's operator; returns its iid."""
     alg = problem.algebra
     sig = None
     if ":" in line:
@@ -526,6 +537,7 @@ def _parse_op_line(problem: Problem, line: str) -> None:
             "ops lines read: name [adjoint [partner] | selfadjoint] [: src -> tgt]")
     if sig is not None:
         problem.pinned[ind.iid] = sig
+    return ind.iid
 
 
 _MACROS = ("mp", "inv", "id", "douglas", "hermitian", "ep")
@@ -571,7 +583,7 @@ def _expand_macro(problem, macro, args):
             parts.append("{1,2,3,4}")
         if len(parts) != 3:
             raise AlgebraError("inv takes (x, y, {i,...,j})")
-        sub = _SUBSET_RE.match(parts[2].replace(" ", ""))
+        sub = _SUBSET_RE.fullmatch(parts[2].replace(" ", ""))
         if not sub:
             raise AlgebraError("inv subset reads {1,3}")
         try:

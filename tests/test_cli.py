@@ -232,6 +232,22 @@ def test_huge_integer_literal_is_an_input_error(tmp_path, capsys, command,
     assert len(err.encode("utf-8")) < 200  # the echoed expression is cut
 
 
+@pytest.mark.parametrize("edit, message", [
+    (("f1 = a·a⁻·a − a", "inv(a, a⁻, {1,2,3}junk)"),
+     "line 21: inv subset reads {1,3}"),
+    (("time_budget 30", "order a zz"),
+     "line 31: unknown indeterminate 'zz'"),
+    (("[ops]\na\n", "[ops]\na : v1 -> v2\n"),
+     "line 6: declared signature of 'a' contradicts the quiver section"),
+], ids=["inv_subset", "order", "signature_pin"])
+def test_compat_names_the_faulty_problem_line(tmp_path, capsys, edit,
+                                              message):
+    assert edit[0] in _WERNER_PROBLEM
+    bad = tmp_path / "bad.prob"
+    bad.write_text(_WERNER_PROBLEM.replace(*edit), encoding="utf-8")
+    assert _input_error(capsys, ["compat", str(bad)]) == f"error: {message}\n"
+
+
 def test_reduce_unknown_claim_is_an_input_error(capsys):
     assert main(["reduce", "werner", "--claim", "nope"]) == 3
     captured = capsys.readouterr()

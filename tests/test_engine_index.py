@@ -1,10 +1,13 @@
-"""The completion engine's indexed overlap enumeration against a full scan.
+"""The completion engine's indexed overlap enumeration and retirement
+against full scans.
 
 ``ScanEngine`` finds overlap partners the way the kernel's reference scan
 does: ``batch_overlaps`` of the new lead against every active lead, filtered
-at ``max_degree`` by ``_push_rows``.  Both engines must build the same queue
-in the same order, so everything downstream (counters, basis, traces) is
-identical too.
+at ``max_degree`` by ``_push_rows``.  It finds the leads a new lead retires
+by ``find_retirees`` over every active lead, where the indexed engine checks
+only the candidates of its two-letter factor index.  Both engines must build
+the same queue in the same order and retire the same leads in the same
+order, so everything downstream (counters, basis, traces) is identical too.
 """
 
 import collections
@@ -38,6 +41,21 @@ class ScanEngine(CompletionEngine):
             1 for row in rows if row[3] == () and row[4] == ())
         return rows
 
+    def _retirees(self, lead):
+        retirees = _kernel_py.find_retirees(lead, self._active.items())
+        digrams = [lead[t:t + 2] for t in range(len(lead) - 1)]
+        held = {w[t:t + 2] for w in self._active.values()
+                for t in range(len(w) - 1)}
+        if len(retirees) > 1:
+            self.events["several_retired"] += 1
+        if len(lead) == 1 and retirees:
+            self.events["one_letter_retires"] += 1
+        if len(set(digrams)) < len(digrams) and retirees:
+            self.events["repeated_digram_retires"] += 1
+        if not held.issuperset(digrams):
+            self.events["unheld_digram"] += 1
+        return retirees
+
     def _retire(self, idx):
         self.events["retired"] += 1
         super()._retire(idx)
@@ -48,20 +66,25 @@ class ScanEngine(CompletionEngine):
 
 
 def rebuilt_indexes(engine):
-    prefixes, suffixes = {}, {}
+    prefixes, suffixes, digrams = {}, {}, {}
     for k in engine.active_indices():
         w = engine.elements[k].lead
         for n in range(1, len(w)):
             prefixes.setdefault(w[:n], []).append(k)
             suffixes.setdefault(w[len(w) - n:], []).append(k)
-    return prefixes, suffixes
+        for t in range(len(w) - 1):
+            held = digrams.setdefault(w[t:t + 2], [])
+            if k not in held:
+                held.append(k)
+    return prefixes, suffixes, digrams
 
 
 def assert_same_state(indexed, scan):
     assert indexed.queue == scan.queue
     assert indexed.stats == scan.stats
     assert indexed.active_indices() == scan.active_indices()
-    assert (indexed._prefixes, indexed._suffixes) == rebuilt_indexes(indexed)
+    assert (indexed._prefixes, indexed._suffixes, indexed._digrams) == \
+        rebuilt_indexes(indexed)
     # the reducer's lead table holds exactly the active leads, one each
     for e in (indexed, scan):
         assert {w: hit[0] for w, hit in e.reducer.leadmap.items()} == \
@@ -127,6 +150,18 @@ CASES = {
                     6),
     # a constant lead is a factor of every word, at every position
     "constant": (2, [{(): 1}, {(0, 1): 1, (0,): -1}], 5),
+    # a·b retires a·b·a and b·a·b at once; their requeue order matters
+    "several": (2, [{(0, 1, 0): 1, (1,): -1}, {(1, 0, 1): 1, (0,): -1},
+                    {(0, 1): 1, (0,): -1}], 6),
+    # the one-letter lead b retires the earlier lead a·b·a·b·b
+    "one_letter": (2, [{(0, 1, 0, 1, 1): 1, (0,): -1}, {(1,): 1, (): -1}],
+                   6),
+    # a·b·a·b holds a·b twice and retires a·b·a·b·b, indexed once under a·b
+    "repeated_digram": (2, [{(0, 1, 0, 1, 1): 1, (0,): -1},
+                            {(0, 1, 0, 1): 1, (1,): -1}], 6),
+    # no active lead holds b·b, the second letter pair of a·b·b
+    "unheld_digram": (2, [{(0, 1, 0): 1, (1,): -1},
+                          {(0, 1, 1): 1, (0,): -1}], 6),
 }
 
 
@@ -135,6 +170,10 @@ CASES = {
     ("containment", "containment"),
     ("interreduce", "deactivated"),
     ("constant", "containment"),
+    ("several", "several_retired"),
+    ("one_letter", "one_letter_retires"),
+    ("repeated_digram", "repeated_digram_retires"),
+    ("unheld_digram", "unheld_digram"),
 ])
 def test_indexed_enumeration_covers(name, event):
     letters, gens, max_degree = CASES[name]
@@ -160,8 +199,13 @@ def test_hartwig_degree_12_counters(monkeypatch):
 
     class Recording(CompletionEngine):
         def __init__(self, *args, **kwargs):
+            self.retired = 0
             super().__init__(*args, **kwargs)
             engines.append(self)
+
+        def _retire(self, idx):
+            self.retired += 1
+            super()._retire(idx)
 
     # the package re-exports the function ``certify`` under the module's name
     monkeypatch.setattr(importlib.import_module("opcert.certify"),
@@ -183,3 +227,4 @@ def test_hartwig_degree_12_counters(monkeypatch):
     assert engine.stats.obstructions_skipped_degree == 361_198
     assert len(engine.active_indices()) == 2_008
     assert len(engine.queue) == 0
+    assert engine.retired == 190

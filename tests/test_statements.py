@@ -347,8 +347,25 @@ def test_problem_quiver_section_and_signature_pins():
 def test_signature_pin_contradicting_quiver_rejected():
     text = ("[ops]\na : u -> u\n[quiver]\nvertices u v\na : u -> v\n"
             "[assume]\nf = 2·a\n")
-    prob = parse_problem(text)
-    with pytest.raises(AlgebraError):
-        translate(prob)
+    with pytest.raises(ProblemFileError) as err:
+        parse_problem(text)
+    assert str(err.value) == ("line 2: declared signature of 'a' contradicts "
+                              "the quiver section")
     agree = text.replace("a : u -> u", "a : u -> v")
     assert translate(parse_problem(agree)).quiver_check.ok
+
+
+def test_order_naming_an_undeclared_operator_names_its_line():
+    text = "[options]\norder a zz\n[ops]\na\n[claim]\ng = a\n"
+    with pytest.raises(ProblemFileError) as err:
+        parse_problem(text)
+    assert str(err.value) == "line 2: unknown indeterminate 'zz'"
+    # the order may rank operators declared below it
+    parse_problem(text.replace(" zz", "")).order()
+
+
+@pytest.mark.parametrize("subset", ["{1,2,3}junk", "{1}{2}"])
+def test_inv_subset_is_the_whole_third_argument(subset):
+    with pytest.raises(ProblemFileError) as err:
+        parse_problem(f"[ops]\na\nb\n[assume]\ninv(a, b, {subset})\n")
+    assert str(err.value) == "line 5: inv subset reads {1,3}"
