@@ -12,10 +12,10 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional, Sequence
 
-from .freealg import AlgebraError, DegLexOrder, FreeAlgebra, Polynomial
+from .freealg import (AlgebraError, DegLexOrder, FreeAlgebra, Polynomial,
+                      add_terms)
 from .rewrite import (BUDGET_EXHAUSTED, COMPLETE, STOPPED_EARLY,
                       CompletionEngine, CompletionLimits, TraceStep)
 
@@ -33,7 +33,7 @@ class Summand:
 
 
 def _poly_is_integral(p: Polynomial) -> bool:
-    return all(not isinstance(c, Fraction) for c in p._terms.values())
+    return all(c.denominator == 1 for c in p._terms.values())
 
 
 @dataclass(frozen=True)
@@ -91,19 +91,20 @@ def verify_certificate(cert: Certificate) -> VerificationResult:
     re-derived here as well.
     """
     alg = cert.claim.alg
-    total = alg.zero()
+    diff: dict = {}  # expansion minus claim, summed in place
     for s in cert.summands:
         if not 0 <= s.index < len(cert.assumptions):
             return VerificationResult(False, f"summand index {s.index} out of range")
-        total = total + s.left * cert.assumptions[s.index] * s.right
-    diff = total - cert.claim
-    if not diff.is_zero:
+        add_terms(diff, (s.left * cert.assumptions[s.index] * s.right)
+                  ._terms.items())
+    add_terms(diff, cert.claim._terms.items(), negate=True)
+    if diff:
         order = alg.default_order()
-        worst = max(diff._terms, key=order.key)
+        worst = max(diff, key=order.key)
         return VerificationResult(
             False,
             f"expansion differs from claim at monomial {alg.render_word(worst)} "
-            f"(coefficient {diff._terms[worst]})",
+            f"(coefficient {diff[worst]})",
             worst)
     if cert.integral != scan_integral(cert.summands):
         return VerificationResult(False, "integral flag does not match cofactors")

@@ -10,6 +10,7 @@ degree-first, then lexicographically by a variable ranking (deglex).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Union
@@ -75,8 +76,20 @@ class FreeAlgebra:
     def __init__(self):
         self._inds: list[Indeterminate] = []
         self._by_name: dict[str, int] = {}
+        # "name" and "name*" -> the letter they denote in a run
+        self._letters: dict[str, int] = {}
 
     # -- declarations ------------------------------------------------------
+
+    def _declare(self, *inds: Indeterminate) -> None:
+        for ind in inds:
+            self._inds.append(ind)
+            self._by_name[ind.name] = ind.iid
+            if "*" in ind.name:  # a partner named "x*" is read as x then *
+                continue
+            self._letters[ind.name] = ind.iid
+            if ind.adjoint is not None:
+                self._letters[ind.name + "*"] = ind.adjoint
 
     def _check_name(self, name: str) -> None:
         if not name or name[0].isdigit() or any(ch in _RESERVED for ch in name):
@@ -88,8 +101,7 @@ class FreeAlgebra:
         """Declare an indeterminate without an adjoint partner."""
         self._check_name(name)
         ind = Indeterminate(len(self._inds), name, None)
-        self._inds.append(ind)
-        self._by_name[name] = ind.iid
+        self._declare(ind)
         return ind
 
     def add_pair(self, name: str, adjoint_name: Optional[str] = None):
@@ -109,17 +121,13 @@ class FreeAlgebra:
         i = len(self._inds)
         ind = Indeterminate(i, name, i + 1)
         adj = Indeterminate(i + 1, adjoint_name, i)
-        self._inds.extend((ind, adj))
-        self._by_name[name] = i
-        self._by_name[adjoint_name] = i + 1
+        self._declare(ind, adj)
         return ind, adj
 
     def add_self_adjoint(self, name: str) -> Indeterminate:
         self._check_name(name)
-        i = len(self._inds)
-        ind = Indeterminate(i, name, i)
-        self._inds.append(ind)
-        self._by_name[name] = i
+        ind = Indeterminate(len(self._inds), name, len(self._inds))
+        self._declare(ind)
         return ind
 
     # -- lookups -----------------------------------------------------------
@@ -190,9 +198,10 @@ class FreeAlgebra:
         spliced in as atoms.
         """
         try:
-            return _Parser(self, text, defs or {}).parse()
+            terms = _Parser(self, text, defs or {}).parse()
         except RecursionError:
             raise ParseError("expression nested too deeply", text) from None
+        return Polynomial._make(self, terms)
 
     def render_word(self, w: Word) -> str:
         if not w:
@@ -294,12 +303,7 @@ class Polynomial:
             other = self.alg.monomial(EMPTY_WORD, other)
         self._require_same(other)
         acc = dict(self._terms)
-        for w, c in other._terms.items():
-            v = acc.get(w, 0) + c
-            if v:
-                acc[w] = v
-            else:
-                acc.pop(w, None)
+        add_terms(acc, other._terms.items())
         return Polynomial._make(self.alg, acc)
 
     __radd__ = __add__
@@ -319,16 +323,7 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             return self.scaled(other)
         self._require_same(other)
-        acc: dict = {}
-        for w1, c1 in self._terms.items():
-            for w2, c2 in other._terms.items():
-                w = w1 + w2
-                v = acc.get(w, 0) + c1 * c2
-                if v:
-                    acc[w] = v
-                else:
-                    del acc[w]
-        return Polynomial._make(self.alg, acc)
+        return Polynomial._make(self.alg, _times(self._terms, other._terms))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -352,16 +347,7 @@ class Polynomial:
 
     def adjoint(self) -> "Polynomial":
         """Star anti-automorphism: reverse words, swap letters for partners."""
-        adj = [ind.adjoint for ind in self.alg]
-        acc: dict = {}
-        for w, c in self._terms.items():
-            nw = tuple(adj[x] for x in reversed(w))
-            if None in nw:
-                bad = next(x for x in w if adj[x] is None)
-                raise AdjointError(
-                    f"indeterminate {self.alg.by_id(bad).name!r} has no adjoint")
-            acc[nw] = acc.get(nw, 0) + c
-        return Polynomial._make(self.alg, {w: c for w, c in acc.items() if c})
+        return Polynomial._make(self.alg, _adjoint_terms(self.alg, self._terms))
 
     # -- equality ------------------------------------------------------------
 
@@ -378,6 +364,47 @@ class Polynomial:
 
     def __repr__(self):
         return self.alg.render(self)
+
+
+def add_terms(acc: dict, items: Iterable, negate: bool = False) -> None:
+    """Add ``(word, coefficient)`` pairs with nonzero coefficients into the
+    term dict ``acc`` in place; an integral sum is stored as an int."""
+    for w, c in items:
+        v = acc.get(w, 0) + (-c if negate else c)
+        if not v:
+            del acc[w]
+        elif type(v) is int or v.denominator != 1:
+            acc[w] = v
+        else:
+            acc[w] = v.numerator
+
+
+def _times(a: dict, b: dict) -> dict:
+    """Product of two term dicts."""
+    acc: dict = {}
+    for w1, c1 in a.items():
+        for w2, c2 in b.items():
+            w = w1 + w2
+            v = acc.get(w, 0) + c1 * c2
+            if v:
+                acc[w] = v
+            else:
+                del acc[w]
+    return acc
+
+
+def _partner(alg: FreeAlgebra, iid: int) -> int:
+    adj = alg._inds[iid].adjoint
+    if adj is None:
+        raise AdjointError(
+            f"indeterminate {alg._inds[iid].name!r} has no adjoint")
+    return adj
+
+
+def _adjoint_terms(alg: FreeAlgebra, terms: dict) -> dict:
+    """Star of a term dict; the words keep their order."""
+    return {tuple([_partner(alg, x) for x in w])[::-1]: c
+            for w, c in terms.items()}
 
 
 @dataclass(frozen=True)
@@ -421,147 +448,168 @@ def compare_words(u: Word, v: Word, order: DegLexOrder) -> int:
 # Expression parsing
 # ---------------------------------------------------------------------------
 
-_T_NAME, _T_INT, _T_PLUS, _T_MINUS, _T_STAR, _T_DOT, _T_SLASH, _T_LPAR, _T_RPAR = range(9)
-_ATOM_STARTERS = (_T_NAME, _T_INT, _T_LPAR)
+# Tokens; blanks (space, tab, CR, LF) only separate them.
+#   run    name ([blanks] ("*" | ["·"] [blanks] name))*
+#          one word: the product of its names, each "*" taking the adjoint of
+#          the name before it
+#   name   a character outside _RESERVED and 0-9, then every character up to
+#          the next one in _RESERVED
+#   int    [0-9]+
+#   op     one of ( ) + - − * · /
+# Grammar over tokens:
+#   expr = [+|-] term ((+|-) term)*     term = factor (["·"] factor)*
+#   factor = run | (int ["/" int] | "(" expr ")") "*"*
 
-
-def _tokenize(text: str):
-    toks = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            i += 1
-            continue
-        if ch == "(":
-            toks.append((_T_LPAR, ch, i)); i += 1
-        elif ch == ")":
-            toks.append((_T_RPAR, ch, i)); i += 1
-        elif ch == "+":
-            toks.append((_T_PLUS, ch, i)); i += 1
-        elif ch in "-−":
-            toks.append((_T_MINUS, ch, i)); i += 1
-        elif ch == "*":
-            toks.append((_T_STAR, ch, i)); i += 1
-        elif ch == "·":
-            toks.append((_T_DOT, ch, i)); i += 1
-        elif ch == "/":
-            toks.append((_T_SLASH, ch, i)); i += 1
-        elif "0" <= ch <= "9":  # "²" is a digit to str.isdigit but not to int
-            j = i
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
-            toks.append((_T_INT, text[i:j], i))
-            i = j
-        else:
-            j = i
-            while j < n and text[j] not in _RESERVED:
-                j += 1
-            toks.append((_T_NAME, text[i:j], i))
-            i = j
-    return toks
+# token kinds: the number of the _TOKEN group that matched
+_END, _RUN, _INT, _MINUS, _PLUS, _STAR, _DOT, _SLASH, _LPAR, _RPAR = range(10)
+_OTHER = "".join(sorted(map(re.escape, _RESERVED)))
+_NAME = f"[^{_OTHER}0-9][^{_OTHER}]*"
+_TOKEN = re.compile(
+    f"({_NAME}(?:[ \t\r\n]*(?:\\*|·?[ \t\r\n]*{_NAME}))*)"
+    r"|([0-9]+)|([-−])|(\+)|(\*)|(·)|(/)|(\()|(\))")
+_RUN_PART = re.compile(f"{_NAME}|\\*")
 
 
 class _Parser:
-    def __init__(self, alg: FreeAlgebra, text: str, defs: Mapping[str, Polynomial]):
+    """Recursive descent over ``_TOKEN`` matches.  A term is carried as a
+    monomial ``(c, w, None)`` while it is a product of runs and numbers, and as
+    ``(_, _, terms)`` once a parenthesised sum or a ``defs`` atom enters it."""
+
+    def __init__(self, alg: FreeAlgebra, text: str,
+                 defs: Mapping[str, Polynomial]):
         self.alg = alg
         self.text = text
         self.defs = defs
-        self.toks = _tokenize(text)
+        self.toks = [(m.lastindex, m.group(), m.start())
+                     for m in _TOKEN.finditer(text)]
+        self.toks.append((_END, "", len(text)))
         self.pos = 0
 
-    def _peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
+    def _error(self, message: str, at: int) -> ParseError:
+        return ParseError(message, self.text, at)
 
-    def _next(self):
-        tok = self._peek()
-        if tok is None:
-            raise ParseError("unexpected end of expression", self.text, len(self.text))
-        self.pos += 1
-        return tok
+    def parse(self) -> dict:
+        if len(self.toks) == 1:
+            raise self._error("empty expression", 0)
+        terms = self._expr()
+        kind, value, at = self.toks[self.pos]
+        if kind != _END:
+            raise self._error(f"unexpected {value!r}", at)
+        return terms
 
-    def parse(self) -> Polynomial:
-        if not self.toks:
-            raise ParseError("empty expression", self.text, 0)
-        p = self._expr()
-        tok = self._peek()
-        if tok is not None:
-            raise ParseError(f"unexpected {tok[1]!r}", self.text, tok[2])
-        return p
-
-    def _expr(self) -> Polynomial:
-        sign = 1
-        tok = self._peek()
-        if tok and tok[0] in (_T_PLUS, _T_MINUS):
-            self._next()
-            sign = -1 if tok[0] == _T_MINUS else 1
-        acc = self._term().scaled(sign)
+    def _expr(self) -> dict:
+        toks = self.toks
+        kind = toks[self.pos][0]
+        negate = kind == _MINUS
+        if negate or kind == _PLUS:
+            self.pos += 1
+        acc: dict = {}
         while True:
-            tok = self._peek()
-            if tok is None or tok[0] not in (_T_PLUS, _T_MINUS):
-                return acc
-            self._next()
-            rhs = self._term()
-            acc = acc - rhs if tok[0] == _T_MINUS else acc + rhs
-
-    def _term(self) -> Polynomial:
-        acc = self._factor()
-        while True:
-            tok = self._peek()
-            if tok is None:
-                return acc
-            if tok[0] == _T_DOT:
-                self._next()
-                acc = acc * self._factor()
-            elif tok[0] in _ATOM_STARTERS:
-                acc = acc * self._factor()
+            c, w, terms = self._term()
+            add_terms(acc, terms.items() if terms is not None
+                      else ((w, c),) if c else (), negate)
+            kind = toks[self.pos][0]
+            if kind == _MINUS:
+                negate = True
+            elif kind == _PLUS:
+                negate = False
             else:
                 return acc
+            self.pos += 1
 
-    def _factor(self) -> Polynomial:
-        p = self._atom()
+    def _term(self):
+        toks = self.toks
+        c, w, terms = 1, EMPTY_WORD, None
         while True:
-            tok = self._peek()
-            if tok is None or tok[0] != _T_STAR:
-                return p
-            self._next()
-            try:
-                p = p.adjoint()
-            except AdjointError as exc:
-                raise ParseError(str(exc), self.text, tok[2]) from None
+            kind, value, at = toks[self.pos]
+            self.pos += 1
+            for f in (self._run(value, at) if kind == _RUN
+                      else (self._atom(kind, value, at),)):
+                c, w, terms = _product(c, w, terms, *f)
+            kind = toks[self.pos][0]
+            if kind == _DOT:
+                self.pos += 1
+            elif kind != _RUN and kind != _INT and kind != _LPAR:
+                return c, w, terms
 
-    def _int(self, tok) -> int:
+    def _run(self, run: str, at: int):
+        """The factors of a run: one word when its pieces between "·"s are
+        all in ``_letters``, else one factor per name (a ``defs`` atom is a
+        term dict)."""
         try:
-            return int(tok[1])
-        except ValueError:  # more digits than Python converts from a string
-            raise ParseError("integer literal too long", self.text,
-                             tok[2]) from None
+            return ((1, tuple([self.alg._letters[p] for p in run.split("·")]),
+                     None),)
+        except KeyError:  # blanks, two stars, no partner, a def, a typo
+            pass
+        alg = self.alg
+        out: list = []
+        for m in _RUN_PART.finditer(run):
+            part = m.group()
+            if part != "*":
+                if part in alg._by_name:
+                    out.append((1, (alg._by_name[part],), None))
+                elif part in self.defs:
+                    out.append((1, EMPTY_WORD, self.defs[part]._terms))
+                else:
+                    raise self._error(f"unknown name {part!r}", at + m.start())
+                continue
+            _, w, terms = out[-1]
+            try:
+                out[-1] = ((1, (_partner(alg, w[0]),), None) if terms is None
+                           else (1, EMPTY_WORD, _adjoint_terms(alg, terms)))
+            except AdjointError as exc:
+                raise self._error(str(exc), at + m.start()) from None
+        return out
 
-    def _atom(self) -> Polynomial:
-        tok = self._next()
-        kind, value, at = tok
-        if kind == _T_LPAR:
-            p = self._expr()
-            closing = self._next()
-            if closing[0] != _T_RPAR:
-                raise ParseError("expected ')'", self.text, closing[2])
-            return p
-        if kind == _T_INT:
-            num = self._int(tok)
-            nxt = self._peek()
-            if nxt is not None and nxt[0] == _T_SLASH:
-                self._next()
-                den_tok = self._next()
-                den = self._int(den_tok) if den_tok[0] == _T_INT else 0
+    def _int(self, value: str, at: int) -> int:
+        try:
+            return int(value)
+        except ValueError:  # more digits than Python converts from a string
+            raise self._error("integer literal too long", at) from None
+
+    def _atom(self, kind, value: str, at: int):
+        """A number or a parenthesised sum with its postfix stars."""
+        toks = self.toks
+        if kind == _INT:
+            c = self._int(value, at)
+            terms = None
+            if toks[self.pos][0] == _SLASH:
+                kind, value, at = toks[self.pos + 1]
+                if kind == _END:
+                    raise self._error("unexpected end of expression", at)
+                self.pos += 2
+                den = self._int(value, at) if kind == _INT else 0
                 if den == 0:
-                    raise ParseError("expected nonzero integer denominator",
-                                     self.text, den_tok[2])
-                return self.alg.monomial(EMPTY_WORD, Fraction(num, den))
-            return self.alg.monomial(EMPTY_WORD, num)
-        if kind == _T_NAME:
-            if value in self.alg._by_name:
-                return self.alg.gen(value)
-            if value in self.defs:
-                return self.defs[value]
-            raise ParseError(f"unknown name {value!r}", self.text, at)
-        raise ParseError(f"unexpected {value!r}", self.text, at)
+                    raise self._error("expected nonzero integer denominator",
+                                      at)
+                c = normalize_coeff(Fraction(c, den))
+        elif kind == _LPAR:
+            c, terms = 1, self._expr()
+            kind, value, at = toks[self.pos]
+            if kind == _END:
+                raise self._error("unexpected end of expression", at)
+            self.pos += 1
+            if kind != _RPAR:
+                raise self._error("expected ')'", at)
+        elif kind == _END:
+            raise self._error("unexpected end of expression", at)
+        else:
+            raise self._error(f"unexpected {value!r}", at)
+        while toks[self.pos][0] == _STAR:
+            at = toks[self.pos][2]
+            self.pos += 1
+            if terms is not None:  # a number is its own adjoint
+                try:
+                    terms = _adjoint_terms(self.alg, terms)
+                except AdjointError as exc:
+                    raise self._error(str(exc), at) from None
+        return c, EMPTY_WORD, terms
+
+
+def _product(c, w, terms, c2, w2, terms2):
+    """``(c·w or terms) · (c2·w2 or terms2)`` as a parser value."""
+    if terms is None and terms2 is None:
+        return c * c2, w + w2, None
+    return 1, EMPTY_WORD, _times(
+        terms if terms is not None else {w: c} if c else {},
+        terms2 if terms2 is not None else {w2: c2} if c2 else {})

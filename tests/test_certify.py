@@ -98,6 +98,20 @@ def test_minimize_drops_zero_and_merges(werner_system):
     assert minimize_certificate(small) == small  # idempotent
 
 
+def test_minimize_merge_to_integral_cofactor_sets_integral_flag(werner_system):
+    A, F, _ = werner_system
+    one = A.one()
+    cert = make_certificate(F[0], F, FNAMES, [
+        Summand(A.parse("1/2 + a"), 0, one),
+        Summand(A.parse("1/2 − a"), 0, one),   # the lefts add up to 1
+    ])
+    assert cert.integral is False
+    small = minimize_certificate(cert)
+    assert [(s.left, s.right) for s in small.summands] == [(one, one)]
+    assert small.integral is True
+    assert verify_certificate(small).valid
+
+
 def test_report_used_indices_and_stats(werner_system):
     A, F, f = werner_system
     report = certify(F, [f], assumption_names=FNAMES)

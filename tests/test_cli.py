@@ -37,6 +37,18 @@ def test_check_cert_detects_tampering(tmp_path, capsys):
     assert "INVALID" in capsys.readouterr().out
 
 
+def test_check_cert_integral_flag_reads_fractions_that_sum_to_integers(
+        tmp_path, capsys):
+    data = json.loads((FIXTURES / "werner_paper.cert").read_text("utf-8"))
+    data["summands"][1]["left"] = "1/2·a + 1/2·a"  # that is just a
+    cert = tmp_path / "halves.cert"
+    cert.write_text(json.dumps(data, ensure_ascii=False), encoding="utf-8")
+    rc = main(["check-cert", str(cert)])
+    out = capsys.readouterr().out
+    assert rc == 0, out
+    assert "valid | " in out and "integral=True" in out
+
+
 @pytest.mark.parametrize("text", ["[1,2]", "null", "3", '"cert"'])
 def test_check_cert_non_object_json_is_an_input_error(tmp_path, capsys, text):
     bad = tmp_path / "bad.cert"

@@ -1,12 +1,17 @@
 """Free-algebra arithmetic, parsing, the involution, and the deglex order."""
 
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import FIXTURES
+from opcert.certify import algebra_from_ops
 from opcert.freealg import (AdjointError, AlgebraError, DegLexOrder,
                             FreeAlgebra, ParseError, compare_words)
+from opcert.statements import parse_problem
+from parse_oracle import oracle_parse
 
 
 # -- parsing ----------------------------------------------------------------
@@ -65,6 +70,148 @@ def test_parse_non_ascii_digit_is_a_parse_error(werner_algebra, text):
     # str.isdigit accepts superscripts, which int() then rejects
     with pytest.raises(ParseError):
         werner_algebra.parse(text)
+
+
+# -- the parser against the reference parser ---------------------------------
+
+_PA = FreeAlgebra()
+_PA.add_pair("a")             # partner "a*", read as a then a star
+_PA.add_pair("b", "b†")
+_PA.add_self_adjoint("s")
+_PA.add("u")                  # no partner: a star on it is an error
+_PA.add("u⁻")
+_PA.add_pair("x", "y*")       # "y*" is only x's partner: "y" names nothing
+_PDEFS = {"D": _PA.parse("a·u − 1/2 s")}
+
+
+def _agrees_with_oracle(alg, text, defs=None):
+    """``alg.parse`` gives the reference value, or its exact ParseError."""
+    try:
+        want = oracle_parse(alg, text, defs)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as err:
+            alg.parse(text, defs)
+        assert (str(err.value), err.value.position) == (str(exc), exc.position)
+        return None
+    got = alg.parse(text, defs).terms()
+    assert got == want.terms()
+    assert all(type(c) is int for c in got.values() if c.denominator == 1)
+    return got
+
+
+@pytest.mark.parametrize("text, value", [
+    ("b *", "b†"),
+    ("a**", "a"),
+    ("(a·b)*", "b†·a*"),
+    ("2 a·D·b*", "2 a·a·u·b† − a·s·b†"),
+    ("1/2·a + 1/2 a", "a"),
+    ("x*·x", "x* x"),
+])
+def test_parse_fixed_cases(text, value):
+    assert _agrees_with_oracle(_PA, text, _PDEFS) == _PA.parse(value).terms()
+
+
+@pytest.mark.parametrize("text, message, position", [
+    ("a·b·nope", "unknown name 'nope'", 4),
+    ("a·b u *", "indeterminate 'u' has no adjoint", 6),
+    ("a·D* b", "indeterminate 'u' has no adjoint", 3),
+    ("b·ab", "unknown name 'ab'", 2),
+    ("x·y*", "unknown name 'y'", 2),
+    ("a··b", "unexpected '·'", 2),
+    ("3/ a", "expected nonzero integer denominator", 3),
+    ("(a b", "unexpected end of expression", 4),
+])
+def test_parse_errors_in_letter_runs(text, message, position):
+    with pytest.raises(ParseError) as err:
+        _PA.parse(text, _PDEFS)
+    assert (str(err.value), err.value.position) == \
+        (f"{message} (at offset {position})", position)
+    _agrees_with_oracle(_PA, text, _PDEFS)
+
+
+# repeats weight the draw towards texts that parse
+_NAME_TEXT = st.sampled_from(["a", "a", "b", "b", "b†", "s", "s", "u", "u⁻",
+                              "x", "D", "nope"])
+_NUMBER_TEXT = st.one_of(
+    st.integers(0, 12).map(str),
+    st.tuples(st.integers(0, 9), st.integers(0, 6)).map("{0[0]}/{0[1]}".format))
+_STARS_TEXT = st.lists(st.sampled_from(["*", " *", "\t*"]), max_size=2).map("".join)
+_TIMES_TEXT = st.sampled_from(["·", "·", " ", " · ", "", "·\n"])
+_PLUS_TEXT = st.sampled_from([" + ", " - ", " − ", "+", "-", "−"])
+
+
+@st.composite
+def _expression_texts(draw, depth=2):
+    out = [draw(st.sampled_from(["", "-", "+ ", "− "]))]
+    for t in range(draw(st.integers(1, 3))):
+        if t:
+            out.append(draw(_PLUS_TEXT))
+        for f in range(draw(st.integers(1, 4))):
+            if f:
+                out.append(draw(_TIMES_TEXT))
+            kind = draw(st.integers(0, 4 if depth else 3))
+            if kind <= 2:
+                out.append(draw(_NAME_TEXT))
+            elif kind == 3:
+                out.append(draw(_NUMBER_TEXT))
+            else:
+                out.append(f"({draw(_expression_texts(depth - 1))})")
+            out.append(draw(_STARS_TEXT))
+    return "".join(out)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_expression_texts())
+def test_parse_matches_oracle_on_generated_texts(text):
+    _agrees_with_oracle(_PA, text, _PDEFS)
+
+
+def _fixture_expressions():
+    """(algebra, defs, text) for the expressions of two fixture files."""
+    cert = json.loads((FIXTURES / "werner_paper.cert").read_text("utf-8"))
+    alg = algebra_from_ops(cert["ops"])
+    out = [(alg, None, cert["claim"])]
+    out += [(alg, None, a["expr"]) for a in cert["assumptions"]]
+    out += [(alg, None, s[side]) for s in cert["summands"]
+            for side in ("left", "right")]
+    text = (FIXTURES / "thm2_8_iii_to_i.prob").read_text("utf-8")
+    problem = parse_problem(text)
+    bodies = [line.split("=", 1)[1] for line in text.splitlines()
+              if "=" in line and not line.startswith("#")]
+    bodies += ["a*·a·p·q", "q·p·c·c*", "(m† − c†·b†·a†)*·a†*·a*"]
+    out += [(problem.algebra, problem.defs, b) for b in bodies]
+    return out
+
+
+_FIXTURE_EXPRESSIONS = _fixture_expressions()
+_EDIT_TEXT = st.sampled_from(list("()+-−*·/ 0123\tabcmpq†⁻") + ["a·", "*·", "(("])
+
+
+@st.composite
+def _mutated_fixture_texts(draw):
+    alg, defs, text = draw(st.sampled_from(_FIXTURE_EXPRESSIONS))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(text)))
+        edit = draw(st.integers(0, 2))
+        if edit == 0:
+            text = text[:i] + draw(_EDIT_TEXT) + text[i:]
+        elif edit == 1:
+            text = text[:i] + text[i + 1:]
+        else:
+            text = text[:i] + text[draw(st.integers(i, len(text))):]
+    return alg, defs, text
+
+
+def test_parse_matches_oracle_on_fixture_expressions():
+    for alg, defs, text in _FIXTURE_EXPRESSIONS:
+        assert _agrees_with_oracle(alg, text, defs) is not None, text
+
+
+@settings(max_examples=400, deadline=None)
+@given(_mutated_fixture_texts())
+def test_parse_matches_oracle_on_mutated_fixture_texts(case):
+    alg, defs, text = case
+    _agrees_with_oracle(alg, text, defs)
 
 
 def test_duplicate_names_rejected():
