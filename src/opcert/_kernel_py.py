@@ -1,68 +1,14 @@
-"""Pure-Python reduction kernels, the hot loops of ``rewrite``.
+"""The lead-word scans of completion, in pure Python.
 
-Words are tuples of ints, coefficient dictionaries map words to nonzero
-int/Fraction values.
-
-The entry points are the innermost operations of two-sided reduction and
-completion: locating the best reducible factor under the fixed tie-break, the
-fused "subtract a scaled two-sided multiple" update, a lead's self-overlaps
-and the containment check that confirms which candidate leads a new lead
-retires (the completion engine draws the candidates from its two-letter
-factor index).  ``batch_overlaps`` is the pairwise overlap/containment scan
-of one lead against many; the completion engine finds the same rows through
-its lead indexes and is tested against this scan.
+Words are tuples of ints.  ``self_overlaps`` lists a lead's self-overlaps and
+``find_retirees`` confirms which candidate leads contain a new lead (the
+completion engine draws the candidates from its two-letter factor index).
+``batch_overlaps`` is the pairwise overlap/containment scan of one lead
+against many; the engine finds the same rows through its lead indexes, and
+the tests use this scan as their oracle.  The three stay a module of their
+own because the benchmark's tracer patches them here; reduction and term
+arithmetic live in ``rewrite`` and ``freealg.add_terms``.
 """
-
-
-def find_best_match(w, leadmap, lengths):
-    """Locate the reduction site in ``w`` under the reduction tie-break.
-
-    ``leadmap`` maps a leading word to ``(index, lead_coeff, rank_key)`` where
-    ``rank_key`` is the letter-ranking tuple of that word; ``lengths`` holds
-    the distinct lead lengths in descending order.  Among all occurrences of
-    leading words inside ``w``, the order-largest lead wins, then the leftmost
-    position; index ties were resolved when ``leadmap`` was built.
-
-    Returns ``(pos, lead_word, index, lead_coeff)`` or ``None``.
-    """
-    n = len(w)
-    for L in lengths:
-        if L > n:
-            continue
-        best_rk = None
-        best = None
-        for pos in range(n - L + 1):
-            hit = leadmap.get(w[pos:pos + L])
-            if hit is not None:
-                rk = hit[2]
-                if best_rk is None or rk > best_rk:
-                    best_rk = rk
-                    best = (pos, w[pos:pos + L], hit[0], hit[1])
-        if best is not None:
-            return best
-    return None
-
-
-def submul(dst, items, c, left, right):
-    """In place: ``dst -= c * left . g . right`` where ``items`` are g's terms.
-
-    Returns the list of words that did not exist in ``dst`` before (callers
-    feed them to the reduction heap).  Cancelled words are removed.
-    """
-    new_words = []
-    for w, cw in items:
-        key = left + w + right
-        v = dst.get(key)
-        if v is None:
-            dst[key] = -c * cw
-            new_words.append(key)
-        else:
-            v = v - c * cw
-            if v:
-                dst[key] = v
-            else:
-                del dst[key]
-    return new_words
 
 
 def self_overlaps(v):

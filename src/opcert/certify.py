@@ -95,9 +95,11 @@ def verify_certificate(cert: Certificate) -> VerificationResult:
     for s in cert.summands:
         if not 0 <= s.index < len(cert.assumptions):
             return VerificationResult(False, f"summand index {s.index} out of range")
-        add_terms(diff, (s.left * cert.assumptions[s.index] * s.right)
-                  ._terms.items())
-    add_terms(diff, cert.claim._terms.items(), negate=True)
+        terms = cert.assumptions[s.index]._terms
+        for l, cl in s.left._terms.items():
+            for r, cr in s.right._terms.items():
+                add_terms(diff, terms.items(), cl * cr, l, r)
+    add_terms(diff, cert.claim._terms.items(), -1)
     if diff:
         order = alg.default_order()
         worst = max(diff, key=order.key)
@@ -192,14 +194,9 @@ def _quads_to_summands(alg: FreeAlgebra, quads: Sequence[TraceStep],
     ``normal_form`` satisfies 0 = claim + sum(steps)."""
     grouped: dict = {}
     for c, l, i, r in quads:
-        rights = grouped.setdefault((i, l), {})
-        rights[r] = rights.get(r, 0) - c
-    out = []
-    for (i, l) in sorted(grouped, key=lambda k: (k[0], order.key(k[1]))):
-        rights = {w: c for w, c in grouped[(i, l)].items() if c}
-        if rights:
-            out.append(Summand(alg.monomial(l), i, alg.poly(rights)))
-    return out
+        add_terms(grouped.setdefault((i, l), {}), ((r, c),), -1)
+    return [Summand(alg.monomial(l), i, alg.poly(grouped[(i, l)]))
+            for i, l in sorted(grouped, key=lambda k: (k[0], order.key(k[1])))]
 
 
 def certify(assumptions: Sequence[Polynomial], claims: Sequence[Polynomial],
@@ -339,8 +336,15 @@ def algebra_from_ops(ops: Sequence[dict]) -> FreeAlgebra:
         name = _field(entry, "name", str)
         adjoint = None if entry.get("adjoint") is None \
             else _field(entry, "adjoint", str)
-        if name in alg._by_name:
-            continue  # created as a partner already
+        if name in alg._by_name:  # declared already, as a partner or twice
+            ind = alg.indeterminate(name)
+            partner = None if ind.adjoint is None \
+                else alg.by_id(ind.adjoint).name
+            if adjoint != partner:
+                raise AlgebraError(
+                    f"ops entry {name!r}: adjoint {adjoint!r} contradicts "
+                    f"the earlier declaration (adjoint {partner!r})")
+            continue
         if adjoint is None:
             alg.add(name)
         elif adjoint == name:

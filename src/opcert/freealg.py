@@ -2,10 +2,12 @@
 
 Words are tuples of indeterminate ids and multiply by concatenation; a
 polynomial maps words to nonzero rational coefficients (ints where exact,
-``fractions.Fraction`` otherwise).  Indeterminates live in a ``FreeAlgebra``
-registry and may carry an adjoint partner, which makes the star
-anti-automorphism available on words and polynomials.  Monomials are compared
-degree-first, then lexicographically by a variable ranking (deglex).
+``fractions.Fraction`` otherwise).  Every sum and product, the parser's and
+the reducer's included, goes through ``add_terms``, so "ints where exact"
+holds for every operation.  Indeterminates live in a ``FreeAlgebra`` registry
+and may carry an adjoint partner, which makes the star anti-automorphism
+available on words and polynomials.  Monomials are compared degree-first,
+then lexicographically by a variable ranking (deglex).
 """
 
 from __future__ import annotations
@@ -366,30 +368,35 @@ class Polynomial:
         return self.alg.render(self)
 
 
-def add_terms(acc: dict, items: Iterable, negate: bool = False) -> None:
-    """Add ``(word, coefficient)`` pairs with nonzero coefficients into the
-    term dict ``acc`` in place; an integral sum is stored as an int."""
-    for w, c in items:
-        v = acc.get(w, 0) + (-c if negate else c)
-        if not v:
-            del acc[w]
-        elif type(v) is int or v.denominator != 1:
-            acc[w] = v
+def add_terms(acc: dict, items: Iterable, c: Coeff = 1,
+              left: Word = EMPTY_WORD, right: Word = EMPTY_WORD) -> list:
+    """Add ``c·left·w·right`` for each ``(w, coefficient)`` of ``items`` into
+    the term dict ``acc`` in place.  ``c`` and the coefficients are nonzero.
+
+    A cancelled word is deleted and an integral sum is stored as an int.
+    Returns the words that were not in ``acc`` before, in order.
+    """
+    new = []
+    for w, cw in items:
+        w = left + w + right
+        v = acc.get(w)
+        if v is None:
+            v = c * cw
+            new.append(w)
         else:
-            acc[w] = v.numerator
+            v += c * cw
+            if not v:
+                del acc[w]
+                continue
+        acc[w] = v if type(v) is int or v.denominator != 1 else v.numerator
+    return new
 
 
 def _times(a: dict, b: dict) -> dict:
     """Product of two term dicts."""
     acc: dict = {}
-    for w1, c1 in a.items():
-        for w2, c2 in b.items():
-            w = w1 + w2
-            v = acc.get(w, 0) + c1 * c2
-            if v:
-                acc[w] = v
-            else:
-                del acc[w]
+    for w, c in a.items():
+        add_terms(acc, b.items(), c, w)
     return acc
 
 
@@ -500,19 +507,19 @@ class _Parser:
     def _expr(self) -> dict:
         toks = self.toks
         kind = toks[self.pos][0]
-        negate = kind == _MINUS
-        if negate or kind == _PLUS:
+        sign = -1 if kind == _MINUS else 1
+        if kind == _MINUS or kind == _PLUS:
             self.pos += 1
         acc: dict = {}
         while True:
             c, w, terms = self._term()
             add_terms(acc, terms.items() if terms is not None
-                      else ((w, c),) if c else (), negate)
+                      else ((w, c),) if c else (), sign)
             kind = toks[self.pos][0]
             if kind == _MINUS:
-                negate = True
+                sign = -1
             elif kind == _PLUS:
-                negate = False
+                sign = 1
             else:
                 return acc
             self.pos += 1

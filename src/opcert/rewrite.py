@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from . import _kernel_py
 from .freealg import (AlgebraError, DegLexOrder, Polynomial, Word,
-                      normalize_coeff)
+                      add_terms, normalize_coeff)
 
 
 class TraceStep(NamedTuple):
@@ -96,13 +96,15 @@ class _Reducer:
         self.key = order.key
         self.leadmap: dict = {}
         self._len_counts: dict = {}
-        self._lengths: Optional[tuple] = ()
+        self.lengths: tuple = ()  # the distinct lead lengths, descending
 
     def set_entry(self, w: Word, idx: int, lc) -> None:
         cur = self.leadmap.get(w)
         if cur is None:
-            self._len_counts[len(w)] = self._len_counts.get(len(w), 0) + 1
-            self._lengths = None
+            n = self._len_counts.get(len(w), 0)
+            self._len_counts[len(w)] = n + 1
+            if not n:
+                self.lengths = tuple(sorted(self._len_counts, reverse=True))
         elif idx >= cur[0]:
             return
         self.leadmap[w] = (idx, lc, self.key(w)[1])
@@ -113,15 +115,30 @@ class _Reducer:
             n = self._len_counts[len(w)]
             if n == 1:
                 del self._len_counts[len(w)]
-                self._lengths = None
+                self.lengths = tuple(sorted(self._len_counts, reverse=True))
             else:
                 self._len_counts[len(w)] = n - 1
 
-    @property
-    def lengths(self) -> tuple:
-        if self._lengths is None:
-            self._lengths = tuple(sorted(self._len_counts, reverse=True))
-        return self._lengths
+    def find_best_match(self, w: Word):
+        """The reduction site in ``w`` under the tie-break above, as
+        ``(pos, lead_length, index, lead_coeff)``, or ``None``.
+
+        ``leadmap`` values are ``(index, lead_coeff, rank_key)``; only an
+        equal word has an equal rank key, so ``>`` keeps the leftmost site.
+        """
+        leadmap = self.leadmap
+        n = len(w)
+        for L in self.lengths:
+            if L > n:
+                continue
+            best = None
+            for pos in range(n - L + 1):
+                hit = leadmap.get(w[pos:pos + L])
+                if hit is not None and (best is None or hit[2] > best[2]):
+                    best, at = hit, pos
+            if best is not None:
+                return at, L, best[0], best[1]
+        return None
 
     def _neg_key(self, w):
         n, mapped = self.key(w)
@@ -136,13 +153,11 @@ class _Reducer:
         Returns False if the deadline struck before the normal form was
         reached (terms are then left mid-reduction).
         """
-        leadmap = self.leadmap
-        lengths = self.lengths
-        if not leadmap:
+        if not self.leadmap:
             return True
         heap = [(self._neg_key(w), w) for w in terms]
         heapq.heapify(heap)
-        # words pop in descending order (submul only adds words below the one
+        # words pop in descending order (a step only adds words below the one
         # reduced), so a repeat of the last word is a duplicate heap entry
         last = None
         ticks = 0
@@ -151,16 +166,15 @@ class _Reducer:
             if w == last or w not in terms:
                 continue
             last = w
-            hit = _kernel_py.find_best_match(w, leadmap, lengths)
+            hit = self.find_best_match(w)
             if hit is None:
                 continue
-            pos, lead, idx, lc = hit
+            pos, n, idx, lc = hit
             left = w[:pos]
-            right = w[pos + len(lead):]
+            right = w[pos + n:]
             c = _div(terms[w], lc)
-            new_words = _kernel_py.submul(terms, items_of(idx), c, left, right)
             steps.append(TraceStep(-c, left, idx, right))
-            for nw in new_words:
+            for nw in add_terms(terms, items_of(idx), -c, left, right):
                 heapq.heappush(heap, (self._neg_key(nw), nw))
             ticks += 1
             if deadline is not None and ticks % 256 == 0 \
@@ -478,8 +492,8 @@ class CompletionEngine:
                 continue
             self.stats.obstructions_processed += 1
             terms: dict = {}
-            _kernel_py.submul(terms, elements[i].terms.items(), -1, li, ri)
-            _kernel_py.submul(terms, elements[j].terms.items(), 1, lj, rj)
+            add_terms(terms, elements[i].terms.items(), 1, li, ri)
+            add_terms(terms, elements[j].terms.items(), -1, lj, rj)
             steps: list = [TraceStep(1, li, i, ri), TraceStep(-1, lj, j, rj)]
             if not self.normal_form(terms, steps):
                 return False

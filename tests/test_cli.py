@@ -265,3 +265,40 @@ def test_reduce_unknown_claim_is_an_input_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: werner has no claim 'nope'\n"
+
+
+def _ops_cert(ops) -> str:
+    """``b*`` proved from ``F1 = a``: valid exactly when b's partner is a."""
+    return json.dumps({
+        "format": "opcert-certificate/1", "ops": ops, "claim": "b*",
+        "assumptions": [{"name": "F1", "expr": "a"}],
+        "summands": [{"left": "1", "index": 0, "assumption": "F1",
+                      "right": "1"}],
+        "integral": True})
+
+
+@pytest.mark.parametrize("ops, message", [
+    ([{"name": "a", "adjoint": "b"}, {"name": "b", "adjoint": "c"},
+      {"name": "c", "adjoint": None}],
+     "ops entry 'b': adjoint 'c' contradicts the earlier declaration "
+     "(adjoint 'a')"),
+    ([{"name": "a", "adjoint": "b"}, {"name": "b", "adjoint": None}],
+     "ops entry 'b': adjoint None contradicts the earlier declaration "
+     "(adjoint 'a')"),
+], ids=["other_partner", "no_partner"])
+def test_check_cert_rejects_contradictory_ops_table(tmp_path, capsys, ops,
+                                                    message):
+    bad = tmp_path / "ops.cert"
+    bad.write_text(_ops_cert(ops), encoding="utf-8")
+    assert _input_error(capsys, ["check-cert", str(bad)]) == \
+        f"error: {bad}: {message}\n"
+
+
+def test_check_cert_reads_each_pair_listed_from_both_sides(tmp_path, capsys):
+    cert = tmp_path / "ops.cert"
+    cert.write_text(_ops_cert([{"name": "a", "adjoint": "b"},
+                               {"name": "b", "adjoint": "a"}]),
+                    encoding="utf-8")
+    assert main(["check-cert", str(cert)]) == 0
+    assert "valid | 1 terms | integral=True | claim: a" in \
+        capsys.readouterr().out

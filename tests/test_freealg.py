@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import FIXTURES
 from opcert.certify import algebra_from_ops
 from opcert.freealg import (AdjointError, AlgebraError, DegLexOrder,
-                            FreeAlgebra, ParseError, compare_words)
+                            FreeAlgebra, ParseError, add_terms,
+                            compare_words)
 from opcert.statements import parse_problem
 from parse_oracle import oracle_parse
 
@@ -253,6 +254,25 @@ def test_scalar_arithmetic(werner_algebra):
     assert (p * Fraction(1, 2)).coefficient(A.word("a")) == Fraction(1, 2)
     assert (3 * p - p) == 2 * p
     assert (p - p).is_zero
+
+
+def test_product_stores_an_int_where_exact(werner_algebra):
+    A = werner_algebra
+    terms = (A.parse("1/2 a") * A.parse("2 b"))._terms
+    assert terms == {A.word("a", "b"): 1}
+    assert type(terms[A.word("a", "b")]) is int
+
+
+def test_add_terms_contract():
+    acc = {(0,): 1, (1,): Fraction(1, 2)}
+    new = add_terms(acc, [((0,), -1), ((1,), Fraction(1, 2)), ((2,), 3),
+                          ((3,), 1)])
+    assert new == [(2,), (3,)]  # the newly entered words, in order
+    assert acc == {(1,): 1, (2,): 3, (3,): 1}  # (0,) cancelled
+    assert type(acc[(1,)]) is int  # 1/2 + 1/2
+    assert add_terms(acc, [((1,), 1), ((2,), 1)], Fraction(-1, 3),
+                     (5, 6), (7,)) == [(5, 6, 1, 7), (5, 6, 2, 7)]
+    assert acc[(5, 6, 1, 7)] == Fraction(-1, 3)
 
 
 def test_float_coefficients_rejected(werner_algebra):
