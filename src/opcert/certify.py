@@ -1,7 +1,7 @@
 """Ideal-membership certification and independent certificate checking.
 
-``certify`` builds the assumption ideal with the bounded completion engine,
-reduces each claim, and emits cofactor certificates.  ``verify_certificate``
+``certify`` hands its claims to ``CompletionEngine.run``, which reduces them
+while it builds the assumption ideal, and emits cofactor certificates.  ``verify_certificate``
 re-expands a certificate using nothing but ring arithmetic from ``freealg`` —
 it shares no machinery with reduction or completion, so a verified
 certificate stands on its own.
@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .freealg import (AlgebraError, DegLexOrder, FreeAlgebra, Polynomial,
                       add_terms)
-from .rewrite import (BUDGET_EXHAUSTED, COMPLETE, STOPPED_EARLY,
-                      CompletionEngine, CompletionLimits, TraceStep)
+from .rewrite import (BUDGET_EXHAUSTED, COMPLETE, CompletionEngine,
+                      CompletionLimits, TraceStep)
 
 CERT_FORMAT = "opcert-certificate/1"
 
@@ -175,7 +175,11 @@ class CertifyStats:
 class CertifyReport:
     results: list
     stats: CertifyStats
-    used_assumption_indices: set = field(default_factory=set)
+
+    @property
+    def used_assumption_indices(self) -> set:
+        return {i for r in self.results if r.certified
+                for i in r.certificate.used_indices}
 
     @property
     def ok(self) -> bool:
@@ -236,70 +240,38 @@ def certify(assumptions: Sequence[Polynomial], claims: Sequence[Polynomial],
     elif assumptions:
         alg = assumptions[0].alg
     else:
-        return CertifyReport([], CertifyStats(), set())
+        return CertifyReport([], CertifyStats())
     order = order or alg.default_order()
     limits = limits or CompletionLimits()
 
     start = time.monotonic()
     engine = CompletionEngine(list(enumerate(assumptions)), order, limits)
 
-    states = [{"name": n, "claim": c, "terms": dict(c._terms), "steps": [],
-               "done": False} for n, c in zip(cnames, claims)]
-
-    def attempt(state) -> None:
-        if engine.normal_form(state["terms"], state["steps"]) \
-                and not state["terms"]:
-            state["done"] = True
-
-    # First pass against the raw generators: direct reductions keep the
-    # cofactor attribution on the assumptions as stated (and are cheap).
-    for st in states:
-        attempt(st)
-    if not all(st["done"] for st in states):
-        engine.interreduce()
-        while True:
-            for st in states:
-                if not st["done"]:
-                    attempt(st)
-            if all(st["done"] for st in states):
-                break
-            if not engine.process():
-                break
-        for st in states:  # final pass against the last basis state
-            if not st["done"]:
-                attempt(st)
+    pending = [(dict(c._terms), []) for c in claims]
+    completion_status = engine.run(pending)
 
     results = []
-    used: set = set()
-    for st in states:
-        if st["done"]:
-            quads = engine.expand_steps(st["steps"])
-            summands = _quads_to_summands(alg, quads, order)
-            cert = minimize_certificate(
-                make_certificate(st["claim"], assumptions, names, summands))
-            check = verify_certificate(cert)
-            if not check:
-                raise RuntimeError(
-                    f"internal error: solver produced an invalid certificate "
-                    f"for {st['name']}: {check.reason}")
-            used |= cert.used_indices
-            results.append(ClaimResult(st["name"], st["claim"], CERTIFIED,
-                                       certificate=cert))
-        else:
-            results.append(ClaimResult(
-                st["name"], st["claim"], BUDGET_EXHAUSTED,
-                remainder=alg.poly(st["terms"])))
+    for name, claim, (terms, steps) in zip(cnames, claims, pending):
+        if terms:
+            results.append(ClaimResult(name, claim, BUDGET_EXHAUSTED,
+                                       remainder=alg.poly(terms)))
+            continue
+        summands = _quads_to_summands(alg, engine.expand_steps(steps), order)
+        cert = minimize_certificate(
+            make_certificate(claim, assumptions, names, summands))
+        check = verify_certificate(cert)
+        if not check:
+            raise RuntimeError(
+                f"internal error: solver produced an invalid certificate "
+                f"for {name}: {check.reason}")
+        results.append(ClaimResult(name, claim, CERTIFIED, certificate=cert))
 
-    completion_status = engine.status()
-    if completion_status == BUDGET_EXHAUSTED and \
-            all(r.certified for r in results):
-        completion_status = STOPPED_EARLY
     stats = CertifyStats(
         basis_size=len(engine.active_indices()),
         obstructions_processed=engine.stats.obstructions_processed,
         elapsed=time.monotonic() - start,
         completion_status=completion_status)
-    return CertifyReport(results, stats, used)
+    return CertifyReport(results, stats)
 
 
 # ---------------------------------------------------------------------------

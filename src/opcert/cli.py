@@ -146,13 +146,16 @@ def cmd_reduce(args) -> int:
     if args.claim and args.claim not in trans.claim_names:
         raise AlgebraError(f"{path.stem} has no claim {args.claim!r}")
     alg = trans.algebra
+    # a zero assumption (hermitian(a·a*) expands to 0) is no basis element
+    kept = [k for k, g in enumerate(trans.assumptions) if not g.is_zero]
+    basis = [trans.assumptions[k] for k in kept]
     for name, claim in zip(trans.claim_names, trans.claims):
         if args.claim and name != args.claim:
             continue
-        traced = nf_reduce(claim, trans.assumptions, trans.order)
+        traced = nf_reduce(claim, basis, trans.order)
         print(f"claim {name}: remainder {alg.render(traced.value)}")
         for left, idx, right in traced.trace_triples():
-            aname = trans.assumption_names[idx]
+            aname = trans.assumption_names[kept[idx]]
             print(f"    ({alg.render(left)}) . {aname} . ({alg.render(right)})")
     return EXIT_OK
 

@@ -1,8 +1,10 @@
 """Two-sided reduction and bounded completion in the free algebra.
 
-``reduce`` computes full normal forms with cofactor tracking, ``complete``
-runs an obstruction-driven completion loop (noncommutative Buchberger) under
-explicit budgets, and both keep exact bookkeeping so that every result can be
+``reduce`` computes full normal forms with cofactor tracking.
+``CompletionEngine.run`` reduces claims while an obstruction-driven
+completion (noncommutative Buchberger) grows the basis under explicit
+budgets, and decides the completion status; ``complete`` drains the engine
+without claims.  All keep exact bookkeeping so that every result can be
 expanded back into a two-sided combination of the inputs.
 
 Trace conventions:
@@ -12,6 +14,8 @@ Trace conventions:
 * internally, ``_Reducer.normal_form`` appends the steps it adds:
   after = before + sum(steps).  An engine element therefore satisfies
   terms = sum(steps), and ``reduce`` negates its steps once.
+* engine steps refer to element ``k >= 0`` or to generator ``i`` as ``~i``;
+  ``expand_steps`` sums them with ``add_terms`` over words ``l + (~i,) + r``.
 """
 
 from __future__ import annotations
@@ -70,7 +74,7 @@ class CompletionLimits:
 
 COMPLETE = "complete"
 BUDGET_EXHAUSTED = "budget_exhausted"
-# ``certify`` only: every claim was certified before the queue drained
+# ``CompletionEngine.run`` only: every claim proven before the queue drained
 STOPPED_EARLY = "stopped_early"
 
 
@@ -210,17 +214,14 @@ def reduce(p: Polynomial, basis: Sequence[Polynomial],
 # Completion engine
 # ---------------------------------------------------------------------------
 
-_GEN = "g"
-
-
 class _Element:
     __slots__ = ("terms", "lead", "steps")
 
     def __init__(self, terms, lead, steps):
         self.terms = terms
         self.lead = lead
-        self.steps = steps  # (coeff, left, ref, right); ref int -> element,
-        #                     (_GEN, i) -> original generator i
+        self.steps = steps  # (coeff, left, ref, right); ref k >= 0 ->
+        #                     element k, ~i -> generator i
 
 
 @dataclass
@@ -228,20 +229,6 @@ class CompletionStats:
     obstructions_processed: int = 0
     obstructions_skipped_degree: int = 0
     elements_added: int = 0
-
-
-def _accumulate(acc: dict, c, l: Word, ref, r: Word, memo: dict) -> None:
-    """Add ``c * l . ref . r`` to ``acc`` at generator level; ``memo`` maps
-    an element to its own accumulation.  Zero sums drop out."""
-    parts = [(((), ref[1], ()), 1)] if isinstance(ref, tuple) \
-        else memo[ref].items()
-    for (l2, gi, r2), c2 in parts:
-        key = (l + l2, gi, r2 + r)
-        v = acc.get(key, 0) + c * c2
-        if v:
-            acc[key] = v
-        else:
-            acc.pop(key, None)
 
 
 class CompletionEngine:
@@ -292,7 +279,7 @@ class CompletionEngine:
             if key in seen_monic:
                 continue  # duplicate generator: alias to first occurrence
             seen_monic[key] = src_index
-            steps = (TraceStep(_div(1, lc), (), (_GEN, src_index), ()),)
+            steps = (TraceStep(_div(1, lc), (), ~src_index, ()),)
             self._append(dict(monic._terms), steps)
 
     # -- lead bookkeeping ----------------------------------------------------
@@ -507,29 +494,38 @@ class CompletionEngine:
     def expand_steps(self, steps) -> list:
         """Expand element-level steps into generator-level TraceSteps.
 
-        Quads with equal (left, generator, right) merge; zero coefficients
-        drop out.
+        The sums run through ``add_terms`` over words ``l + (~i,) + r``,
+        whose one negative letter is generator ``i``: quads with equal
+        (left, generator, right) merge and zero sums drop out.
         """
-        needed = set()
-        stack = [ref for _, _, ref, _ in steps if not isinstance(ref, tuple)]
+        uses: dict = {}  # element -> steps left to expand that refer to it
+        stack = [ref for _, _, ref, _ in steps if ref >= 0]
         while stack:
             k = stack.pop()
-            if k in needed:
-                continue
-            needed.add(k)
-            stack.extend(ref for _, _, ref, _ in self.elements[k].steps
-                         if not isinstance(ref, tuple))
-        memo: dict = {}
-        for k in sorted(needed):
+            uses[k] = uses.get(k, 0) + 1
+            if uses[k] == 1:
+                stack.extend(ref for _, _, ref, _ in self.elements[k].steps
+                             if ref >= 0)
+        memo: dict = {}  # element -> its generator-level term dict
+
+        def expand(steps) -> dict:
             acc: dict = {}
-            for c, l, ref, r in self.elements[k].steps:
-                _accumulate(acc, c, l, ref, r, memo)
-            memo[k] = acc
-        out: dict = {}
-        for c, l, ref, r in steps:
-            _accumulate(out, c, l, ref, r, memo)
-        return [TraceStep(normalize_coeff(c), l, gi, r)
-                for (l, gi, r), c in out.items()]
+            for c, l, ref, r in steps:
+                if ref < 0:
+                    items = (((ref,), 1),)
+                else:  # drop an element's sum after its last use
+                    uses[ref] -= 1
+                    items = (memo[ref] if uses[ref] else memo.pop(ref)).items()
+                add_terms(acc, items, c, l, r)
+            return acc
+
+        for k in sorted(uses):  # a step refers only to older elements
+            memo[k] = expand(self.elements[k].steps)
+        quads = []
+        for w, c in expand(steps).items():
+            t = w.index(min(w))  # letters are >= 0
+            quads.append(TraceStep(c, w[:t], ~w[t], w[t + 1:]))
+        return quads
 
     def interreduce(self) -> None:
         """Reduce every active element against the others until stable."""
@@ -556,6 +552,34 @@ class CompletionEngine:
                 changed = True
                 break
 
+    def run(self, claims) -> str:
+        """Complete the basis while reducing each claim, a ``(terms,
+        steps)`` pair, in place; a claim is proven once its terms are empty.
+
+        Returns STOPPED_EARLY when every claim was proven but completion
+        did not finish (``status()`` is BUDGET_EXHAUSTED), else ``status()``.
+        """
+        # First pass against the raw generators: direct reductions keep the
+        # cofactor attribution on the assumptions as stated (and are cheap).
+        pending = self._reduce_claims(claims)
+        if pending:
+            self.interreduce()
+            pending = self._reduce_claims(pending)
+            while pending and self.process():
+                pending = self._reduce_claims(pending)
+            # final pass against the last basis state
+            pending = self._reduce_claims(pending)
+        status = self.status()
+        if status == BUDGET_EXHAUSTED and not pending:
+            return STOPPED_EARLY
+        return status
+
+    def _reduce_claims(self, claims) -> list:
+        """Reduce each claim by the current basis; returns those left."""
+        for terms, steps in claims:
+            self.normal_form(terms, steps)
+        return [claim for claim in claims if claim[0]]
+
 
 def complete(generators: Sequence[Polynomial],
              order: Optional[DegLexOrder] = None,
@@ -574,9 +598,8 @@ def complete(generators: Sequence[Polynomial],
     limits = limits or CompletionLimits()
     engine = CompletionEngine(list(enumerate(generators)), order, limits)
     engine.interreduce()
-    if engine._budget_ok():
-        while engine.process():
-            pass
+    while engine.process():
+        pass
     status = engine.status()
     alg = generators[0].alg
     basis = []

@@ -170,6 +170,18 @@ def test_completion_status_says_why_completion_stopped(claim, status):
     assert report.stats.completion_status == status
 
 
+def test_certify_without_claims_runs_no_completion():
+    A = FreeAlgebra()
+    A.add("a")
+    A.add("b")
+    report = certify([A.parse("a·b·a − b")], [])
+    assert report.results == []
+    assert report.used_assumption_indices == set()
+    assert report.stats.obstructions_processed == 0
+    # the self-overlap of a·b·a is queued and never processed
+    assert report.stats.completion_status == STOPPED_EARLY
+
+
 def test_completion_status_complete_when_queue_drains():
     A = FreeAlgebra()
     A.add("a")

@@ -92,6 +92,21 @@ def test_reduce_prints_remainder_and_trace(capsys):
     assert " . f1 . " in out
 
 
+def test_reduce_skips_a_zero_assumption(tmp_path, capsys):
+    # hermitian(a·a*) expands to 0, which no basis may hold; certify proves
+    # the claim all the same, and reduce must too
+    prob = tmp_path / "zero.prob"
+    prob.write_text("[ops]\na adjoint\nb\n\n"
+                    "[assume]\nhermitian(a·a*)\nf = a·b - b\n\n"
+                    "[claim]\ng = a·a·b - b\n", encoding="utf-8")
+    assert main(["certify", str(prob)]) == 0
+    capsys.readouterr()
+    assert main(["reduce", str(prob)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["claim g: remainder 0",
+                     "    (a) . f . (1)", "    (1) . f . (1)"]
+
+
 def test_matcheck_command(capsys):
     assert main(["matcheck"]) == 0
     out = capsys.readouterr().out

@@ -11,8 +11,8 @@ import random
 import pytest
 
 from opcert.freealg import AlgebraError, FreeAlgebra
-from opcert.rewrite import (BUDGET_EXHAUSTED, COMPLETE, CompletionLimits,
-                            complete, reduce)
+from opcert.rewrite import (BUDGET_EXHAUSTED, COMPLETE, CompletionEngine,
+                            CompletionLimits, TraceStep, complete, reduce)
 
 from obstructions import Obstruction, find_obstructions, s_polynomial
 
@@ -324,3 +324,17 @@ def test_reduce_non_monic_basis(werner_algebra):
     assert traced.value == A.parse("2·a")
     assert traced.trace == ((2, (), 0, ()),)
     assert traced.value + expand_trace(traced.trace, basis, A) == A.parse("4·a·b")
+
+
+def test_expand_steps_merges_and_cancels_at_generator_level():
+    A = FreeAlgebra()
+    a = A.add("a").iid
+    A.add("b")
+    g = A.parse("2·a·b − b")
+    engine = CompletionEngine([(0, g)], A.default_order(), CompletionLimits())
+    # element 0 is the monic a·b − 1/2·b = 1/2·g
+    step = TraceStep(1, (a,), 0, ())
+    merged = engine.expand_steps([step, step])
+    assert merged == [TraceStep(1, (a,), 0, ())]
+    assert type(merged[0].coeff) is int
+    assert engine.expand_steps([step, step._replace(coeff=-1)]) == []
