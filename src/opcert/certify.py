@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .freealg import (AlgebraError, DegLexOrder, FreeAlgebra, Polynomial,
@@ -43,7 +43,9 @@ class Certificate:
     Invariant (checked by ``verify_certificate``):
     ``sum(left * assumptions[index] * right) == claim``.  ``integral`` is True
     iff every cofactor coefficient is an integer, in which case the identity
-    holds over any ring, not just over the rationals.
+    holds over any ring, not just over the rationals.  A used assumption
+    with a nonzero constant term is valid only in a ``ring_level_only``
+    certificate, which must not be transferred to operators.
     """
 
     claim: Polynomial
@@ -51,6 +53,7 @@ class Certificate:
     assumption_names: tuple
     summands: tuple
     integral: bool
+    ring_level_only: bool = False
 
     @property
     def used_indices(self) -> set:
@@ -88,13 +91,22 @@ def verify_certificate(cert: Certificate) -> VerificationResult:
 
     Pure ring arithmetic; reports the order-largest discrepancy monomial on
     failure.  The integral flag is part of the certificate contract and is
-    re-derived here as well.
+    re-derived here as well.  A used assumption must have a zero constant
+    term unless the certificate is ``ring_level_only``.
     """
     alg = cert.claim.alg
-    diff: dict = {}  # expansion minus claim, summed in place
     for s in cert.summands:
         if not 0 <= s.index < len(cert.assumptions):
             return VerificationResult(False, f"summand index {s.index} out of range")
+    if not cert.ring_level_only:
+        for i in sorted(cert.used_indices):
+            if cert.assumptions[i].constant_term:
+                return VerificationResult(
+                    False, f"assumption {cert.assumption_names[i]} has a "
+                    "nonzero constant term and the certificate is not "
+                    "marked ring_level_only")
+    diff: dict = {}  # expansion minus claim, summed in place
+    for s in cert.summands:
         terms = cert.assumptions[s.index]._terms
         for l, cl in s.left._terms.items():
             for r, cr in s.right._terms.items():
@@ -116,34 +128,48 @@ def verify_certificate(cert: Certificate) -> VerificationResult:
 def minimize_certificate(cert: Certificate) -> Certificate:
     """Drop zero summands and merge summands sharing a cofactor side.
 
-    Runs to a fixpoint; the expanded sum is unchanged, so validity is
-    preserved.  Idempotent by construction.
+    Runs to a fixpoint on ``(left terms, index, right terms)`` triples; the
+    expanded sum is unchanged, so validity is preserved.  Idempotent by
+    construction.
     """
-    summands = [s for s in cert.summands if s.left and s.right]
+    alg = cert.claim.alg
+    key = alg.default_order().key
+    blocks = [(s.left._terms, s.index, s.right._terms)
+              for s in cert.summands if s.left and s.right]
     while True:
-        before = len(summands)
+        before = len(blocks)
         # sign-normalize the right cofactors so mergeable blocks line up;
         # only the sign moves (anything else could break integrality)
-        order = cert.claim.alg.default_order()
-        summands = [Summand(-1 * s.left, s.index, -1 * s.right)
-                    if s.right.lead_coeff(order) < 0 else s
-                    for s in summands]
-        by_left: dict = {}
-        for s in summands:
-            key = (s.index, s.left)
-            by_left[key] = by_left.get(key, s.right.alg.zero()) + s.right
-        summands = [Summand(left, i, right)
-                    for (i, left), right in by_left.items() if right]
-        by_right: dict = {}
-        for s in summands:
-            key = (s.index, s.right)
-            by_right[key] = by_right.get(key, s.left.alg.zero()) + s.left
-        summands = [Summand(left, i, right)
-                    for (i, right), left in by_right.items() if left]
-        if len(summands) == before:
+        blocks = [({w: -c for w, c in left.items()}, i,
+                   {w: -c for w, c in right.items()})
+                  if right[max(right, key=key)] < 0 else (left, i, right)
+                  for left, i, right in blocks]
+        blocks = _merge(blocks, 0)
+        blocks = _merge(blocks, 2)
+        if len(blocks) == before:
             break
-    return Certificate(cert.claim, cert.assumptions, cert.assumption_names,
-                       tuple(summands), scan_integral(summands))
+    summands = [Summand(Polynomial._make(alg, left), i,
+                        Polynomial._make(alg, right))
+                for left, i, right in blocks]
+    return replace(cert, summands=tuple(summands),
+                   integral=scan_integral(summands))
+
+
+def _merge(blocks: list, side: int) -> list:
+    """Sum the other cofactors of the blocks with equal index and equal
+    ``side`` cofactor (0 left, 2 right), in order of first occurrence, and
+    drop the blocks whose sum is zero.  The input dicts stay untouched."""
+    other = 2 - side
+    merged: dict = {}
+    for block in blocks:
+        key = (block[1], frozenset(block[side].items()))
+        acc = merged.get(key)
+        if acc is None:
+            acc = merged[key] = list(block)
+            acc[other] = dict(block[other])
+        else:
+            add_terms(acc[other], block[other].items())
+    return [tuple(b) for b in merged.values() if b[other]]
 
 
 # ---------------------------------------------------------------------------
@@ -195,11 +221,13 @@ class CertifyReport:
 def _quads_to_summands(alg: FreeAlgebra, quads: Sequence[TraceStep],
                        order: DegLexOrder) -> list:
     """Summands adding up to ``-sum(quads)``: a claim reduced to zero by
-    ``normal_form`` satisfies 0 = claim + sum(steps)."""
+    ``normal_form`` satisfies 0 = claim + sum(steps).  The quads are
+    distinct (left, index, right) triples, as ``expand_steps`` gives them."""
     grouped: dict = {}
     for c, l, i, r in quads:
-        add_terms(grouped.setdefault((i, l), {}), ((r, c),), -1)
-    return [Summand(alg.monomial(l), i, alg.poly(grouped[(i, l)]))
+        grouped.setdefault((i, l), {})[r] = -c
+    return [Summand(Polynomial._make(alg, {l: 1}), i,
+                    Polynomial._make(alg, grouped[(i, l)]))
             for i, l in sorted(grouped, key=lambda k: (k[0], order.key(k[1])))]
 
 
@@ -218,7 +246,8 @@ def certify(assumptions: Sequence[Polynomial], claims: Sequence[Polynomial],
     have zero constant term: that hypothesis is what lets a certificate
     transfer to operators with domains and codomains.  Pass
     ``require_zero_constant=False`` for ring-level-only runs, which then must
-    not be promoted to statements about such operators.
+    not be promoted to statements about such operators; a certificate that
+    uses an assumption with a constant term is marked ``ring_level_only``.
     """
     assumptions = list(assumptions)
     claims = list(claims)
@@ -259,6 +288,8 @@ def certify(assumptions: Sequence[Polynomial], claims: Sequence[Polynomial],
         summands = _quads_to_summands(alg, engine.expand_steps(steps), order)
         cert = minimize_certificate(
             make_certificate(claim, assumptions, names, summands))
+        if any(assumptions[i].constant_term for i in cert.used_indices):
+            cert = replace(cert, ring_level_only=True)
         check = verify_certificate(cert)
         if not check:
             raise RuntimeError(
@@ -328,7 +359,7 @@ def algebra_from_ops(ops: Sequence[dict]) -> FreeAlgebra:
 
 def certificate_to_dict(cert: Certificate) -> dict:
     alg = cert.claim.alg
-    return {
+    data = {
         "format": CERT_FORMAT,
         "ops": _ops_table(alg),
         "claim": alg.render(cert.claim),
@@ -341,6 +372,9 @@ def certificate_to_dict(cert: Certificate) -> dict:
                      for s in cert.summands],
         "integral": cert.integral,
     }
+    if cert.ring_level_only:  # absent otherwise: older files keep their bytes
+        data["ring_level_only"] = True
+    return data
 
 
 def certificate_from_dict(data: dict) -> Certificate:
@@ -359,8 +393,10 @@ def certificate_from_dict(data: dict) -> Certificate:
                              _field(s, "index", int),
                              alg.parse(_field(s, "right", str)))
                      for s in _objects(data, "summands"))
+    ring_level_only = "ring_level_only" in data and \
+        _field(data, "ring_level_only", bool)
     return Certificate(claim, assumptions, names, summands,
-                       _field(data, "integral", bool))
+                       _field(data, "integral", bool), ring_level_only)
 
 
 def save_certificate(cert: Certificate, path) -> None:

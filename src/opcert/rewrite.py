@@ -15,7 +15,12 @@ Trace conventions:
   after = before + sum(steps).  An engine element therefore satisfies
   terms = sum(steps), and ``reduce`` negates its steps once.
 * engine steps refer to element ``k >= 0`` or to generator ``i`` as ``~i``;
-  ``expand_steps`` sums them with ``add_terms`` over words ``l + (~i,) + r``.
+  ``expand_steps`` expands them top-down.  Each pending element, and each
+  generator, holds the contexts ``l + (-1,) + r -> c`` in which it is still
+  to be expanded.  The newest element goes first (a step refers only to
+  older elements, so its contexts are final) and passes its contexts on
+  through its steps; the generators' contexts are the result.  Every sum is
+  an ``add_terms`` call, and each element is expanded once per context.
 """
 
 from __future__ import annotations
@@ -213,6 +218,10 @@ def reduce(p: Polynomial, basis: Sequence[Polynomial],
 # ---------------------------------------------------------------------------
 # Completion engine
 # ---------------------------------------------------------------------------
+
+# the one negative letter of an element context word ``l + _CONTEXT + r``
+_CONTEXT = (-1,)
+
 
 class _Element:
     __slots__ = ("terms", "lead", "steps")
@@ -494,37 +503,52 @@ class CompletionEngine:
     def expand_steps(self, steps) -> list:
         """Expand element-level steps into generator-level TraceSteps.
 
-        The sums run through ``add_terms`` over words ``l + (~i,) + r``,
-        whose one negative letter is generator ``i``: quads with equal
-        (left, generator, right) merge and zero sums drop out.
+        Top-down: each element and each generator keeps the contexts
+        ``l + _CONTEXT + r -> c`` in which it is still to be expanded.  The
+        newest pending element has all its contexts, since a step refers only
+        to older elements, and passes them through its steps.  A step with
+        empty left and right words moves all contexts in one ``add_terms``
+        call; any other step takes one call per context.  Equal words merge
+        and zero sums drop out.
         """
-        uses: dict = {}  # element -> steps left to expand that refer to it
-        stack = [ref for _, _, ref, _ in steps if ref >= 0]
-        while stack:
-            k = stack.pop()
-            uses[k] = uses.get(k, 0) + 1
-            if uses[k] == 1:
-                stack.extend(ref for _, _, ref, _ in self.elements[k].steps
-                             if ref >= 0)
-        memo: dict = {}  # element -> its generator-level term dict
+        elements = self.elements
+        out: dict = {}      # generator -> its contexts
+        pending: dict = {}  # element -> its contexts
+        newest: list = []   # heap of -k over the pending elements
 
-        def expand(steps) -> dict:
-            acc: dict = {}
+        def spread(steps, contexts: dict) -> None:
+            split = None  # contexts as (left, right, coeff)
             for c, l, ref, r in steps:
                 if ref < 0:
-                    items = (((ref,), 1),)
-                else:  # drop an element's sum after its last use
-                    uses[ref] -= 1
-                    items = (memo[ref] if uses[ref] else memo.pop(ref)).items()
-                add_terms(acc, items, c, l, r)
-            return acc
+                    acc = out.setdefault(~ref, {})
+                elif ref in pending:
+                    acc = pending[ref]
+                else:
+                    acc = pending[ref] = {}
+                    heapq.heappush(newest, -ref)
+                if not (l or r):
+                    add_terms(acc, contexts.items(), c)
+                    continue
+                if split is None:
+                    split = []
+                    for w, cw in contexts.items():
+                        t = w.index(_CONTEXT[0])
+                        split.append((w[:t], w[t + 1:], cw))
+                items = ((l + _CONTEXT + r, c),)
+                for left, right, cw in split:
+                    add_terms(acc, items, cw, left, right)
 
-        for k in sorted(uses):  # a step refers only to older elements
-            memo[k] = expand(self.elements[k].steps)
+        spread(steps, {_CONTEXT: 1})
+        while newest:
+            k = -heapq.heappop(newest)
+            contexts = pending.pop(k)
+            if contexts:
+                spread(elements[k].steps, contexts)
         quads = []
-        for w, c in expand(steps).items():
-            t = w.index(min(w))  # letters are >= 0
-            quads.append(TraceStep(c, w[:t], ~w[t], w[t + 1:]))
+        for i, contexts in out.items():
+            for w, c in contexts.items():
+                t = w.index(_CONTEXT[0])
+                quads.append(TraceStep(c, w[:t], i, w[t + 1:]))
         return quads
 
     def interreduce(self) -> None:

@@ -2,6 +2,7 @@
 
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -283,3 +284,54 @@ def test_fractional_cofactors_clear_integral_flag(werner_algebra):
     cert = report.results[0].certificate
     assert verify_certificate(cert).valid
     assert cert.integral is False
+
+
+def _constant_term_certificate():
+    """The claim a·b − b·a "proven" from a·b − b·a + 1 and 1."""
+    A = FreeAlgebra()
+    A.add("a")
+    A.add("b")
+    one = A.one()
+    return make_certificate(
+        A.parse("a·b − b·a"), [A.parse("a·b − b·a + 1"), A.parse("1")],
+        ["F1", "F2"], [Summand(one, 0, one), Summand(-1 * one, 1, one)])
+
+
+def test_verify_rejects_used_constant_term_assumption():
+    cert = _constant_term_certificate()
+    result = verify_certificate(cert)
+    assert not result.valid
+    assert "F1 has a nonzero constant term" in result.reason
+    # the same sum is valid as a ring-level-only statement
+    assert verify_certificate(replace(cert, ring_level_only=True)).valid
+
+
+def test_certify_marks_ring_level_only_certificates():
+    A = FreeAlgebra()
+    A.add("a")
+    A.add("b")
+    F = [A.parse("a·b − a"), A.parse("1")]
+    constant = certify(F, [A.parse("b")], require_zero_constant=False) \
+        .results[0].certificate
+    assert constant.used_indices == {1} and constant.ring_level_only
+    # a certificate without a constant-term assumption stays transferable
+    plain = certify(F[:1], [A.parse("a·b·b − a")],
+                    require_zero_constant=False).results[0].certificate
+    assert plain.used_indices == {0} and not plain.ring_level_only
+    assert "ring_level_only" not in certificate_to_dict(plain)
+    data = certificate_to_dict(constant)
+    assert data["ring_level_only"] is True
+    loaded = certificate_from_dict(data)
+    assert loaded.ring_level_only and verify_certificate(loaded).valid
+    data.pop("ring_level_only")
+    assert not verify_certificate(certificate_from_dict(data)).valid
+
+
+@pytest.mark.parametrize("value", ["true", 1, None])
+def test_ring_level_only_must_be_a_boolean(werner_system, value):
+    A, F, f = werner_system
+    report = certify(F, [f], assumption_names=FNAMES)
+    data = certificate_to_dict(report.results[0].certificate)
+    data["ring_level_only"] = value
+    with pytest.raises(AlgebraError, match="ring_level_only"):
+        certificate_from_dict(data)

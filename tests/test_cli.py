@@ -1,11 +1,17 @@
 """Command-line behaviour: outputs, artifacts, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from opcert.cli import main
 from conftest import FIXTURES
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def test_certify_werner_writes_certificate(tmp_path, capsys):
@@ -47,6 +53,36 @@ def test_check_cert_integral_flag_reads_fractions_that_sum_to_integers(
     out = capsys.readouterr().out
     assert rc == 0, out
     assert "valid | " in out and "integral=True" in out
+
+
+def test_check_cert_rejects_a_constant_term_assumption(capsys):
+    # a·b − b·a "proven" from the assumptions a·b − b·a + 1 and 1
+    rc = main(["check-cert", str(DATA / "constant_term.cert")])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "INVALID: assumption F1 has a nonzero constant term" in out
+
+
+def test_check_cert_says_ring_level_only(tmp_path, capsys):
+    data = json.loads((DATA / "constant_term.cert").read_text("utf-8"))
+    data["ring_level_only"] = True
+    cert = tmp_path / "ring.cert"
+    cert.write_text(json.dumps(data), encoding="utf-8")
+    rc = main(["check-cert", str(cert)])
+    out = capsys.readouterr().out
+    assert rc == 0, out
+    assert "valid | 2 terms | integral=True | ring-level only | " in out
+
+
+def test_python_dash_m_runs_the_command_line():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "opcert", "check-cert", "werner_paper"],
+        capture_output=True, text=True, encoding="utf-8", env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "werner_paper: valid" in proc.stdout
 
 
 @pytest.mark.parametrize("text", ["[1,2]", "null", "3", '"cert"'])
