@@ -195,6 +195,9 @@ class CertifyStats:
     obstructions_processed: int = 0
     elapsed: float = 0.0
     completion_status: str = COMPLETE
+    # the completion limit that tripped, if one did (``CompletionLimits``
+    # field name)
+    tripped_limit: Optional[str] = None
 
 
 @dataclass
@@ -301,7 +304,8 @@ def certify(assumptions: Sequence[Polynomial], claims: Sequence[Polynomial],
         basis_size=len(engine.active_indices()),
         obstructions_processed=engine.stats.obstructions_processed,
         elapsed=time.monotonic() - start,
-        completion_status=completion_status)
+        completion_status=completion_status,
+        tripped_limit=engine.tripped_limit)
     return CertifyReport(results, stats)
 
 

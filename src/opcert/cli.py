@@ -99,8 +99,9 @@ def cmd_certify(args) -> int:
                   f"remainder: {res.remainder}")
             worst = EXIT_BUDGET
     s = report.stats
+    tripped = f" ({s.tripped_limit})" if s.tripped_limit else ""
     print(f"  basis {s.basis_size}, obstructions {s.obstructions_processed}, "
-          f"{s.elapsed:.2f}s, completion {s.completion_status}")
+          f"{s.elapsed:.2f}s, completion {s.completion_status}{tripped}")
     return worst
 
 

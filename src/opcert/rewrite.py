@@ -26,7 +26,9 @@ Trace conventions:
 from __future__ import annotations
 
 import heapq
+import operator
 import time
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
@@ -103,6 +105,9 @@ class _Reducer:
 
     def __init__(self, order: DegLexOrder):
         self.key = order.key
+        # letter -> minus its rank, so that a heap pops the largest word first
+        self._negrank = operator.neg if order.ranking is None else \
+            tuple(-r for r in order.ranking).__getitem__
         self.leadmap: dict = {}
         self._len_counts: dict = {}
         self.lengths: tuple = ()  # the distinct lead lengths, descending
@@ -150,8 +155,7 @@ class _Reducer:
         return None
 
     def _neg_key(self, w):
-        n, mapped = self.key(w)
-        return (-n, tuple(-x for x in mapped))
+        return (-len(w), tuple(map(self._negrank, w)))
 
     def normal_form(self, terms: dict, items_of, steps: list,
                     deadline: Optional[float] = None) -> bool:
@@ -164,7 +168,8 @@ class _Reducer:
         """
         if not self.leadmap:
             return True
-        heap = [(self._neg_key(w), w) for w in terms]
+        neg_key = self._neg_key
+        heap = [(neg_key(w), w) for w in terms]
         heapq.heapify(heap)
         # words pop in descending order (a step only adds words below the one
         # reduced), so a repeat of the last word is a duplicate heap entry
@@ -181,10 +186,10 @@ class _Reducer:
             pos, n, idx, lc = hit
             left = w[:pos]
             right = w[pos + n:]
-            c = _div(terms[w], lc)
+            c = terms[w] if lc == 1 else _div(terms[w], lc)
             steps.append(TraceStep(-c, left, idx, right))
             for nw in add_terms(terms, items_of(idx), -c, left, right):
-                heapq.heappush(heap, (self._neg_key(nw), nw))
+                heapq.heappush(heap, (neg_key(nw), nw))
             ticks += 1
             if deadline is not None and ticks % 256 == 0 \
                     and time.monotonic() > deadline:
@@ -248,13 +253,17 @@ class CompletionEngine:
     and their normal forms re-enter the basis, so the active lead set stays
     interreduced: each active lead word belongs to exactly one element, and
     the reducer's ``leadmap`` is the table of active leads.  Three hash
-    indexes of the active leads map a word to the ascending list of active
-    indices whose lead has it as a proper prefix (``_prefixes``), as a proper
-    suffix (``_suffixes``) or as a two-letter factor (``_digrams``).  A new
-    lead finds its overlap partners through the first two and its factor
-    partners through ``leadmap``; partners beyond ``max_degree`` are only
-    counted.  The leads it retires all hold each of its two-letter factors,
-    so ``_digrams`` narrows their search.
+    indexes of the active leads map a word to the list of active indices
+    whose lead has it as a proper prefix (``_prefixes``), as a proper suffix
+    (``_suffixes``) or as a two-letter factor (``_digrams``).  Prefix and
+    suffix lists are ordered by (lead length, index), so the partners beyond
+    ``max_degree`` form one tail of each list, which is only counted; digram
+    lists are ascending.  A new lead finds its overlap partners through the
+    first two.  Only a raw generator's lead can have active leads as
+    factors: every other new lead is a normal form, so ``leadmap`` is
+    searched for factor partners only for the generators.  The leads a new
+    lead retires all hold each of its two-letter factors, so ``_digrams``
+    narrows their search.
 
     Queue entries are raw rows (degree, seq, i, j, li, ri, lj, rj).
     """
@@ -265,9 +274,13 @@ class CompletionEngine:
         self.limits = limits
         self.reducer = _Reducer(order)
         self.elements: list[_Element] = []
+        # idx -> len(elements[idx].lead); its ``__getitem__`` is the sort key
+        # of the prefix and suffix lists
+        self._lead_lens: list = []
         self.queue: list = []
         self._active: dict = {}   # idx -> lead word (insertion ordered)
-        # proper prefix / suffix of an active lead -> ascending idx list
+        # proper prefix / suffix of an active lead -> idx list ordered by
+        # (lead length, idx)
         self._prefixes: dict = {}
         self._suffixes: dict = {}
         # two-letter factor of an active lead -> ascending idx list, each
@@ -277,7 +290,9 @@ class CompletionEngine:
         self._requeue: list = []
         self.stats = CompletionStats()
         self._deadline = time.monotonic() + limits.time_budget
-        self._exhausted = False
+        # the first limit found tripped: "max_iterations", "max_basis_size"
+        # or "time_budget" (also when the deadline strikes mid-reduction)
+        self.tripped_limit: Optional[str] = None
         seen_monic: dict = {}
         for src_index, g in generators:
             if g.is_zero:
@@ -289,7 +304,7 @@ class CompletionEngine:
                 continue  # duplicate generator: alias to first occurrence
             seen_monic[key] = src_index
             steps = (TraceStep(_div(1, lc), (), ~src_index, ()),)
-            self._append(dict(monic._terms), steps)
+            self._append(dict(monic._terms), steps, unreduced=True)
 
     # -- lead bookkeeping ----------------------------------------------------
 
@@ -304,12 +319,19 @@ class CompletionEngine:
 
     def _activate(self, idx: int, w: Word) -> None:
         """Enter ``idx`` with lead ``w`` into the active set, the reducer
-        and the lead indexes."""
+        and the lead indexes.  ``idx`` is the newest index, so it goes after
+        every lead no longer than ``w`` and the lists keep their order."""
         self._active[idx] = w
         self.reducer.set_entry(w, idx, 1)
-        for table, key in self._index_keys(w):
-            # idx is the newest index: lists stay sorted
-            table.setdefault(key, []).append(idx)
+        prefixes, suffixes = self._prefixes, self._suffixes
+        lead_len = self._lead_lens.__getitem__
+        n = len(w)
+        for k in range(1, n):
+            insort(prefixes.setdefault(w[:k], []), idx, key=lead_len)
+            insort(suffixes.setdefault(w[n - k:], []), idx, key=lead_len)
+        digrams = self._digrams
+        for key in set(zip(w, w[1:])):  # each w[t:t + 2] once
+            digrams.setdefault(key, []).append(idx)
 
     def _deactivate(self, idx: int) -> None:
         """Drop ``idx`` from the active set and the lead indexes (the
@@ -330,8 +352,9 @@ class CompletionEngine:
 
     # -- element creation ------------------------------------------------------
 
-    def _append(self, terms: dict, steps) -> int:
-        """Add a monic, fully reduced element; retire superseded leads."""
+    def _append(self, terms: dict, steps, unreduced: bool = False) -> int:
+        """Add a monic element; retire superseded leads.  ``terms`` is a
+        normal form by the active leads unless ``unreduced`` (a generator)."""
         lead = max(terms, key=self.order.key)
         lc = terms[lead]
         if lc != 1:
@@ -341,6 +364,7 @@ class CompletionEngine:
         elem = _Element(terms, lead, tuple(steps))
         idx = len(self.elements)
         self.elements.append(elem)
+        self._lead_lens.append(len(lead))
         self.stats.elements_added += 1
         # retire active elements whose lead contains the new lead as a factor
         # (an equal lead included, so active leads stay distinct)
@@ -348,7 +372,7 @@ class CompletionEngine:
             self._retire(m)
             self._requeue.append(m)
         # queue obstructions against the still-active leads, then self
-        self._push_rows(idx, self._pair_rows(lead))
+        self._push_rows(idx, self._pair_rows(lead, unreduced))
         self._push_rows(idx, [(idx,) + row
                               for row in _kernel_py.self_overlaps(lead)])
         self._activate(idx, lead)
@@ -367,46 +391,56 @@ class CompletionEngine:
                      key=len)
         return _kernel_py.find_retirees(lead, [(i, active[i]) for i in fewest])
 
-    def _pair_rows(self, v: Word) -> list:
+    def _pair_rows(self, v: Word, unreduced: bool) -> list:
         """Rows ``_kernel_py.batch_overlaps(v, active leads)`` would give, in
         its order, less those above ``max_degree``, which are only counted.
 
-        No active lead contains ``v`` (those were just retired), so the
-        containments left are active leads that are factors of ``v``,
-        including an empty lead.
+        A partner ``u`` overlapping ``v`` in ``k`` letters fits iff
+        ``len(u) <= max_degree - len(v) + k``; the prefix and suffix lists
+        are ordered by lead length, so one ``bisect_right`` splits each into
+        the partners that fit and the tail that is counted.  No active lead
+        contains ``v`` (those were just retired), so the containments left
+        are active leads that are factors of ``v``, including an empty lead;
+        they are searched only if ``v`` is ``unreduced``, since a normal
+        form has no active lead as a factor.
         """
         nv = len(v)
         maxdeg = self.limits.max_degree
-        room = maxdeg - nv  # an overlap of length k fits iff |u| - k <= room
+        room = maxdeg - nv
         active = self._active
         prefixes, suffixes = self._prefixes, self._suffixes
+        lead_len = self._lead_lens.__getitem__
         skipped = 0
         hits = []  # (i, k, orientation, row): the kernel's order per i
         for k in range(1, nv):
-            for i in suffixes.get(v[:k], ()):
-                u = active[i]
-                if len(u) - k > room:
-                    skipped += 1
-                else:
+            lst = suffixes.get(v[:k])
+            if lst:
+                cut = bisect_right(lst, room + k, key=lead_len)
+                skipped += len(lst) - cut
+                for i in lst[:cut]:
+                    u = active[i]
                     hits.append((i, k, 0, ((), v[k:], u[:len(u) - k], (),
                                            u + v[k:])))
-            for i in prefixes.get(v[nv - k:], ()):
-                u = active[i]
-                if len(u) - k > room:
-                    skipped += 1
-                else:
+            lst = prefixes.get(v[nv - k:])
+            if lst:
+                cut = bisect_right(lst, room + k, key=lead_len)
+                skipped += len(lst) - cut
+                for i in lst[:cut]:
+                    u = active[i]
                     hits.append((i, k, 1, (v[:nv - k], (), (), u[k:],
                                            v + u[k:])))
-        leadmap = self.reducer.leadmap
-        for n in range(nv):
-            for t in range(nv - n + 1):
-                hit = leadmap.get(v[t:t + n])
-                if hit is None:
-                    continue
-                if nv > maxdeg:
-                    skipped += 1
-                else:  # after every overlap row of i: nv > any k
-                    hits.append((hit[0], nv, t, (v[:t], v[t + n:], (), (), v)))
+        if unreduced:
+            leadmap = self.reducer.leadmap
+            for n in range(nv):
+                for t in range(nv - n + 1):
+                    hit = leadmap.get(v[t:t + n])
+                    if hit is None:
+                        continue
+                    if nv > maxdeg:
+                        skipped += 1
+                    else:  # after every overlap row of i: nv > any k
+                        hits.append((hit[0], nv, t,
+                                     (v[:t], v[t + n:], (), (), v)))
         self.stats.obstructions_skipped_degree += skipped
         hits.sort()
         return [(i,) + row for i, _, _, row in hits]
@@ -414,14 +448,16 @@ class CompletionEngine:
     def _push_rows(self, j: int, rows) -> None:
         maxdeg = self.limits.max_degree
         queue = self.queue
+        seq = self._seq
         for row in rows:
             i, li, ri, lj, rj, overlap = row
             deg = len(overlap)
             if deg > maxdeg:
                 self.stats.obstructions_skipped_degree += 1
                 continue
-            heapq.heappush(queue, (deg, self._seq, i, j, li, ri, lj, rj))
-            self._seq += 1
+            heapq.heappush(queue, (deg, seq, i, j, li, ri, lj, rj))
+            seq += 1
+        self._seq = seq
 
     # -- normal forms ----------------------------------------------------------
 
@@ -430,14 +466,14 @@ class CompletionEngine:
         added multiples (c, l, idx, r) to ``steps``; if ``terms = sum(steps)``
         held before, it holds after.
 
-        Returns False if the deadline struck first; the engine is then
-        exhausted and ``terms`` are left mid-reduction.
+        Returns False if the deadline struck first; ``time_budget`` has then
+        tripped and ``terms`` are left mid-reduction.
         """
         if self.reducer.normal_form(
                 terms, lambda idx: self.elements[idx].terms.items(),
                 steps, self._deadline):
             return True
-        self._exhausted = True
+        self.tripped_limit = "time_budget"
         return False
 
     def _process_requeue(self) -> None:
@@ -452,21 +488,23 @@ class CompletionEngine:
 
     # -- budgets -----------------------------------------------------------------
 
-    def _budget_ok(self) -> bool:
-        if self._exhausted:
-            return False
-        if self.stats.obstructions_processed >= self.limits.max_iterations:
-            return False
-        if len(self._active) >= self.limits.max_basis_size:
-            return False
-        if time.monotonic() > self._deadline:
-            return False
-        return True
+    def _check_limits(self) -> Optional[str]:
+        """The name of the tripped limit, kept in ``tripped_limit``, or
+        None while every limit holds."""
+        if self.tripped_limit is None:
+            limits = self.limits
+            if self.stats.obstructions_processed >= limits.max_iterations:
+                self.tripped_limit = "max_iterations"
+            elif len(self._active) >= limits.max_basis_size:
+                self.tripped_limit = "max_basis_size"
+            elif time.monotonic() > self._deadline:
+                self.tripped_limit = "time_budget"
+        return self.tripped_limit
 
     def status(self) -> str:
         """COMPLETE if every obstruction within ``max_degree`` was resolved
         within budget, else BUDGET_EXHAUSTED."""
-        if self.queue or self._requeue or self._exhausted:
+        if self.queue or self._requeue or self.tripped_limit:
             return BUDGET_EXHAUSTED
         return COMPLETE
 
@@ -479,7 +517,7 @@ class CompletionEngine:
         active = self._active
         while True:
             self._process_requeue()
-            if not self.queue or not self._budget_ok():
+            if not self.queue or self._check_limits():
                 return False
             _, _, i, j, li, ri, lj, rj = heapq.heappop(self.queue)
             # a retired partner cannot survive into the final basis, so its
@@ -555,7 +593,7 @@ class CompletionEngine:
         """Reduce every active element against the others until stable."""
         changed = True
         guard = 0
-        while changed and guard < 10_000 and not self._exhausted:
+        while changed and guard < 10_000 and not self.tripped_limit:
             changed = False
             guard += 1
             for k in self.active_indices():
@@ -566,7 +604,7 @@ class CompletionEngine:
                 if not self.normal_form(terms, steps) or len(steps) == 1:
                     # deadline struck or nothing reduced: restore
                     self.reducer.set_entry(lead, k, 1)
-                    if self._exhausted:
+                    if self.tripped_limit:
                         return
                     continue
                 self._deactivate(k)
@@ -582,6 +620,7 @@ class CompletionEngine:
 
         Returns STOPPED_EARLY when every claim was proven but completion
         did not finish (``status()`` is BUDGET_EXHAUSTED), else ``status()``.
+        ``tripped_limit`` names the limit that stopped the run, if one did.
         """
         # First pass against the raw generators: direct reductions keep the
         # cofactor attribution on the assumptions as stated (and are cheap).

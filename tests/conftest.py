@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from opcert.certify import save_certificate
 from opcert.freealg import FreeAlgebra
+from opcert.rewrite import CompletionEngine
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "opcert" / "fixtures"
 
@@ -25,6 +27,28 @@ def assert_certificate_file_unchanged(cert, filename, tmp_path):
     save_certificate(cert, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == \
         CERT_SHA256[filename], filename
+
+
+@pytest.fixture
+def recorded_engines(monkeypatch):
+    """The list of the completion engines ``certify`` creates during the
+    test; each counts the elements it retires in ``retired``."""
+    engines = []
+
+    class Recording(CompletionEngine):
+        def __init__(self, *args, **kwargs):
+            self.retired = 0
+            super().__init__(*args, **kwargs)
+            engines.append(self)
+
+        def _retire(self, idx):
+            self.retired += 1
+            super()._retire(idx)
+
+    # the package re-exports the function ``certify`` under the module's name
+    monkeypatch.setattr(importlib.import_module("opcert.certify"),
+                        "CompletionEngine", Recording)
+    return engines
 
 
 @pytest.fixture

@@ -47,7 +47,7 @@ def test_criterion_2_werner_solver_certificate(werner_system):
     _report(2, dt, "solver certificate minimal over {f1, f2, f3, f6}")
 
 
-def test_criterion_3_hartwig_v_to_i(tmp_path):
+def test_criterion_3_hartwig_v_to_i(tmp_path, recorded_engines):
     t0 = time.monotonic()
     prob = load_problem(FIXTURES / "hartwig_v_to_i.prob")
     trans = translate(prob)
@@ -64,9 +64,21 @@ def test_criterion_3_hartwig_v_to_i(tmp_path):
     assert dt < 300.0
     assert_certificate_file_unchanged(
         res.certificate, "hartwig_v_to_i.rol.cert", tmp_path)
+    # the degree-16 engine counters at the stop
+    (engine,) = recorded_engines
+    assert report.stats.completion_status == "stopped_early"
+    assert report.stats.tripped_limit is None
+    assert engine.stats.obstructions_processed == 35_697
+    assert engine.stats.obstructions_skipped_degree == 3_192_139
+    assert engine.stats.elements_added == 6_592
+    assert len(engine.active_indices()) == 2_907
+    assert len(engine.queue) == 151_560
+    assert engine.retired == 3_669
+    assert len(res.certificate.summands) == 178
+    assert res.certificate.term_count == 670
     _report(3, dt, f"22 indeterminates; integral certificate with "
-                   f"{res.certificate.term_count} terms (count reported, "
-                   f"not asserted)")
+                   f"{res.certificate.term_count} terms; engine counters "
+                   f"pinned")
 
 
 def test_criterion_4_hartwig_i_to_v():

@@ -171,6 +171,24 @@ def test_completion_status_says_why_completion_stopped(claim, status):
     assert report.stats.completion_status == status
 
 
+@pytest.mark.parametrize("limit", ["max_iterations", "max_basis_size"])
+def test_stats_name_the_tripped_limit(limit):
+    A = FreeAlgebra()
+    A.add("a")
+    A.add("b")
+    limits = replace(CompletionLimits(max_degree=20, time_budget=60),
+                     **{limit: 3})
+    report = certify([A.parse("a·b·a − b"), A.parse("b·a·b − a")],
+                     [A.parse("a")], limits=limits)
+    assert report.stats.completion_status == BUDGET_EXHAUSTED
+    assert report.stats.tripped_limit == limit
+    # the queue drains: the claim fails with no limit tripped
+    drained = certify([A.parse("a·b − 1")], [A.parse("b·a − 1")],
+                      require_zero_constant=False)
+    assert drained.stats.completion_status == COMPLETE
+    assert drained.stats.tripped_limit is None
+
+
 def test_certify_without_claims_runs_no_completion():
     A = FreeAlgebra()
     A.add("a")

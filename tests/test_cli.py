@@ -99,6 +99,13 @@ def test_budget_exhausted_exit_code(capsys):
     assert "budget exhausted" in capsys.readouterr().out
 
 
+def test_budget_exhausted_names_the_tripped_limit(capsys):
+    rc = main(["certify", "hartwig_v_to_i", "--max-iterations", "50"])
+    assert rc == 2
+    summary = capsys.readouterr().out.splitlines()[-1]
+    assert summary.endswith("completion budget_exhausted (max_iterations)")
+
+
 def test_input_error_exit_code(tmp_path, capsys):
     assert main(["certify", str(tmp_path / "missing.prob")]) == 3
     bad = tmp_path / "broken.prob"

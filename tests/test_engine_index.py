@@ -3,16 +3,18 @@ against full scans.
 
 ``ScanEngine`` finds overlap partners the way the kernel's reference scan
 does: ``batch_overlaps`` of the new lead against every active lead, filtered
-at ``max_degree`` by ``_push_rows``.  It finds the leads a new lead retires
-by ``find_retirees`` over every active lead, where the indexed engine checks
-only the candidates of its two-letter factor index.  Both engines must build
-the same queue in the same order and retire the same leads in the same
-order, so everything downstream (counters, basis, traces) is identical too.
+at ``max_degree`` by ``_push_rows``.  It scans for active leads inside every
+new lead, where the indexed engine looks for them only in the generators'
+leads, so the lockstep run also shows that a reduced lead holds none.  It
+finds the leads a new lead retires by ``find_retirees`` over every active
+lead, where the indexed engine checks only the candidates of its two-letter
+factor index.  Both engines must build the same queue in the same order
+and retire the same leads in the same order, so everything downstream
+(counters, basis, traces) is identical too.
 """
 
 import collections
 import dataclasses
-import importlib
 
 import pytest
 from hypothesis import given, settings
@@ -34,11 +36,18 @@ class ScanEngine(CompletionEngine):
         self.events = collections.Counter()
         super().__init__(*args, **kwargs)
 
-    def _pair_rows(self, v):
+    def _pair_rows(self, v, unreduced):
         rows = _kernel_py.batch_overlaps(v, list(self._active.items()))
-        # an active lead inside v: v itself, unpadded, on the j side
-        self.events["containment"] += sum(
-            1 for row in rows if row[3] == () and row[4] == ())
+        maxdeg = self.limits.max_degree
+        for _, li, ri, lj, rj, overlap in rows:
+            if lj == rj == ():
+                # an active lead inside v: v itself, unpadded, on the j side
+                self.events["containment"] += 1
+            elif len(overlap) - maxdeg in (0, 1):
+                # a partner at the degree cut (kept) or one letter beyond it
+                index = "suffix" if li == () else "prefix"
+                fate = "kept" if len(overlap) == maxdeg else "skipped"
+                self.events[f"{index}_cut_{fate}"] += 1
         return rows
 
     def _retirees(self, lead):
@@ -65,13 +74,27 @@ class ScanEngine(CompletionEngine):
         super()._deactivate(idx)
 
 
+class IndexedEngine(CompletionEngine):
+    """The engine under test; its partners beyond ``max_degree`` are counted
+    in ``_pair_rows`` and never reach ``_push_rows``."""
+
+    def _pair_rows(self, v, unreduced):
+        rows = super()._pair_rows(v, unreduced)
+        assert all(len(row[5]) <= self.limits.max_degree for row in rows)
+        return rows
+
+
 def rebuilt_indexes(engine):
+    """The lead indexes built afresh: prefix and suffix lists ordered by
+    (lead length, index), digram lists ascending."""
     prefixes, suffixes, digrams = {}, {}, {}
-    for k in engine.active_indices():
-        w = engine.elements[k].lead
+    leads = {k: engine.elements[k].lead for k in engine.active_indices()}
+    for k in sorted(leads, key=lambda k: (len(leads[k]), k)):
+        w = leads[k]
         for n in range(1, len(w)):
             prefixes.setdefault(w[:n], []).append(k)
             suffixes.setdefault(w[len(w) - n:], []).append(k)
+    for k, w in leads.items():
         for t in range(len(w) - 1):
             held = digrams.setdefault(w[t:t + 2], [])
             if k not in held:
@@ -98,7 +121,7 @@ def run_both(alg, gens, max_degree):
     limits = CompletionLimits(max_degree=max_degree, max_iterations=300,
                               max_basis_size=80, time_budget=600)
     engines = [cls(list(enumerate(gens)), order, limits)
-               for cls in (CompletionEngine, ScanEngine)]
+               for cls in (IndexedEngine, ScanEngine)]
     assert_same_state(*engines)
     for e in engines:
         e.interreduce()
@@ -162,6 +185,14 @@ CASES = {
     # no active lead holds b·b, the second letter pair of a·b·b
     "unheld_digram": (2, [{(0, 1, 0): 1, (1,): -1},
                           {(0, 1, 1): 1, (0,): -1}], 6),
+    # the overlaps of a·b with c·c·c·a (through the suffix index) and with
+    # b·c·c·c (through the prefix index) have exactly max_degree 5 letters,
+    # those with b·b·b·b·a and b·a·a·a·a (through both) have 6
+    "degree_cut": (3, [{(2, 2, 2, 0): 1, (0,): -1},
+                       {(1, 1, 1, 1, 0): 1, (1,): -1},
+                       {(1, 2, 2, 2): 1, (2,): -1},
+                       {(1, 0, 0, 0, 0): 1, (0,): -1},
+                       {(0, 1): 1, (2,): -1}], 5),
 }
 
 
@@ -174,6 +205,10 @@ CASES = {
     ("one_letter", "one_letter_retires"),
     ("repeated_digram", "repeated_digram_retires"),
     ("unheld_digram", "unheld_digram"),
+    ("degree_cut", "suffix_cut_kept"),
+    ("degree_cut", "suffix_cut_skipped"),
+    ("degree_cut", "prefix_cut_kept"),
+    ("degree_cut", "prefix_cut_skipped"),
 ])
 def test_indexed_enumeration_covers(name, event):
     letters, gens, max_degree = CASES[name]
@@ -192,31 +227,16 @@ def test_indexed_enumeration_matches_scan(case):
     run_both(alg, [alg.poly(t) for t in gens], max_degree)
 
 
-def test_hartwig_degree_12_counters(monkeypatch):
+def test_hartwig_degree_12_counters(recorded_engines):
     """``hartwig_v_to_i`` at max_degree 12 drains its queue without
     certifying the claim; the engine counters at the stop are pinned."""
-    engines = []
-
-    class Recording(CompletionEngine):
-        def __init__(self, *args, **kwargs):
-            self.retired = 0
-            super().__init__(*args, **kwargs)
-            engines.append(self)
-
-        def _retire(self, idx):
-            self.retired += 1
-            super()._retire(idx)
-
-    # the package re-exports the function ``certify`` under the module's name
-    monkeypatch.setattr(importlib.import_module("opcert.certify"),
-                        "CompletionEngine", Recording)
     prob = load_problem(FIXTURES / "hartwig_v_to_i.prob")
     trans = translate(prob)
     limits = dataclasses.replace(prob.options.limits, max_degree=12)
     report = certify(trans.assumptions, trans.claims, trans.order, limits,
                      assumption_names=trans.assumption_names,
                      claim_names=trans.claim_names)
-    (engine,) = engines
+    (engine,) = recorded_engines
     res = report.results[0]
     assert not res.certified
     assert res.remainder == trans.algebra.parse("m† − c†·b†·a†")
