@@ -393,14 +393,28 @@ def certificate_from_dict(data: dict) -> Certificate:
     assumptions = tuple(alg.parse(_field(a, "expr", str)) for a in entries)
     names = tuple(_field(a, "name", str) for a in entries)
     claim = alg.parse(_field(data, "claim", str))
-    summands = tuple(Summand(alg.parse(_field(s, "left", str)),
-                             _field(s, "index", int),
-                             alg.parse(_field(s, "right", str)))
-                     for s in _objects(data, "summands"))
+    summands = tuple(_summand_from_dict(alg, names, k, s)
+                     for k, s in enumerate(_objects(data, "summands")))
     ring_level_only = "ring_level_only" in data and \
         _field(data, "ring_level_only", bool)
     return Certificate(claim, assumptions, names, summands,
                        _field(data, "integral", bool), ring_level_only)
+
+
+def _summand_from_dict(alg: FreeAlgebra, names: tuple, k: int,
+                       entry: dict) -> Summand:
+    """Summand ``k``; its optional ``"assumption"`` label must name the
+    assumption its index points to.  An index out of range is left to
+    ``verify_certificate``."""
+    left = alg.parse(_field(entry, "left", str))
+    index = _field(entry, "index", int)
+    if "assumption" in entry:
+        label = _field(entry, "assumption", str)
+        if 0 <= index < len(names) and label != names[index]:
+            raise AlgebraError(
+                f"summand {k} names assumption {label!r}, but its index "
+                f"{index} is assumption {names[index]!r}")
+    return Summand(left, index, alg.parse(_field(entry, "right", str)))
 
 
 def save_certificate(cert: Certificate, path) -> None:

@@ -65,6 +65,8 @@ class Indeterminate:
 
 # Characters with grammatical meaning in expressions; they cannot occur in names.
 _RESERVED = set("()+-−*·/ \t\r\n")
+# the term separators ``FreeAlgebra.render`` writes
+_RENDER_TERM = re.compile(" ([-+]) ")
 
 
 class FreeAlgebra:
@@ -198,11 +200,17 @@ class FreeAlgebra:
         juxtaposition or ``·`` for products, integer and ``p/q`` literals,
         parentheses.  ``defs`` maps abbreviation names to polynomials; they are
         spliced in as atoms.
+
+        Text in ``render``'s integral form is read by ``_read_rendered``
+        without tokenizing; any other text, and every error, goes through
+        the grammar above.  Both give the same polynomial.
         """
-        try:
-            terms = _Parser(self, text, defs or {}).parse()
-        except RecursionError:
-            raise ParseError("expression nested too deeply", text) from None
+        terms = self._read_rendered(text)
+        if terms is None:
+            try:
+                terms = _Parser(self, text, defs or {}).parse()
+            except RecursionError:
+                raise ParseError("expression nested too deeply", text) from None
         return Polynomial._make(self, terms)
 
     def render_word(self, w: Word) -> str:
@@ -211,7 +219,13 @@ class FreeAlgebra:
         return "·".join(self._inds[x].name for x in w)
 
     def render(self, p: "Polynomial") -> str:
-        """Deterministic text form; ``parse(render(p)) == p``."""
+        """Deterministic text form; ``parse(render(p)) == p``.
+
+        Terms run from the largest word down, joined by ``" + "`` or
+        ``" - "``; the first carries a bare ``-`` if negative.  A term is its
+        coefficient's magnitude (left out when it is 1 and the word is not
+        empty), ``·``, then the word's names joined by ``·``.
+        """
         if p.is_zero:
             return "0"
         order = self.default_order()
@@ -231,6 +245,40 @@ class FreeAlgebra:
             else:
                 out.append(("- " if neg else "+ ") + body)
         return " ".join(out)
+
+    def _read_rendered(self, text: str) -> Optional[dict]:
+        """The term dict of ``text`` if ``render`` writes it so with integral
+        coefficients, else None; never raises.
+
+        Terms are split at ``" + "``/``" - "`` and words at ``·``, each piece
+        a ``_letters`` key.  Anything else (fractions, parentheses, blanks,
+        ``−``, a repeated word, a zero, padded, non-ASCII or over-long
+        integer) gives None, and ``parse`` falls back to ``_Parser``.
+        """
+        if text == "0":
+            return {}
+        parts = _RENDER_TERM.split(
+            " - " + text[1:] if text[:1] == "-" else " + " + text)
+        letters = self._letters
+        acc: dict = {}
+        for i in range(1, len(parts), 2):
+            pieces = parts[i + 1].split("·")
+            head = pieces[0]
+            c = 1
+            if "1" <= head[:1] <= "9" and head.isascii() and head.isdigit():
+                try:
+                    c = int(head)
+                except ValueError:  # more digits than int() converts
+                    return None
+                del pieces[0]
+            try:
+                w = tuple([letters[p] for p in pieces])
+            except KeyError:
+                return None
+            if w in acc:
+                return None
+            acc[w] = -c if parts[i] == "-" else c
+        return acc
 
     def default_order(self) -> "DegLexOrder":
         return DegLexOrder(None)

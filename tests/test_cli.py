@@ -43,6 +43,38 @@ def test_check_cert_detects_tampering(tmp_path, capsys):
     assert "INVALID" in capsys.readouterr().out
 
 
+def _werner_paper_cert(tmp_path, edit) -> Path:
+    data = json.loads((FIXTURES / "werner_paper.cert").read_text("utf-8"))
+    edit(data["summands"][0])  # index 0, "assumption": "f1"
+    path = tmp_path / "edited.cert"
+    path.write_text(json.dumps(data, ensure_ascii=False), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("label, message", [
+    ("f7", "summand 0 names assumption 'f7', but its index 0 is "
+           "assumption 'f1'"),
+    (7, "field 'assumption' must be of type string"),
+], ids=["other_assumption", "not_a_string"])
+def test_check_cert_rejects_a_summand_label_of_another_assumption(
+        tmp_path, capsys, label, message):
+    bad = _werner_paper_cert(tmp_path, lambda s: s.update(assumption=label))
+    assert _input_error(capsys, ["check-cert", str(bad)]) == \
+        f"error: {bad}: {message}\n"
+
+
+def test_check_cert_accepts_a_summand_without_label(tmp_path, capsys):
+    cert = _werner_paper_cert(tmp_path, lambda s: s.pop("assumption"))
+    assert main(["check-cert", str(cert)]) == 0
+
+
+def test_check_cert_leaves_an_out_of_range_index_to_the_verifier(tmp_path,
+                                                                capsys):
+    cert = _werner_paper_cert(tmp_path, lambda s: s.update(index=8))
+    assert main(["check-cert", str(cert)]) == 1
+    assert "INVALID" in capsys.readouterr().out
+
+
 def test_check_cert_integral_flag_reads_fractions_that_sum_to_integers(
         tmp_path, capsys):
     data = json.loads((FIXTURES / "werner_paper.cert").read_text("utf-8"))

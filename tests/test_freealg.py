@@ -1,5 +1,6 @@
 """Free-algebra arithmetic, parsing, the involution, and the deglex order."""
 
+import functools
 import json
 from fractions import Fraction
 
@@ -7,11 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import FIXTURES
-from opcert.certify import algebra_from_ops
+from opcert.certify import algebra_from_ops, certificate_to_dict
 from opcert.freealg import (AdjointError, AlgebraError, DegLexOrder,
                             FreeAlgebra, ParseError, add_terms,
                             compare_words)
-from opcert.statements import parse_problem
+from opcert.statements import parse_problem, run_problem
 from parse_oracle import oracle_parse
 
 
@@ -86,10 +87,13 @@ _PDEFS = {"D": _PA.parse("a·u − 1/2 s")}
 
 
 def _agrees_with_oracle(alg, text, defs=None):
-    """``alg.parse`` gives the reference value, or its exact ParseError."""
+    """``alg.parse`` gives the reference value, or its exact ParseError; the
+    render-form reader gives None or that value, with int coefficients."""
+    read = alg._read_rendered(text)
     try:
         want = oracle_parse(alg, text, defs)
     except ParseError as exc:
+        assert read is None
         with pytest.raises(ParseError) as err:
             alg.parse(text, defs)
         assert (str(err.value), err.value.position) == (str(exc), exc.position)
@@ -97,6 +101,8 @@ def _agrees_with_oracle(alg, text, defs=None):
     got = alg.parse(text, defs).terms()
     assert got == want.terms()
     assert all(type(c) is int for c in got.values() if c.denominator == 1)
+    assert read is None or (read == got and
+                            all(type(c) is int for c in read.values()))
     return got
 
 
@@ -162,9 +168,9 @@ def _expression_texts(draw, depth=2):
 
 
 @settings(max_examples=400, deadline=None)
-@given(_expression_texts())
-def test_parse_matches_oracle_on_generated_texts(text):
-    _agrees_with_oracle(_PA, text, _PDEFS)
+@given(_expression_texts(), st.booleans())
+def test_parse_matches_oracle_on_generated_texts(text, with_defs):
+    _agrees_with_oracle(_PA, text, _PDEFS if with_defs else None)
 
 
 def _fixture_expressions():
@@ -188,9 +194,8 @@ _FIXTURE_EXPRESSIONS = _fixture_expressions()
 _EDIT_TEXT = st.sampled_from(list("()+-−*·/ 0123\tabcmpq†⁻") + ["a·", "*·", "(("])
 
 
-@st.composite
-def _mutated_fixture_texts(draw):
-    alg, defs, text = draw(st.sampled_from(_FIXTURE_EXPRESSIONS))
+def _mutate(draw, text):
+    """``text`` after one to three random insertions and deletions."""
     for _ in range(draw(st.integers(1, 3))):
         i = draw(st.integers(0, len(text)))
         edit = draw(st.integers(0, 2))
@@ -200,7 +205,13 @@ def _mutated_fixture_texts(draw):
             text = text[:i] + text[i + 1:]
         else:
             text = text[:i] + text[draw(st.integers(i, len(text))):]
-    return alg, defs, text
+    return text
+
+
+@st.composite
+def _mutated_fixture_texts(draw):
+    alg, defs, text = draw(st.sampled_from(_FIXTURE_EXPRESSIONS))
+    return alg, defs, _mutate(draw, text)
 
 
 def test_parse_matches_oracle_on_fixture_expressions():
@@ -209,10 +220,59 @@ def test_parse_matches_oracle_on_fixture_expressions():
 
 
 @settings(max_examples=400, deadline=None)
-@given(_mutated_fixture_texts())
-def test_parse_matches_oracle_on_mutated_fixture_texts(case):
+@given(_mutated_fixture_texts(), st.booleans())
+def test_parse_matches_oracle_on_mutated_fixture_texts(case, with_defs):
     alg, defs, text = case
-    _agrees_with_oracle(alg, text, defs)
+    _agrees_with_oracle(alg, text, defs if with_defs else None)
+
+
+# -- the render-form reader ------------------------------------------------
+
+_HUGE = "9" * 5_000  # beyond Python's limit on converting a string to int
+
+
+@pytest.mark.parametrize("text, value", [
+    ("0", {}), ("-0", None), ("1", {(): 1}), ("-1", {(): -1}),
+    ("007·a", None), ("2²", None), ("²·a", None),
+    ("1" + "0" * 100 + "·a", {(0,): 10 ** 100}),
+    ("-3·a*·b + " + "1" * 101, {(1, 2): -3, (): int("1" * 101)}),
+    (_HUGE + "·a", None), ("a - " + _HUGE, None),
+    ("a + a", None), ("a - a", None), ("a -b", None), ("- a", None),
+    ("+a", None), ("a·", None), ("1/2·a", None), ("a − b", None),
+    ("a  + b", None), ("a + (b)", None), ("a**", None), ("", None),
+])
+def test_render_form_reader_fixed_cases(text, value):
+    assert _PA._read_rendered(text) == value
+    _agrees_with_oracle(_PA, text)
+
+
+@functools.lru_cache(maxsize=None)
+def _large_certificate_texts():
+    """The algebra and rendered expressions of ``thm2_8_iii_to_i``'s
+    certificate (4,236 terms)."""
+    problem = parse_problem(
+        (FIXTURES / "thm2_8_iii_to_i.prob").read_text("utf-8"))
+    _, report = run_problem(problem)
+    cert = next(r.certificate for r in report.results if r.certificate)
+    data = certificate_to_dict(cert)
+    texts = [data["claim"]] + [a["expr"] for a in data["assumptions"]]
+    texts += [s[side] for s in data["summands"] for side in ("left", "right")]
+    return cert.claim.alg, texts
+
+
+def test_render_form_reader_reads_a_large_certificate():
+    alg, texts = _large_certificate_texts()
+    for text in texts:
+        assert alg._read_rendered(text) is not None, text
+        _agrees_with_oracle(alg, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_render_form_reader_matches_oracle_on_mutated_certificate(data):
+    alg, texts = _large_certificate_texts()
+    _agrees_with_oracle(
+        alg, _mutate(data.draw, data.draw(st.sampled_from(texts))))
 
 
 def test_duplicate_names_rejected():
@@ -349,9 +409,9 @@ def test_render_adjoint_names():
 
 # -- algebraic laws (randomized) ----------------------------------------------------
 
-def _polys(alg, max_terms=4, max_len=3):
+def _polys(alg, max_terms=4, max_len=3, integral=False):
     words = st.lists(st.integers(0, len(alg) - 1), max_size=max_len).map(tuple)
-    coeffs = st.one_of(
+    coeffs = st.integers().filter(bool) if integral else st.one_of(
         st.integers(-3, 3).filter(bool),
         st.fractions(min_value=-2, max_value=2).filter(bool))
     return st.dictionaries(words, coeffs, max_size=max_terms).map(alg.poly)
@@ -403,3 +463,13 @@ def test_deglex_order_axioms(u, v, w, w2):
 @given(_polys(_ALG))
 def test_parse_render_identity(p):
     assert _ALG.parse(_ALG.render(p)) == p
+
+
+@settings(max_examples=300, deadline=None)
+@given(_polys(_ALG, max_terms=6, integral=True))
+def test_render_form_reader_inverts_render(p):
+    # every integral render is read without the tokenizer
+    terms = _ALG._read_rendered(_ALG.render(p))
+    assert terms is not None
+    assert terms == p._terms
+    assert all(type(c) is int for c in terms.values())
