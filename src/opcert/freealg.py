@@ -69,6 +69,11 @@ _RESERVED = set("()+-−*·/ \t\r\n")
 _RENDER_TERM = re.compile(" ([-+]) ")
 
 
+def _digits(s: str) -> bool:
+    """``s`` is a positive decimal integer as ``str`` writes it."""
+    return "1" <= s[:1] <= "9" and s.isascii() and s.isdigit()
+
+
 class FreeAlgebra:
     """Registry of named indeterminates plus polynomial constructors.
 
@@ -80,8 +85,6 @@ class FreeAlgebra:
     def __init__(self):
         self._inds: list[Indeterminate] = []
         self._by_name: dict[str, int] = {}
-        # "name" and "name*" -> the letter they denote in a run
-        self._letters: dict[str, int] = {}
 
     # -- declarations ------------------------------------------------------
 
@@ -89,11 +92,6 @@ class FreeAlgebra:
         for ind in inds:
             self._inds.append(ind)
             self._by_name[ind.name] = ind.iid
-            if "*" in ind.name:  # a partner named "x*" is read as x then *
-                continue
-            self._letters[ind.name] = ind.iid
-            if ind.adjoint is not None:
-                self._letters[ind.name + "*"] = ind.adjoint
 
     def _check_name(self, name: str) -> None:
         if not name or name[0].isdigit() or any(ch in _RESERVED for ch in name):
@@ -109,19 +107,23 @@ class FreeAlgebra:
         return ind
 
     def add_pair(self, name: str, adjoint_name: Optional[str] = None):
-        """Declare ``name`` and its adjoint partner (default ``name + "*"``)."""
+        """Declare ``name`` and its adjoint partner (default ``name + "*"``).
+
+        A partner name holds a ``*`` only as ``name + "*"``, which the
+        grammar reads as ``name`` then a star: ``render`` writes partner
+        names as they are, and ``parse`` must read them back.
+        """
         if adjoint_name is None:
             adjoint_name = name + "*"
         self._check_name(name)
         if adjoint_name == name:
             raise AlgebraError("use add_self_adjoint for self-adjoint operators")
-        # partner name may contain '*' only as a trailing marker; it is never
-        # tokenized directly, rendering relies on that
-        base = adjoint_name[:-1] if adjoint_name.endswith("*") else adjoint_name
-        if not base or base[0].isdigit() or any(ch in _RESERVED for ch in base):
-            raise AlgebraError(f"invalid indeterminate name {adjoint_name!r}")
-        if adjoint_name in self._by_name:
-            raise AlgebraError(f"duplicate indeterminate name {adjoint_name!r}")
+        if adjoint_name != name + "*":
+            if "*" in adjoint_name:
+                raise AlgebraError(
+                    f"adjoint partner {adjoint_name!r} of {name!r}: a partner "
+                    f"name may hold '*' only as {name + '*'!r}")
+            self._check_name(adjoint_name)
         i = len(self._inds)
         ind = Indeterminate(i, name, i + 1)
         adj = Indeterminate(i + 1, adjoint_name, i)
@@ -201,9 +203,9 @@ class FreeAlgebra:
         parentheses.  ``defs`` maps abbreviation names to polynomials; they are
         spliced in as atoms.
 
-        Text in ``render``'s integral form is read by ``_read_rendered``
-        without tokenizing; any other text, and every error, goes through
-        the grammar above.  Both give the same polynomial.
+        Text in ``render``'s form is read by ``_read_rendered`` without
+        tokenizing; any other text, and every error, goes through the grammar
+        above.  Both give the same polynomial.
         """
         terms = self._read_rendered(text)
         if terms is None:
@@ -223,8 +225,10 @@ class FreeAlgebra:
 
         Terms run from the largest word down, joined by ``" + "`` or
         ``" - "``; the first carries a bare ``-`` if negative.  A term is its
-        coefficient's magnitude (left out when it is 1 and the word is not
-        empty), ``·``, then the word's names joined by ``·``.
+        coefficient's magnitude as ``str`` writes it (``n`` or ``p/q`` in
+        lowest terms; left out when it is 1 and the word is not empty),
+        ``·``, then the word's names joined by ``·``.  ``_read_rendered``
+        inverts it.
         """
         if p.is_zero:
             return "0"
@@ -247,32 +251,39 @@ class FreeAlgebra:
         return " ".join(out)
 
     def _read_rendered(self, text: str) -> Optional[dict]:
-        """The term dict of ``text`` if ``render`` writes it so with integral
-        coefficients, else None; never raises.
+        """The term dict of ``text`` if it is in ``render``'s form, else None;
+        never raises.
 
         Terms are split at ``" + "``/``" - "`` and words at ``·``, each piece
-        a ``_letters`` key.  Anything else (fractions, parentheses, blanks,
-        ``−``, a repeated word, a zero, padded, non-ASCII or over-long
-        integer) gives None, and ``parse`` falls back to ``_Parser``.
+        a declared name; a term may open with an ``n`` or ``p/q`` head
+        (unpadded ASCII digits, ``q`` nonzero), stored as an int where
+        integral.  Anything else (parentheses, blanks, ``−``, a ``*`` outside
+        a declared name, a repeated word, a zero, padded, non-ASCII or
+        over-long number) gives None, and ``parse`` falls back to
+        ``_Parser``.
         """
         if text == "0":
             return {}
         parts = _RENDER_TERM.split(
             " - " + text[1:] if text[:1] == "-" else " + " + text)
-        letters = self._letters
+        names = self._by_name
         acc: dict = {}
         for i in range(1, len(parts), 2):
             pieces = parts[i + 1].split("·")
             head = pieces[0]
             c = 1
-            if "1" <= head[:1] <= "9" and head.isascii() and head.isdigit():
+            if "1" <= head[:1] <= "9":  # a name never starts with a digit
+                num, slash, den = head.partition("/")
+                if not _digits(num) or slash and not _digits(den):
+                    return None
                 try:
-                    c = int(head)
+                    c = int(num) if not slash else \
+                        normalize_coeff(Fraction(int(num), int(den)))
                 except ValueError:  # more digits than int() converts
                     return None
                 del pieces[0]
             try:
-                w = tuple([letters[p] for p in pieces])
+                w = tuple([names[p] for p in pieces])
             except KeyError:
                 return None
             if w in acc:
@@ -504,31 +515,24 @@ def compare_words(u: Word, v: Word, order: DegLexOrder) -> int:
 # ---------------------------------------------------------------------------
 
 # Tokens; blanks (space, tab, CR, LF) only separate them.
-#   run    name ([blanks] ("*" | ["·"] [blanks] name))*
-#          one word: the product of its names, each "*" taking the adjoint of
-#          the name before it
 #   name   a character outside _RESERVED and 0-9, then every character up to
 #          the next one in _RESERVED
 #   int    [0-9]+
 #   op     one of ( ) + - − * · /
 # Grammar over tokens:
 #   expr = [+|-] term ((+|-) term)*     term = factor (["·"] factor)*
-#   factor = run | (int ["/" int] | "(" expr ")") "*"*
+#   factor = (name | int ["/" int] | "(" expr ")") "*"*
 
 # token kinds: the number of the _TOKEN group that matched
-_END, _RUN, _INT, _MINUS, _PLUS, _STAR, _DOT, _SLASH, _LPAR, _RPAR = range(10)
+_END, _NAME, _INT, _MINUS, _PLUS, _STAR, _DOT, _SLASH, _LPAR, _RPAR = range(10)
 _OTHER = "".join(sorted(map(re.escape, _RESERVED)))
-_NAME = f"[^{_OTHER}0-9][^{_OTHER}]*"
-_TOKEN = re.compile(
-    f"({_NAME}(?:[ \t\r\n]*(?:\\*|·?[ \t\r\n]*{_NAME}))*)"
-    r"|([0-9]+)|([-−])|(\+)|(\*)|(·)|(/)|(\()|(\))")
-_RUN_PART = re.compile(f"{_NAME}|\\*")
+_TOKEN = re.compile(f"([^{_OTHER}0-9][^{_OTHER}]*)"
+                    r"|([0-9]+)|([-−])|(\+)|(\*)|(·)|(/)|(\()|(\))")
 
 
 class _Parser:
-    """Recursive descent over ``_TOKEN`` matches.  A term is carried as a
-    monomial ``(c, w, None)`` while it is a product of runs and numbers, and as
-    ``(_, _, terms)`` once a parenthesised sum or a ``defs`` atom enters it."""
+    """Recursive descent over ``_TOKEN`` matches; every factor is a term
+    dict, each ``*`` takes its adjoint and each product is one ``_times``."""
 
     def __init__(self, alg: FreeAlgebra, text: str,
                  defs: Mapping[str, Polynomial]):
@@ -560,9 +564,7 @@ class _Parser:
             self.pos += 1
         acc: dict = {}
         while True:
-            c, w, terms = self._term()
-            add_terms(acc, terms.items() if terms is not None
-                      else ((w, c),) if c else (), sign)
+            add_terms(acc, self._term().items(), sign)
             kind = toks[self.pos][0]
             if kind == _MINUS:
                 sign = -1
@@ -572,49 +574,15 @@ class _Parser:
                 return acc
             self.pos += 1
 
-    def _term(self):
-        toks = self.toks
-        c, w, terms = 1, EMPTY_WORD, None
+    def _term(self) -> dict:
+        terms = self._factor()
         while True:
-            kind, value, at = toks[self.pos]
-            self.pos += 1
-            for f in (self._run(value, at) if kind == _RUN
-                      else (self._atom(kind, value, at),)):
-                c, w, terms = _product(c, w, terms, *f)
-            kind = toks[self.pos][0]
+            kind = self.toks[self.pos][0]
             if kind == _DOT:
                 self.pos += 1
-            elif kind != _RUN and kind != _INT and kind != _LPAR:
-                return c, w, terms
-
-    def _run(self, run: str, at: int):
-        """The factors of a run: one word when its pieces between "·"s are
-        all in ``_letters``, else one factor per name (a ``defs`` atom is a
-        term dict)."""
-        try:
-            return ((1, tuple([self.alg._letters[p] for p in run.split("·")]),
-                     None),)
-        except KeyError:  # blanks, two stars, no partner, a def, a typo
-            pass
-        alg = self.alg
-        out: list = []
-        for m in _RUN_PART.finditer(run):
-            part = m.group()
-            if part != "*":
-                if part in alg._by_name:
-                    out.append((1, (alg._by_name[part],), None))
-                elif part in self.defs:
-                    out.append((1, EMPTY_WORD, self.defs[part]._terms))
-                else:
-                    raise self._error(f"unknown name {part!r}", at + m.start())
-                continue
-            _, w, terms = out[-1]
-            try:
-                out[-1] = ((1, (_partner(alg, w[0]),), None) if terms is None
-                           else (1, EMPTY_WORD, _adjoint_terms(alg, terms)))
-            except AdjointError as exc:
-                raise self._error(str(exc), at + m.start()) from None
-        return out
+            elif kind != _NAME and kind != _INT and kind != _LPAR:
+                return terms
+            terms = _times(terms, self._factor())
 
     def _int(self, value: str, at: int) -> int:
         try:
@@ -622,12 +590,20 @@ class _Parser:
         except ValueError:  # more digits than Python converts from a string
             raise self._error("integer literal too long", at) from None
 
-    def _atom(self, kind, value: str, at: int):
-        """A number or a parenthesised sum with its postfix stars."""
+    def _factor(self) -> dict:
+        """A name, a number or a parenthesised sum with its postfix stars."""
         toks = self.toks
-        if kind == _INT:
+        kind, value, at = toks[self.pos]
+        self.pos += 1
+        if kind == _NAME:
+            if value in self.alg._by_name:  # letters win over defs
+                terms = {(self.alg._by_name[value],): 1}
+            elif value in self.defs:
+                terms = self.defs[value]._terms
+            else:
+                raise self._error(f"unknown name {value!r}", at)
+        elif kind == _INT:
             c = self._int(value, at)
-            terms = None
             if toks[self.pos][0] == _SLASH:
                 kind, value, at = toks[self.pos + 1]
                 if kind == _END:
@@ -638,8 +614,9 @@ class _Parser:
                     raise self._error("expected nonzero integer denominator",
                                       at)
                 c = normalize_coeff(Fraction(c, den))
+            terms = {EMPTY_WORD: c} if c else {}
         elif kind == _LPAR:
-            c, terms = 1, self._expr()
+            terms = self._expr()
             kind, value, at = toks[self.pos]
             if kind == _END:
                 raise self._error("unexpected end of expression", at)
@@ -653,18 +630,8 @@ class _Parser:
         while toks[self.pos][0] == _STAR:
             at = toks[self.pos][2]
             self.pos += 1
-            if terms is not None:  # a number is its own adjoint
-                try:
-                    terms = _adjoint_terms(self.alg, terms)
-                except AdjointError as exc:
-                    raise self._error(str(exc), at) from None
-        return c, EMPTY_WORD, terms
-
-
-def _product(c, w, terms, c2, w2, terms2):
-    """``(c·w or terms) · (c2·w2 or terms2)`` as a parser value."""
-    if terms is None and terms2 is None:
-        return c * c2, w + w2, None
-    return 1, EMPTY_WORD, _times(
-        terms if terms is not None else {w: c} if c else {},
-        terms2 if terms2 is not None else {w2: c2} if c2 else {})
+            try:
+                terms = _adjoint_terms(self.alg, terms)
+            except AdjointError as exc:
+                raise self._error(str(exc), at) from None
+        return terms

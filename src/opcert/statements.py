@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Container, Iterable, Optional, Sequence
 
 from .certify import Certificate, certify
 from .freealg import (AlgebraError, DegLexOrder, FreeAlgebra, Indeterminate,
@@ -104,13 +104,15 @@ def identity_axioms(unit, neighbors: Sequence[tuple],
 
 
 def douglas_factorization(alg: FreeAlgebra, lhs: Polynomial, rhs: Polynomial,
-                          witness_name: Optional[str] = None):
+                          witness_name: Optional[str] = None,
+                          taken: Container[str] = ()):
     """Encode Ran(lhs) within Ran(rhs) as lhs = rhs.w with a fresh witness.
 
     Returns ``(witness, lhs - rhs*w)``; the witness indeterminate is created
-    together with a fresh adjoint partner.
+    together with a fresh adjoint partner.  An automatic witness name avoids
+    ``taken`` (a problem's defs) as well as the declared names.
     """
-    name = witness_name or fresh_name(alg)
+    name = witness_name or fresh_name(alg, taken=taken)
     w, _ = alg.add_pair(name)
     return w, lhs - rhs * alg.monomial((w.iid,))
 
@@ -119,17 +121,22 @@ def hermitian_condition(x: Polynomial) -> Polynomial:
     return x.adjoint() - x
 
 
-def ep_condition(alg: FreeAlgebra, x: Polynomial) -> list:
+def ep_condition(alg: FreeAlgebra, x: Polynomial,
+                 taken: Container[str] = ()) -> list:
     """xR = x*R via two factorization witnesses: x = x*.s and x* = x.t."""
     xs = x.adjoint()
-    s, p1 = douglas_factorization(alg, x, xs)
-    t, p2 = douglas_factorization(alg, xs, x)
+    s, p1 = douglas_factorization(alg, x, xs, taken=taken)
+    t, p2 = douglas_factorization(alg, xs, x, taken=taken)
     return [(s, p1), (t, p2)]
 
 
-def fresh_name(alg: FreeAlgebra, stem: str = "w") -> str:
+def fresh_name(alg: FreeAlgebra, stem: str = "w",
+               taken: Container[str] = ()) -> str:
+    """The first ``stem + k`` that, with its partner ``stem + k + "*"``,
+    names neither an indeterminate of ``alg`` nor anything in ``taken``."""
     k = 1
-    while f"{stem}{k}" in alg._by_name or f"{stem}{k}*" in alg._by_name:
+    while any(n in alg._by_name or n in taken
+              for n in (f"{stem}{k}", f"{stem}{k}*")):
         k += 1
     return f"{stem}{k}"
 
@@ -628,7 +635,7 @@ def _expand_macro(problem, macro, args):
         lhs, rhs = _expr(problem, lhs_s.strip()), _expr(problem, rhs_s.strip())
         if flip:
             lhs, rhs = rhs, lhs
-        w, p = douglas_factorization(alg, lhs, rhs, witness)
+        w, p = douglas_factorization(alg, lhs, rhs, witness, problem.defs)
         return [(f"douglas({w.name})", p)]
     if macro == "hermitian":
         x = _expr(problem, args.strip())
@@ -636,7 +643,7 @@ def _expand_macro(problem, macro, args):
     if macro == "ep":
         x = _expr(problem, args.strip())
         out = []
-        for w, p in ep_condition(alg, x):
+        for w, p in ep_condition(alg, x, problem.defs):
             out.append((f"ep({args.strip()},{w.name})", p))
         return out
     raise AlgebraError(f"unknown macro {macro}")

@@ -1,11 +1,11 @@
 """Reference expression parser: one token per letter, one polynomial product
 per ``·``.
 
-``FreeAlgebra.parse`` reads a run of letters as one word and multiplies
-monomials as tuples.  ``test_freealg`` checks it against this parser, which
-builds every letter as a ``Polynomial`` and every product with
-``Polynomial.__mul__``: both must give equal polynomials, or the same
-``ParseError`` message and position.
+``FreeAlgebra.parse`` reads text in ``render``'s form without tokenizing
+and any other text with a grammar over term dicts.  ``test_freealg`` checks
+it against this parser, which builds every letter as a ``Polynomial`` and
+every product with ``Polynomial.__mul__``: both must give equal
+polynomials, or the same ``ParseError`` message and position.
 """
 
 from fractions import Fraction

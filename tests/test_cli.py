@@ -384,6 +384,32 @@ def test_check_cert_rejects_contradictory_ops_table(tmp_path, capsys, ops,
         f"error: {bad}: {message}\n"
 
 
+_STARRED_PARTNER = ("adjoint partner 'y*' of 'x': a partner name may hold "
+                    "'*' only as 'x*'")
+
+
+def test_certify_refuses_a_problem_with_a_starred_partner(tmp_path, capsys):
+    # certify used to write "claim": "y*·x·x - y*·x", which check-cert
+    # could not read back
+    bad = tmp_path / "starred.prob"
+    bad.write_text("[ops]\nx adjoint y*\n[assume]\nf1 = x*·x − x*\n"
+                   "[claim]\nc = x*·x·x − x*·x\n", encoding="utf-8")
+    assert _input_error(capsys, ["certify", str(bad), "--output",
+                                 str(tmp_path)]) == \
+        f"error: line 2: {_STARRED_PARTNER}\n"
+    assert not list(tmp_path.glob("*.cert"))
+
+
+def test_check_cert_rejects_a_starred_partner_in_the_ops_table(tmp_path,
+                                                              capsys):
+    bad = tmp_path / "ops.cert"
+    bad.write_text(_ops_cert([{"name": "x", "adjoint": "y*"},
+                              {"name": "b", "adjoint": "a"}]),
+                   encoding="utf-8")
+    assert _input_error(capsys, ["check-cert", str(bad)]) == \
+        f"error: {bad}: {_STARRED_PARTNER}\n"
+
+
 def test_check_cert_reads_each_pair_listed_from_both_sides(tmp_path, capsys):
     cert = tmp_path / "ops.cert"
     cert.write_text(_ops_cert([{"name": "a", "adjoint": "b"},

@@ -82,13 +82,13 @@ _PA.add_pair("b", "b†")
 _PA.add_self_adjoint("s")
 _PA.add("u")                  # no partner: a star on it is an error
 _PA.add("u⁻")
-_PA.add_pair("x", "y*")       # "y*" is only x's partner: "y" names nothing
 _PDEFS = {"D": _PA.parse("a·u − 1/2 s")}
 
 
 def _agrees_with_oracle(alg, text, defs=None):
     """``alg.parse`` gives the reference value, or its exact ParseError; the
-    render-form reader gives None or that value, with int coefficients."""
+    render-form reader gives None or that value.  Both store an integral
+    coefficient as an int."""
     read = alg._read_rendered(text)
     try:
         want = oracle_parse(alg, text, defs)
@@ -101,8 +101,8 @@ def _agrees_with_oracle(alg, text, defs=None):
     got = alg.parse(text, defs).terms()
     assert got == want.terms()
     assert all(type(c) is int for c in got.values() if c.denominator == 1)
-    assert read is None or (read == got and
-                            all(type(c) is int for c in read.values()))
+    assert read is None or (read == got and all(
+        type(c) is int for c in read.values() if c.denominator == 1))
     return got
 
 
@@ -112,7 +112,6 @@ def _agrees_with_oracle(alg, text, defs=None):
     ("(a·b)*", "b†·a*"),
     ("2 a·D·b*", "2 a·a·u·b† − a·s·b†"),
     ("1/2·a + 1/2 a", "a"),
-    ("x*·x", "x* x"),
 ])
 def test_parse_fixed_cases(text, value):
     assert _agrees_with_oracle(_PA, text, _PDEFS) == _PA.parse(value).terms()
@@ -123,7 +122,6 @@ def test_parse_fixed_cases(text, value):
     ("a·b u *", "indeterminate 'u' has no adjoint", 6),
     ("a·D* b", "indeterminate 'u' has no adjoint", 3),
     ("b·ab", "unknown name 'ab'", 2),
-    ("x·y*", "unknown name 'y'", 2),
     ("a··b", "unexpected '·'", 2),
     ("3/ a", "expected nonzero integer denominator", 3),
     ("(a b", "unexpected end of expression", 4),
@@ -134,6 +132,23 @@ def test_parse_errors_in_letter_runs(text, message, position):
     assert (str(err.value), err.value.position) == \
         (f"{message} (at offset {position})", position)
     _agrees_with_oracle(_PA, text, _PDEFS)
+
+
+@pytest.mark.parametrize("text", ["x·y*", "x*·x"])
+def test_add_pair_refuses_a_starred_partner_other_than_name_star(text):
+    # render would write x's partner "y*", which the grammar reads as y, *
+    A = FreeAlgebra()
+    for partner in ("y*", "x**", "*x", "y*z"):
+        with pytest.raises(AlgebraError) as err:
+            A.add_pair("x", partner)
+        assert str(err.value) == (f"adjoint partner {partner!r} of 'x': a "
+                                  "partner name may hold '*' only as 'x*'")
+    assert len(A) == 0
+    A.add_pair("x", "x*")
+    A.add_pair("a†", "a†*")
+    assert A.names == ["x", "x*", "a†", "a†*"]
+    _agrees_with_oracle(A, text)
+    _agrees_with_oracle(A, A.render(A.parse("x*·x·a†*")))
 
 
 # repeats weight the draw towards texts that parse
@@ -238,8 +253,16 @@ _HUGE = "9" * 5_000  # beyond Python's limit on converting a string to int
     ("-3·a*·b + " + "1" * 101, {(1, 2): -3, (): int("1" * 101)}),
     (_HUGE + "·a", None), ("a - " + _HUGE, None),
     ("a + a", None), ("a - a", None), ("a -b", None), ("- a", None),
-    ("+a", None), ("a·", None), ("1/2·a", None), ("a − b", None),
-    ("a  + b", None), ("a + (b)", None), ("a**", None), ("", None),
+    ("+a", None), ("a·", None), ("1/2·a", {(0,): Fraction(1, 2)}),
+    ("a − b", None), ("a  + b", None), ("a + (b)", None), ("a**", None),
+    ("", None),
+    ("-3/2", {(): Fraction(-3, 2)}),
+    ("a - 1/3·b", {(0,): 1, (2,): Fraction(-1, 3)}),
+    ("2/4·a", {(0,): Fraction(1, 2)}), ("4/2·a", {(0,): 2}),
+    ("1/0·a", None), ("01/2·a", None), ("1/02·a", None), ("1/2/3·a", None),
+    ("1/·a", None), ("/2·a", None), ("0/2·a", None), ("1/2²·a", None),
+    (_HUGE + "/2·a", None), ("1/" + _HUGE + "·a", None),
+    ("a - 3/" + _HUGE, None),
 ])
 def test_render_form_reader_fixed_cases(text, value):
     assert _PA._read_rendered(text) == value
@@ -263,6 +286,14 @@ def _large_certificate_texts():
 def test_render_form_reader_reads_a_large_certificate():
     alg, texts = _large_certificate_texts()
     for text in texts:
+        assert alg._read_rendered(text) is not None, text
+        _agrees_with_oracle(alg, text)
+
+
+def test_render_form_reader_reads_a_large_certificate_scaled_by_a_third():
+    alg, texts = _large_certificate_texts()
+    for text in texts:
+        text = alg.render(alg.parse(text).scaled(Fraction(1, 3)))
         assert alg._read_rendered(text) is not None, text
         _agrees_with_oracle(alg, text)
 
@@ -466,10 +497,11 @@ def test_parse_render_identity(p):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_polys(_ALG, max_terms=6, integral=True))
+@given(st.one_of(_polys(_ALG, max_terms=6),
+                 _polys(_ALG, max_terms=6, integral=True)))
 def test_render_form_reader_inverts_render(p):
-    # every integral render is read without the tokenizer
+    # every render is read without the tokenizer
     terms = _ALG._read_rendered(_ALG.render(p))
     assert terms is not None
     assert terms == p._terms
-    assert all(type(c) is int for c in terms.values())
+    assert all(type(c) is int for c in terms.values() if c.denominator == 1)

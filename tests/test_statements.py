@@ -266,14 +266,22 @@ def test_problem_duplicate_and_clashing_names():
         parse_problem("[ops]\na\n[assume]\nf = a\nf = a + a\n")
 
 
-def test_fresh_witness_named_like_a_def_is_rejected():
-    # douglas's fresh witness would be w1, which the claim means as the def
-    text = ("[ops]\na adjoint\nb adjoint\n[defs]\nw1 = a·a*\n"
-            "[assume]\ndouglas(a ⊆ b)\n[claim]\ng = w1 − a·a*\n")
+def test_auto_named_witness_skips_a_def_of_that_name():
+    # the claim means the def w1, so douglas's fresh witness becomes w2
+    text = ("[ops]\na adjoint\nb adjoint\n[defs]\n{name} = a·a*\n"
+            "[assume]\ndouglas(a ⊆ b{witness})\nep(a)\n"
+            "[claim]\ng = {name} − a·a*\n")
+    problem = parse_problem(text.format(name="w1", witness=""))
+    assert [n for n, _ in problem.assumptions] == \
+        ["douglas(w2)", "ep(a,w3)", "ep(a,w4)"]
+    problem = parse_problem(text.format(name="v1", witness=""))
+    assert [n for n, _ in problem.assumptions] == \
+        ["douglas(w1)", "ep(a,w2)", "ep(a,w3)"]
+    # a witness named explicitly is taken as written
     with pytest.raises(ProblemFileError) as err:
-        parse_problem(text)
+        parse_problem(text.format(name="w1", witness=", witness w1"))
     assert err.value.line_no == 7
-    assert "'w1'" in str(err.value)
+    assert str(err.value) == "line 7: name 'w1' already taken"
 
 
 def test_operator_declared_after_a_def_of_its_name_is_rejected():
