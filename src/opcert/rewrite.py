@@ -28,7 +28,7 @@ from __future__ import annotations
 import heapq
 import operator
 import time
-from bisect import bisect_right, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
@@ -95,8 +95,21 @@ def _div(c, lc):
 # Normal forms
 # ---------------------------------------------------------------------------
 
+# the key, beside the letters, under which a trie node holds the completion
+# engine's list of the active leads that its word is a proper prefix of
+_PREFIXED = "prefixed"
+
+
 class _Reducer:
-    """Heap-driven full normal form against a maintained lead table.
+    """Heap-driven full normal form against a trie of leading words.
+
+    ``trie`` is the root node.  A node maps a letter to the node of its word
+    extended by that letter.  A lead's entry ``(index, lead_coeff,
+    rank_key)`` is its node itself when no other lead extends it (a leaf),
+    else it sits under key ``None`` of its node; the root's ``None`` holds
+    the empty lead.  The completion engine keeps its prefix lists under
+    ``_PREFIXED`` of the nodes.  A node left empty is pruned, and a node
+    left holding only its lead folds back into the leaf.
 
     Tie-break: rewrite the order-largest reducible monomial first; within it,
     the leftmost occurrence of the order-largest matching leading word; equal
@@ -108,51 +121,108 @@ class _Reducer:
         # letter -> minus its rank, so that a heap pops the largest word first
         self._negrank = operator.neg if order.ranking is None else \
             tuple(-r for r in order.ranking).__getitem__
-        self.leadmap: dict = {}
-        self._len_counts: dict = {}
-        self.lengths: tuple = ()  # the distinct lead lengths, descending
+        self.trie: dict = {}
+
+    def path(self, w: Word) -> list:
+        """The nodes of ``w[:0], w[:1], ...`` as far as the trie holds them
+        (the last may be a leaf)."""
+        node = self.trie
+        out = [node]
+        for c in w:
+            if node.__class__ is tuple:
+                break
+            node = node.get(c)
+            if node is None:
+                break
+            out.append(node)
+        return out
+
+    def prune(self, w: Word, path: list) -> None:
+        """Drop the nodes of ``path`` (see ``path``) that were left empty,
+        deepest first, and fold a node left with only its lead into the
+        leaf."""
+        for k in range(len(path) - 1, 0, -1):
+            node = path[k]
+            if node.__class__ is tuple:
+                return
+            if node:
+                if len(node) == 1 and None in node:
+                    path[k - 1][w[k - 1]] = node[None]
+                return
+            del path[k - 1][w[k - 1]]
 
     def set_entry(self, w: Word, idx: int, lc) -> None:
-        cur = self.leadmap.get(w)
-        if cur is None:
-            n = self._len_counts.get(len(w), 0)
-            self._len_counts[len(w)] = n + 1
-            if not n:
-                self.lengths = tuple(sorted(self._len_counts, reverse=True))
-        elif idx >= cur[0]:
-            return
-        self.leadmap[w] = (idx, lc, self.key(w)[1])
+        """Enter lead ``w`` of ``idx``, unless a lower index holds it."""
+        entry = (idx, lc, self.key(w)[1])
+        node = self.trie
+        last = len(w) - 1
+        for k, c in enumerate(w):
+            child = node.get(c)
+            if child is None:
+                if k == last:
+                    node[c] = entry
+                    return
+                child = node[c] = {}
+            elif child.__class__ is tuple:
+                if k == last:
+                    if idx < child[0]:
+                        node[c] = entry
+                    return
+                child = node[c] = {None: child}
+            node = child
+        cur = node.get(None)
+        if cur is None or idx < cur[0]:
+            node[None] = entry
 
     def del_entry(self, w: Word) -> None:
-        if w in self.leadmap:
-            del self.leadmap[w]
-            n = self._len_counts[len(w)]
-            if n == 1:
-                del self._len_counts[len(w)]
-                self.lengths = tuple(sorted(self._len_counts, reverse=True))
-            else:
-                self._len_counts[len(w)] = n - 1
+        """Remove lead ``w``, if entered, and prune the trie."""
+        path = self.path(w)
+        if len(path) <= len(w):
+            return
+        node = path[-1]
+        if node.__class__ is tuple:
+            del path[-2][w[-1]]
+            path.pop()
+        elif node.pop(None, None) is None:
+            return
+        self.prune(w, path)
 
     def find_best_match(self, w: Word):
         """The reduction site in ``w`` under the tie-break above, as
         ``(pos, lead_length, index, lead_coeff)``, or ``None``.
 
-        ``leadmap`` values are ``(index, lead_coeff, rank_key)``; only an
-        equal word has an equal rank key, so ``>`` keeps the leftmost site.
+        Walks the trie from each position of ``w`` and keeps the longest
+        hit, then the one with the order-largest rank key; only an equal word
+        has an equal rank key, so ``>`` keeps the leftmost site.  A position
+        with fewer letters left than the best hit is not walked.
         """
-        leadmap = self.leadmap
+        root = self.trie
+        best = root.get(None)  # the empty lead, at position 0
+        size = at = 0
         n = len(w)
-        for L in self.lengths:
-            if L > n:
-                continue
-            best = None
-            for pos in range(n - L + 1):
-                hit = leadmap.get(w[pos:pos + L])
-                if hit is not None and (best is None or hit[2] > best[2]):
-                    best, at = hit, pos
-            if best is not None:
-                return at, L, best[0], best[1]
-        return None
+        for pos in range(n):
+            if n - pos < size:
+                break
+            node = root
+            t = pos
+            while t < n:
+                node = node.get(w[t])
+                if node is None:
+                    break
+                t += 1
+                if node.__class__ is tuple:  # a leaf: no lead below it
+                    hit = node
+                elif None in node:
+                    hit = node[None]
+                else:
+                    continue
+                if t - pos > size or t - pos == size and hit[2] > best[2]:
+                    best, size, at = hit, t - pos, pos
+                if hit is node:
+                    break
+        if best is None:
+            return None
+        return at, size, best[0], best[1]
 
     def _neg_key(self, w):
         return (-len(w), tuple(map(self._negrank, w)))
@@ -166,7 +236,7 @@ class _Reducer:
         Returns False if the deadline struck before the normal form was
         reached (terms are then left mid-reduction).
         """
-        if not self.leadmap:
+        if not self.trie:
             return True
         neg_key = self._neg_key
         heap = [(neg_key(w), w) for w in terms]
@@ -227,6 +297,30 @@ def reduce(p: Polynomial, basis: Sequence[Polynomial],
 # the one negative letter of an element context word ``l + _CONTEXT + r``
 _CONTEXT = (-1,)
 
+def _paddings(u: Word, v: Word, a: int, b: int) -> tuple:
+    """The words ``(li, ri, lj, rj)`` with ``li.u.ri == lj.v.rj``, the
+    overlap word of a queue row, from ``a = len(li)`` and ``b = len(lj)``.
+
+    One of the two leads starts the overlap word, so ``a`` or ``b`` is 0;
+    the other lead then supplies the padding on both sides.
+    """
+    if a:
+        return v[:a], v[a + len(u):], (), u[len(v) - a:]
+    return (), v[len(u) - b:], u[:b], u[b + len(v):]
+
+
+def _unlist(table: dict, key, idx: int, n: int, lead_len) -> None:
+    """Remove ``idx``, whose lead has ``n`` letters, from ``table[key]``, a
+    list ordered by (lead length, index); drop the key with its last index.
+    Two bisects find the leads of ``n`` letters, a third finds ``idx``."""
+    lst = table[key]
+    if len(lst) == 1:
+        del table[key]
+    else:
+        lo = bisect_left(lst, n, key=lead_len)
+        hi = bisect_right(lst, n, lo, key=lead_len)
+        del lst[bisect_left(lst, idx, lo, hi)]
+
 
 class _Element:
     __slots__ = ("terms", "lead", "steps")
@@ -252,20 +346,21 @@ class CompletionEngine:
     index).  Elements whose lead becomes reducible by a newer lead are retired
     and their normal forms re-enter the basis, so the active lead set stays
     interreduced: each active lead word belongs to exactly one element, and
-    the reducer's ``leadmap`` is the table of active leads.  Three hash
-    indexes of the active leads map a word to the list of active indices
-    whose lead has it as a proper prefix (``_prefixes``), as a proper suffix
+    the reducer's trie holds exactly the active leads.  Three indexes map a
+    word to the list of active indices whose lead has it as a proper prefix
+    (on the word's trie node, under ``_PREFIXED``), as a proper suffix
     (``_suffixes``) or as a two-letter factor (``_digrams``).  Prefix and
     suffix lists are ordered by (lead length, index), so the partners beyond
     ``max_degree`` form one tail of each list, which is only counted; digram
     lists are ascending.  A new lead finds its overlap partners through the
     first two.  Only a raw generator's lead can have active leads as
-    factors: every other new lead is a normal form, so ``leadmap`` is
-    searched for factor partners only for the generators.  The leads a new
-    lead retires all hold each of its two-letter factors, so ``_digrams``
+    factors: every other new lead is a normal form, so the trie is searched
+    for factor partners only for the generators.  The leads a new lead
+    retires all hold each of its two-letter factors, so ``_digrams``
     narrows their search.
 
-    Queue entries are raw rows (degree, seq, i, j, li, ri, lj, rj).
+    Queue entries are rows ``(degree, seq, i, j, len(li), len(lj))``;
+    ``_paddings`` rebuilds the padding words from the two leads.
     """
 
     def __init__(self, generators, order: DegLexOrder,
@@ -279,9 +374,8 @@ class CompletionEngine:
         self._lead_lens: list = []
         self.queue: list = []
         self._active: dict = {}   # idx -> lead word (insertion ordered)
-        # proper prefix / suffix of an active lead -> idx list ordered by
-        # (lead length, idx)
-        self._prefixes: dict = {}
+        # proper suffix of an active lead -> idx list ordered by
+        # (lead length, idx); the prefix lists live on the reducer's trie
         self._suffixes: dict = {}
         # two-letter factor of an active lead -> ascending idx list, each
         # idx once however often the factor recurs in its lead
@@ -308,26 +402,19 @@ class CompletionEngine:
 
     # -- lead bookkeeping ----------------------------------------------------
 
-    def _index_keys(self, w: Word):
-        """``(table, key)`` for each lead-index entry of the lead ``w``."""
-        n = len(w)
-        for k in range(1, n):
-            yield self._prefixes, w[:k]
-            yield self._suffixes, w[n - k:]
-        for key in set(zip(w, w[1:])):  # each w[t:t + 2] once
-            yield self._digrams, key
-
     def _activate(self, idx: int, w: Word) -> None:
         """Enter ``idx`` with lead ``w`` into the active set, the reducer
         and the lead indexes.  ``idx`` is the newest index, so it goes after
         every lead no longer than ``w`` and the lists keep their order."""
         self._active[idx] = w
-        self.reducer.set_entry(w, idx, 1)
-        prefixes, suffixes = self._prefixes, self._suffixes
+        reducer = self.reducer
+        reducer.set_entry(w, idx, 1)
+        path = reducer.path(w)
+        suffixes = self._suffixes
         lead_len = self._lead_lens.__getitem__
         n = len(w)
         for k in range(1, n):
-            insort(prefixes.setdefault(w[:k], []), idx, key=lead_len)
+            insort(path[k].setdefault(_PREFIXED, []), idx, key=lead_len)
             insort(suffixes.setdefault(w[n - k:], []), idx, key=lead_len)
         digrams = self._digrams
         for key in set(zip(w, w[1:])):  # each w[t:t + 2] once
@@ -335,13 +422,25 @@ class CompletionEngine:
 
     def _deactivate(self, idx: int) -> None:
         """Drop ``idx`` from the active set and the lead indexes (the
-        reducer entry is the caller's business)."""
-        for table, key in self._index_keys(self._active.pop(idx)):
-            lst = table[key]
+        reducer entry is the caller's business; ``interreduce`` deletes it
+        first, so the trie nodes left empty here are pruned)."""
+        w = self._active.pop(idx)
+        reducer = self.reducer
+        path = reducer.path(w)
+        suffixes = self._suffixes
+        lead_len = self._lead_lens.__getitem__
+        n = len(w)
+        for k in range(1, n):
+            _unlist(path[k], _PREFIXED, idx, n, lead_len)
+            _unlist(suffixes, w[n - k:], idx, n, lead_len)
+        digrams = self._digrams
+        for key in set(zip(w, w[1:])):  # each w[t:t + 2] once
+            lst = digrams[key]
             if len(lst) == 1:
-                del table[key]
+                del digrams[key]
             else:
-                lst.remove(idx)
+                del lst[bisect_left(lst, idx)]
+        reducer.prune(w, path)
 
     def _retire(self, idx: int) -> None:
         self._deactivate(idx)
@@ -373,8 +472,8 @@ class CompletionEngine:
             self._requeue.append(m)
         # queue obstructions against the still-active leads, then self
         self._push_rows(idx, self._pair_rows(lead, unreduced))
-        self._push_rows(idx, [(idx,) + row
-                              for row in _kernel_py.self_overlaps(lead)])
+        self._push_rows(idx, [(idx, 0, len(lj), len(overlap)) for _, _, lj, _,
+                              overlap in _kernel_py.self_overlaps(lead)])
         self._activate(idx, lead)
         return idx
 
@@ -392,70 +491,80 @@ class CompletionEngine:
         return _kernel_py.find_retirees(lead, [(i, active[i]) for i in fewest])
 
     def _pair_rows(self, v: Word, unreduced: bool) -> list:
-        """Rows ``_kernel_py.batch_overlaps(v, active leads)`` would give, in
-        its order, less those above ``max_degree``, which are only counted.
+        """Rows ``(i, len(li), len(lj), degree)`` of the overlaps that
+        ``_kernel_py.batch_overlaps(v, active leads)`` would give, in its
+        order, less those above ``max_degree``, which are only counted.
 
         A partner ``u`` overlapping ``v`` in ``k`` letters fits iff
         ``len(u) <= max_degree - len(v) + k``; the prefix and suffix lists
         are ordered by lead length, so one ``bisect_right`` splits each into
-        the partners that fit and the tail that is counted.  No active lead
+        the partners that fit and the tail that is counted.  The prefix list
+        of each suffix of ``v`` is found by walking the trie.  No active lead
         contains ``v`` (those were just retired), so the containments left
         are active leads that are factors of ``v``, including an empty lead;
         they are searched only if ``v`` is ``unreduced``, since a normal
-        form has no active lead as a factor.
+        form has no active lead as a factor.  Rows are made in the scan's
+        order for each partner, so a stable sort by partner finishes them.
         """
         nv = len(v)
         maxdeg = self.limits.max_degree
         room = maxdeg - nv
-        active = self._active
-        prefixes, suffixes = self._prefixes, self._suffixes
+        trie = self.reducer.trie
+        suffixes = self._suffixes
         lead_len = self._lead_lens.__getitem__
         skipped = 0
-        hits = []  # (i, k, orientation, row): the kernel's order per i
+        rows = []
         for k in range(1, nv):
             lst = suffixes.get(v[:k])
             if lst:
                 cut = bisect_right(lst, room + k, key=lead_len)
                 skipped += len(lst) - cut
                 for i in lst[:cut]:
-                    u = active[i]
-                    hits.append((i, k, 0, ((), v[k:], u[:len(u) - k], (),
-                                           u + v[k:])))
-            lst = prefixes.get(v[nv - k:])
-            if lst:
-                cut = bisect_right(lst, room + k, key=lead_len)
-                skipped += len(lst) - cut
-                for i in lst[:cut]:
-                    u = active[i]
-                    hits.append((i, k, 1, (v[:nv - k], (), (), u[k:],
-                                           v + u[k:])))
+                    nu = lead_len(i)
+                    rows.append((i, 0, nu - k, nu + nv - k))
+            node = trie  # to the node of v's last k letters
+            for c in v[nv - k:]:
+                node = node.get(c)
+                if node is None or node.__class__ is tuple:
+                    break
+            else:
+                lst = node.get(_PREFIXED)
+                if lst:
+                    cut = bisect_right(lst, room + k, key=lead_len)
+                    skipped += len(lst) - cut
+                    for i in lst[:cut]:
+                        rows.append((i, nv - k, 0, nv + lead_len(i) - k))
         if unreduced:
-            leadmap = self.reducer.leadmap
-            for n in range(nv):
-                for t in range(nv - n + 1):
-                    hit = leadmap.get(v[t:t + n])
-                    if hit is None:
-                        continue
-                    if nv > maxdeg:
-                        skipped += 1
-                    else:  # after every overlap row of i: nv > any k
-                        hits.append((hit[0], nv, t,
-                                     (v[:t], v[t + n:], (), (), v)))
+            empty = trie.get(None)
+            for t in range(nv + 1):
+                hits = [] if empty is None else [empty]
+                node = trie
+                for c in v[t:]:
+                    node = node.get(c)
+                    if node is None:
+                        break
+                    if node.__class__ is tuple:
+                        hits.append(node)
+                        break
+                    if None in node:
+                        hits.append(node[None])
+                if nv > maxdeg:
+                    skipped += len(hits)
+                else:  # after every overlap row of a partner: nv > any k
+                    rows += [(hit[0], t, 0, nv) for hit in hits]
         self.stats.obstructions_skipped_degree += skipped
-        hits.sort()
-        return [(i,) + row for i, _, _, row in hits]
+        rows.sort(key=operator.itemgetter(0))
+        return rows
 
     def _push_rows(self, j: int, rows) -> None:
         maxdeg = self.limits.max_degree
         queue = self.queue
         seq = self._seq
-        for row in rows:
-            i, li, ri, lj, rj, overlap = row
-            deg = len(overlap)
+        for i, a, b, deg in rows:
             if deg > maxdeg:
                 self.stats.obstructions_skipped_degree += 1
                 continue
-            heapq.heappush(queue, (deg, seq, i, j, li, ri, lj, rj))
+            heapq.heappush(queue, (deg, seq, i, j, a, b))
             seq += 1
         self._seq = seq
 
@@ -519,11 +628,14 @@ class CompletionEngine:
             self._process_requeue()
             if not self.queue or self._check_limits():
                 return False
-            _, _, i, j, li, ri, lj, rj = heapq.heappop(self.queue)
+            _, _, i, j, a, b = heapq.heappop(self.queue)
             # a retired partner cannot survive into the final basis, so its
             # obstruction is moot
-            if i not in active or j not in active:
+            u = active.get(i)
+            v = active.get(j)
+            if u is None or v is None:
                 continue
+            li, ri, lj, rj = _paddings(u, v, a, b)
             self.stats.obstructions_processed += 1
             terms: dict = {}
             add_terms(terms, elements[i].terms.items(), 1, li, ri)

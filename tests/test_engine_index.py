@@ -2,8 +2,9 @@
 against full scans.
 
 ``ScanEngine`` finds overlap partners the way the kernel's reference scan
-does: ``batch_overlaps`` of the new lead against every active lead, filtered
-at ``max_degree`` by ``_push_rows``.  It scans for active leads inside every
+does: ``batch_overlaps`` of the new lead against every active lead, its rows
+cut to the queue's ``(i, len(li), len(lj), degree)`` and filtered at
+``max_degree`` by ``_push_rows``.  It scans for active leads inside every
 new lead, where the indexed engine looks for them only in the generators'
 leads, so the lockstep run also shows that a reduced lead holds none.  It
 finds the leads a new lead retires by ``find_retirees`` over every active
@@ -27,6 +28,7 @@ from opcert.rewrite import CompletionEngine, CompletionLimits, TraceStep
 from opcert.statements import load_problem, translate
 
 from conftest import FIXTURES
+from match_oracle import trie_contents
 
 
 class ScanEngine(CompletionEngine):
@@ -48,7 +50,8 @@ class ScanEngine(CompletionEngine):
                 index = "suffix" if li == () else "prefix"
                 fate = "kept" if len(overlap) == maxdeg else "skipped"
                 self.events[f"{index}_cut_{fate}"] += 1
-        return rows
+        return [(i, len(li), len(lj), len(overlap))
+                for i, li, _, lj, _, overlap in rows]
 
     def _retirees(self, lead):
         retirees = _kernel_py.find_retirees(lead, self._active.items())
@@ -80,7 +83,7 @@ class IndexedEngine(CompletionEngine):
 
     def _pair_rows(self, v, unreduced):
         rows = super()._pair_rows(v, unreduced)
-        assert all(len(row[5]) <= self.limits.max_degree for row in rows)
+        assert all(deg <= self.limits.max_degree for *_, deg in rows)
         return rows
 
 
@@ -106,11 +109,12 @@ def assert_same_state(indexed, scan):
     assert indexed.queue == scan.queue
     assert indexed.stats == scan.stats
     assert indexed.active_indices() == scan.active_indices()
-    assert (indexed._prefixes, indexed._suffixes, indexed._digrams) == \
+    prefixed = trie_contents(indexed.reducer.trie)[1]
+    assert (prefixed, indexed._suffixes, indexed._digrams) == \
         rebuilt_indexes(indexed)
-    # the reducer's lead table holds exactly the active leads, one each
+    # the reducer's trie holds exactly the active leads, one each
     for e in (indexed, scan):
-        assert {w: hit[0] for w, hit in e.reducer.leadmap.items()} == \
+        assert trie_contents(e.reducer.trie)[0] == \
             {e.elements[k].lead: k for k in e.active_indices()}
 
 

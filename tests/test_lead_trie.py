@@ -1,0 +1,120 @@
+"""The reducer's lead trie and the completion queue's compact rows.
+
+``find_best_match`` is checked against a brute-force listing of every lead
+factor, on lead tables that need not be interreduced, after entries were
+deleted again.  The queue's padding helper is checked against the kernel's
+overlap scans.  A constant lead must match the empty word: without that
+match a completion whose ideal contains 1 appends its constant element
+forever, so those tests stop at a small element count instead of hanging.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from opcert import _kernel_py
+from opcert.freealg import DegLexOrder, FreeAlgebra
+from opcert.rewrite import (COMPLETE, CompletionEngine, CompletionLimits,
+                            TraceStep, _paddings, _Reducer, reduce)
+
+from match_oracle import best_match, trie_contents
+
+
+def words(letters, max_size):
+    return st.lists(st.integers(0, letters - 1), max_size=max_size).map(tuple)
+
+
+@st.composite
+def lead_tables(draw):
+    """A ranking, a sequence of entries and deletions, and query words."""
+    letters = draw(st.integers(1, 3))
+    ranking = draw(st.none() | st.permutations(range(letters)).map(tuple))
+    # (index, word) enters a lead, (None, word) deletes one; a repeated word
+    # makes equal leads, a word extending another makes a prefix lead
+    ops = draw(st.lists(st.tuples(st.none() | st.integers(0, 9),
+                                  words(letters, 4)), max_size=12))
+    queries = draw(st.lists(words(letters, 8), min_size=1, max_size=6))
+    return ranking, ops, queries
+
+
+@settings(max_examples=300, deadline=None)
+@given(lead_tables())
+def test_find_best_match_equals_brute_force(case):
+    ranking, ops, queries = case
+    order = DegLexOrder(ranking)
+    red = _Reducer(order)
+    table = {}  # lead word -> (index, lead_coeff), the lowest index kept
+    for idx, w in ops:
+        if idx is None:
+            red.del_entry(w)
+            table.pop(w, None)
+        else:
+            red.set_entry(w, idx, idx + 2)
+            if w not in table or idx < table[w][0]:
+                table[w] = (idx, idx + 2)
+        assert trie_contents(red.trie) == \
+            ({w: hit[0] for w, hit in table.items()}, {})
+    for w in queries + [w for _, w in ops]:
+        assert red.find_best_match(w) == best_match(table, w, order.key)
+
+
+@settings(max_examples=300, deadline=None)
+@given(words(3, 6), words(3, 6))
+def test_paddings_rebuild_the_overlap_rows(u, v):
+    rows = [(u,) + row[1:] for row in _kernel_py.batch_overlaps(v, [(0, u)])]
+    rows += [(v,) + row for row in _kernel_py.self_overlaps(v)]
+    for lead, li, ri, lj, rj, overlap in rows:
+        assert li + lead + ri == lj + v + rj == overlap
+        assert _paddings(lead, v, len(li), len(lj)) == (li, ri, lj, rj)
+
+
+def _algebra():
+    alg = FreeAlgebra()
+    for name in "ab":
+        alg.add(name)
+    return alg
+
+
+def test_reduce_by_one_is_zero():
+    alg = _algebra()
+    p = alg.parse("3·a·b − 2·b + 5")
+    res = reduce(p, [alg.one()])
+    assert res.value.is_zero
+    total = alg.zero()
+    for c, l, i, r in res.trace:
+        assert i == 0
+        total = total + alg.monomial(l + r, c)
+    assert total == p
+
+
+class CappedEngine(CompletionEngine):
+    """Fails at the 20th element: a constant element that no lead matches
+    would be retired, requeued and appended again without end."""
+
+    def _append(self, terms, steps, unreduced=False):
+        assert len(self.elements) < 20
+        return super()._append(terms, steps, unreduced)
+
+
+@pytest.mark.parametrize("texts", [
+    ("a − 1", "a"),
+    # the constant 1 comes first; the requeued a − 2 then leaves the
+    # constant −2, which must reduce by 1 and not replace it
+    ("a − 1", "a − 2"),
+])
+def test_completion_of_an_ideal_holding_one_ends_in_one(texts):
+    alg = _algebra()
+    gens = [alg.parse(t) for t in texts]
+    limits = CompletionLimits(max_iterations=20, time_budget=60)
+    engine = CappedEngine(list(enumerate(gens)), alg.default_order(), limits)
+    engine.interreduce()
+    while engine.process():
+        pass
+    assert engine.status() == COMPLETE
+    (k,) = engine.active_indices()
+    assert engine.elements[k].terms == {(): 1}
+    # 1 = a − (a − 1), expanded back to the generators
+    total = alg.zero()
+    for c, l, i, r in engine.expand_steps([TraceStep(1, (), k, ())]):
+        total = total + alg.monomial(l, c) * gens[i] * alg.monomial(r)
+    assert total == alg.one()
