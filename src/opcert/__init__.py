@@ -12,8 +12,7 @@ counterexample checks.
 from .freealg import (AdjointError, AlgebraError, DegLexOrder, FreeAlgebra,
                       Indeterminate, ParseError, Polynomial, compare_words)
 from .rewrite import (BUDGET_EXHAUSTED, COMPLETE, STOPPED_EARLY,
-                      CompletionLimits, TracedPolynomial, TraceStep, complete,
-                      reduce)
+                      CompletionLimits, TracedPolynomial, TraceStep, reduce)
 from .certify import (Certificate, CertifyReport, ClaimResult, Summand,
                       VerificationResult, certify, load_certificate,
                       make_certificate, minimize_certificate, save_certificate,
@@ -25,8 +24,8 @@ from .statements import (CancellabilityStep, Problem, ProblemFileError,
                          Translation, WorkflowError, apply_cancellability,
                          douglas_factorization, ep_condition,
                          hermitian_condition, identity_axioms, ij_equations,
-                         involution_closure, load_problem, mp_equations,
-                         parse_problem, run_problem, translate)
+                         load_problem, mp_equations, parse_problem,
+                         run_problem, translate)
 from .matcheck import (RatMatrix, Realization, evaluate, example1_check,
                        example2_check, mp_inverse, penrose_check)
 

@@ -3,24 +3,27 @@
 ``reduce`` computes full normal forms with cofactor tracking.
 ``CompletionEngine.run`` reduces claims while an obstruction-driven
 completion (noncommutative Buchberger) grows the basis under explicit
-budgets, and decides the completion status; ``complete`` drains the engine
-without claims.  All keep exact bookkeeping so that every result can be
-expanded back into a two-sided combination of the inputs.
+budgets, and decides the completion status.  Both keep exact bookkeeping
+so that every result can be expanded back into a two-sided combination of
+the inputs.
 
 Trace conventions:
 
 * ``reduce(p, basis)``:  p = value + sum(c * l . basis[i] . r)
-* ``complete`` basis elements:  value = sum(c * l . generators[i] . r)
 * internally, ``_Reducer.normal_form`` appends the steps it adds:
-  after = before + sum(steps).  An engine element therefore satisfies
-  terms = sum(steps), and ``reduce`` negates its steps once.
-* engine steps refer to element ``k >= 0`` or to generator ``i`` as ``~i``;
-  ``expand_steps`` expands them top-down.  Each pending element, and each
-  generator, holds the contexts ``l + (-1,) + r -> c`` in which it is still
-  to be expanded.  The newest element goes first (a step refers only to
-  older elements, so its contexts are final) and passes its contexts on
-  through its steps; the generators' contexts are the result.  Every sum is
-  an ``add_terms`` call, and each element is expanded once per context.
+  after = before + sum(steps).  A step cancels the word it reduces
+  exactly, so it deletes that word and adds only the reducer's tail.  An
+  engine element therefore satisfies terms = sum(steps), and ``reduce``
+  negates its steps once.
+* engine steps are plain ``(c, l, ref, r)`` tuples; ``ref`` is element
+  ``k >= 0`` or generator ``i`` as ``~i``.  ``expand_steps`` expands them
+  top-down into ``TraceStep`` values over the generators.  Each pending
+  element, and each generator, holds the contexts ``l + (-1,) + r -> c`` in
+  which it is still to be expanded.  The newest element goes first (a step
+  refers only to older elements, so its contexts are final) and passes its
+  contexts on through its steps; the generators' contexts are the result.
+  Every sum is an ``add_terms`` call, and each element is expanded once per
+  context.
 """
 
 from __future__ import annotations
@@ -86,8 +89,9 @@ STOPPED_EARLY = "stopped_early"
 
 
 def _div(c, lc):
-    if lc == 1:
-        return c
+    """``c / lc`` as a coefficient: an int where the quotient is integral."""
+    if type(c) is int and type(lc) is int and not c % lc:
+        return c // lc
     return normalize_coeff(Fraction(c) / lc)
 
 
@@ -101,7 +105,8 @@ _PREFIXED = "prefixed"
 
 
 class _Reducer:
-    """Heap-driven full normal form against a trie of leading words.
+    """Full normal form against a trie of leading words, rewriting the
+    largest pending word of a sorted word list at each step.
 
     ``trie`` is the root node.  A node maps a letter to the node of its word
     extended by that letter.  A lead's entry ``(index, lead_coeff,
@@ -118,9 +123,6 @@ class _Reducer:
 
     def __init__(self, order: DegLexOrder):
         self.key = order.key
-        # letter -> minus its rank, so that a heap pops the largest word first
-        self._negrank = operator.neg if order.ranking is None else \
-            tuple(-r for r in order.ranking).__getitem__
         self.trie: dict = {}
 
     def path(self, w: Word) -> list:
@@ -224,29 +226,28 @@ class _Reducer:
             return None
         return at, size, best[0], best[1]
 
-    def _neg_key(self, w):
-        return (-len(w), tuple(map(self._negrank, w)))
-
     def normal_form(self, terms: dict, items_of, steps: list,
                     deadline: Optional[float] = None) -> bool:
         """Fully reduce ``terms`` in place; append the added multiples
         (c, l, idx, r), so that after = before + sum(appended steps).
 
-        ``items_of(idx)`` yields the stored term items of reducer ``idx``.
-        Returns False if the deadline struck before the normal form was
-        reached (terms are then left mid-reduction).
+        ``items_of(idx)`` yields the tail items of reducer ``idx``, its
+        terms less the lead: a step cancels the word ``w`` it reduces
+        exactly, so it deletes ``w`` and adds the tail.  Returns False if
+        the deadline struck before the normal form was reached (terms are
+        then left mid-reduction).
         """
         if not self.trie:
             return True
-        neg_key = self._neg_key
-        heap = [(neg_key(w), w) for w in terms]
-        heapq.heapify(heap)
+        key = self.key
+        # (key, word) pairs in ascending order, so ``pop`` gives the largest
+        pending = sorted([(key(w), w) for w in terms])
         # words pop in descending order (a step only adds words below the one
-        # reduced), so a repeat of the last word is a duplicate heap entry
+        # reduced), so a repeat of the last word is a duplicate entry
         last = None
         ticks = 0
-        while heap:
-            _, w = heapq.heappop(heap)
+        while pending:
+            w = pending.pop()[1]
             if w == last or w not in terms:
                 continue
             last = w
@@ -256,10 +257,12 @@ class _Reducer:
             pos, n, idx, lc = hit
             left = w[:pos]
             right = w[pos + n:]
-            c = terms[w] if lc == 1 else _div(terms[w], lc)
-            steps.append(TraceStep(-c, left, idx, right))
+            c = terms.pop(w)
+            if lc != 1:
+                c = _div(c, lc)
+            steps.append((-c, left, idx, right))
             for nw in add_terms(terms, items_of(idx), -c, left, right):
-                heapq.heappush(heap, (neg_key(nw), nw))
+                insort(pending, (key(nw), nw))
             ticks += 1
             if deadline is not None and ticks % 256 == 0 \
                     and time.monotonic() > deadline:
@@ -277,15 +280,16 @@ def reduce(p: Polynomial, basis: Sequence[Polynomial],
     """
     order = order or p.alg.default_order()
     red = _Reducer(order)
-    stored = []
+    tails = []
     for idx, g in enumerate(basis):
         if g.is_zero:
             raise AlgebraError("basis elements must be nonzero")
-        stored.append(list(g._terms.items()))
-        red.set_entry(g.lead_word(order), idx, g.lead_coeff(order))
+        lead = g.lead_word(order)
+        tails.append([item for item in g._terms.items() if item[0] != lead])
+        red.set_entry(lead, idx, g._terms[lead])
     terms = dict(p._terms)
     steps: list = []
-    red.normal_form(terms, lambda idx: stored[idx], steps)
+    red.normal_form(terms, tails.__getitem__, steps)
     return TracedPolynomial(Polynomial._make(p.alg, terms),
                             tuple(TraceStep(-c, l, i, r) for c, l, i, r in steps))
 
@@ -323,13 +327,22 @@ def _unlist(table: dict, key, idx: int, n: int, lead_len) -> None:
 
 
 class _Element:
-    __slots__ = ("terms", "lead", "steps")
+    # a monic element: its lead word (coefficient 1) and its other terms,
+    # ``tail``, as a tuple of (word, coeff) items
+    __slots__ = ("lead", "tail", "steps")
 
-    def __init__(self, terms, lead, steps):
-        self.terms = terms
+    def __init__(self, lead, tail, steps):
         self.lead = lead
+        self.tail = tail
         self.steps = steps  # (coeff, left, ref, right); ref k >= 0 ->
         #                     element k, ~i -> generator i
+
+    @property
+    def terms(self) -> dict:
+        """A new term dict of the element."""
+        terms = dict(self.tail)
+        terms[self.lead] = 1
+        return terms
 
 
 @dataclass
@@ -397,8 +410,8 @@ class CompletionEngine:
             if key in seen_monic:
                 continue  # duplicate generator: alias to first occurrence
             seen_monic[key] = src_index
-            steps = (TraceStep(_div(1, lc), (), ~src_index, ()),)
-            self._append(dict(monic._terms), steps, unreduced=True)
+            self._append(monic._terms, ((_div(1, lc), (), ~src_index, ()),),
+                         unreduced=True)
 
     # -- lead bookkeeping ----------------------------------------------------
 
@@ -452,15 +465,16 @@ class CompletionEngine:
     # -- element creation ------------------------------------------------------
 
     def _append(self, terms: dict, steps, unreduced: bool = False) -> int:
-        """Add a monic element; retire superseded leads.  ``terms`` is a
-        normal form by the active leads unless ``unreduced`` (a generator)."""
+        """Add the element ``terms`` scaled to be monic; retire superseded
+        leads.  ``terms`` is a normal form by the active leads unless
+        ``unreduced`` (a generator)."""
         lead = max(terms, key=self.order.key)
         lc = terms[lead]
+        tail = [(w, c) for w, c in terms.items() if w != lead]
         if lc != 1:
-            terms = {w: _div(c, lc) for w, c in terms.items()}
-            steps = tuple(TraceStep(_div(c, lc), l, ref, r)
-                          for c, l, ref, r in steps)
-        elem = _Element(terms, lead, tuple(steps))
+            tail = [(w, _div(c, lc)) for w, c in tail]
+            steps = [(_div(c, lc), l, ref, r) for c, l, ref, r in steps]
+        elem = _Element(lead, tuple(tail), tuple(steps))
         idx = len(self.elements)
         self.elements.append(elem)
         self._lead_lens.append(len(lead))
@@ -578,9 +592,9 @@ class CompletionEngine:
         Returns False if the deadline struck first; ``time_budget`` has then
         tripped and ``terms`` are left mid-reduction.
         """
-        if self.reducer.normal_form(
-                terms, lambda idx: self.elements[idx].terms.items(),
-                steps, self._deadline):
+        elements = self.elements
+        if self.reducer.normal_form(terms, lambda idx: elements[idx].tail,
+                                    steps, self._deadline):
             return True
         self.tripped_limit = "time_budget"
         return False
@@ -588,8 +602,8 @@ class CompletionEngine:
     def _process_requeue(self) -> None:
         while self._requeue:
             m = self._requeue.pop()
-            terms = dict(self.elements[m].terms)
-            steps: list = [TraceStep(1, (), m, ())]
+            terms = self.elements[m].terms
+            steps: list = [(1, (), m, ())]
             if not self.normal_form(terms, steps):
                 return
             if terms:
@@ -637,10 +651,11 @@ class CompletionEngine:
                 continue
             li, ri, lj, rj = _paddings(u, v, a, b)
             self.stats.obstructions_processed += 1
+            # both leads are monic and cancel in the overlap word
             terms: dict = {}
-            add_terms(terms, elements[i].terms.items(), 1, li, ri)
-            add_terms(terms, elements[j].terms.items(), -1, lj, rj)
-            steps: list = [TraceStep(1, li, i, ri), TraceStep(-1, lj, j, rj)]
+            add_terms(terms, elements[i].tail, 1, li, ri)
+            add_terms(terms, elements[j].tail, -1, lj, rj)
+            steps: list = [(1, li, i, ri), (-1, lj, j, rj)]
             if not self.normal_form(terms, steps):
                 return False
             if terms:
@@ -711,8 +726,8 @@ class CompletionEngine:
             for k in self.active_indices():
                 lead = self.elements[k].lead
                 self.reducer.del_entry(lead)  # reduce k by the others
-                terms = dict(self.elements[k].terms)
-                steps: list = [TraceStep(1, (), k, ())]
+                terms = self.elements[k].terms
+                steps: list = [(1, (), k, ())]
                 if not self.normal_form(terms, steps) or len(steps) == 1:
                     # deadline struck or nothing reduced: restore
                     self.reducer.set_entry(lead, k, 1)
@@ -754,33 +769,3 @@ class CompletionEngine:
         for terms, steps in claims:
             self.normal_form(terms, steps)
         return [claim for claim in claims if claim[0]]
-
-
-def complete(generators: Sequence[Polynomial],
-             order: Optional[DegLexOrder] = None,
-             limits: Optional[CompletionLimits] = None):
-    """Bounded completion of the generator set.
-
-    Returns ``(basis, status)`` where each basis element is a
-    ``TracedPolynomial`` whose trace expresses it exactly in the original
-    generators (``value = sum(trace)``), and status is ``"complete"`` when
-    every obstruction within ``max_degree`` reduced to zero within budget.
-    """
-    generators = list(generators)
-    if not generators:
-        return [], COMPLETE
-    order = order or generators[0].alg.default_order()
-    limits = limits or CompletionLimits()
-    engine = CompletionEngine(list(enumerate(generators)), order, limits)
-    engine.interreduce()
-    while engine.process():
-        pass
-    status = engine.status()
-    alg = generators[0].alg
-    basis = []
-    for k in engine.active_indices():
-        elem = engine.elements[k]
-        trace = engine.expand_steps([TraceStep(1, (), k, ())])
-        basis.append(TracedPolynomial(Polynomial._make(alg, dict(elem.terms)),
-                                      tuple(trace)))
-    return basis, status

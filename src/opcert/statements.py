@@ -164,17 +164,6 @@ def _missing_adjoints(present: Sequence[Polynomial],
     return out
 
 
-def involution_closure(polys: Sequence[Polynomial],
-                       order: Optional[DegLexOrder] = None) -> list:
-    """Input polynomials plus their adjoints, deduplicated up to sign and
-    scalar multiple (symmetry equations are their own negatives)."""
-    polys = list(polys)
-    if not polys:
-        return []
-    order = order or polys[0].alg.default_order()
-    return polys + [q for _, q in _missing_adjoints(polys, polys, order)]
-
-
 # ---------------------------------------------------------------------------
 # Quasi-identity workflow
 # ---------------------------------------------------------------------------

@@ -176,9 +176,9 @@ def test_contexts_meeting_at_a_shared_element_cancel():
     engine = CompletionEngine([(0, alg.parse("a·b − b"))],
                               alg.default_order(), LIMITS)
     # elements 1 and 2 both refer to element 0, the generator itself
-    engine.elements.append(_Element({}, (), (TraceStep(1, (a,), 0, ()),
-                                             TraceStep(2, (), 0, (b,)))))
-    engine.elements.append(_Element({}, (), (TraceStep(1, (), 0, ()),)))
+    engine.elements.append(_Element((), (), ((1, (a,), 0, ()),
+                                             (2, (), 0, (b,)))))
+    engine.elements.append(_Element((), (), ((1, (), 0, ()),)))
     # element 1 passes a·e0 to element 0, element 2 passes −a·e0: they cancel
     steps = [TraceStep(1, (), 1, ()), TraceStep(-1, (a,), 2, ())]
     expected = [TraceStep(2, (), 0, (b,))]

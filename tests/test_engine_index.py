@@ -1,8 +1,8 @@
 """The completion engine's indexed overlap enumeration and retirement
 against full scans.
 
-``ScanEngine`` finds overlap partners the way the kernel's reference scan
-does: ``batch_overlaps`` of the new lead against every active lead, its rows
+``ScanEngine`` (in ``obstructions``) finds overlap partners the way the
+kernel's reference scan does: ``batch_overlaps`` of the new lead against every active lead, its rows
 cut to the queue's ``(i, len(li), len(lj), degree)`` and filtered at
 ``max_degree`` by ``_push_rows``.  It scans for active leads inside every
 new lead, where the indexed engine looks for them only in the generators'
@@ -14,14 +14,12 @@ and retire the same leads in the same order, so everything downstream
 (counters, basis, traces) is identical too.
 """
 
-import collections
 import dataclasses
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opcert import _kernel_py
 from opcert.certify import certify
 from opcert.freealg import FreeAlgebra
 from opcert.rewrite import CompletionEngine, CompletionLimits, TraceStep
@@ -29,52 +27,7 @@ from opcert.statements import load_problem, translate
 
 from conftest import FIXTURES
 from match_oracle import trie_contents
-
-
-class ScanEngine(CompletionEngine):
-    """Pairwise-scan enumeration; counts the events the tests must cover."""
-
-    def __init__(self, *args, **kwargs):
-        self.events = collections.Counter()
-        super().__init__(*args, **kwargs)
-
-    def _pair_rows(self, v, unreduced):
-        rows = _kernel_py.batch_overlaps(v, list(self._active.items()))
-        maxdeg = self.limits.max_degree
-        for _, li, ri, lj, rj, overlap in rows:
-            if lj == rj == ():
-                # an active lead inside v: v itself, unpadded, on the j side
-                self.events["containment"] += 1
-            elif len(overlap) - maxdeg in (0, 1):
-                # a partner at the degree cut (kept) or one letter beyond it
-                index = "suffix" if li == () else "prefix"
-                fate = "kept" if len(overlap) == maxdeg else "skipped"
-                self.events[f"{index}_cut_{fate}"] += 1
-        return [(i, len(li), len(lj), len(overlap))
-                for i, li, _, lj, _, overlap in rows]
-
-    def _retirees(self, lead):
-        retirees = _kernel_py.find_retirees(lead, self._active.items())
-        digrams = [lead[t:t + 2] for t in range(len(lead) - 1)]
-        held = {w[t:t + 2] for w in self._active.values()
-                for t in range(len(w) - 1)}
-        if len(retirees) > 1:
-            self.events["several_retired"] += 1
-        if len(lead) == 1 and retirees:
-            self.events["one_letter_retires"] += 1
-        if len(set(digrams)) < len(digrams) and retirees:
-            self.events["repeated_digram_retires"] += 1
-        if not held.issuperset(digrams):
-            self.events["unheld_digram"] += 1
-        return retirees
-
-    def _retire(self, idx):
-        self.events["retired"] += 1
-        super()._retire(idx)
-
-    def _deactivate(self, idx):
-        self.events["deactivated"] += 1
-        super()._deactivate(idx)
+from obstructions import ScanEngine
 
 
 class IndexedEngine(CompletionEngine):

@@ -12,9 +12,10 @@ import pytest
 
 from opcert.freealg import AlgebraError, FreeAlgebra
 from opcert.rewrite import (BUDGET_EXHAUSTED, COMPLETE, CompletionEngine,
-                            CompletionLimits, TraceStep, complete, reduce)
+                            CompletionLimits, TraceStep, reduce)
 
-from obstructions import Obstruction, find_obstructions, s_polynomial
+from obstructions import (Obstruction, complete, find_obstructions,
+                          s_polynomial)
 
 
 def expand_trace(trace, sources, alg):

@@ -5,12 +5,23 @@ import pytest
 from opcert.freealg import AlgebraError, FreeAlgebra
 from opcert.rewrite import CompletionLimits
 from opcert.statements import (CancellabilityStep, ProblemFileError,
-                               WorkflowError, apply_cancellability,
-                               douglas_factorization, ep_condition,
-                               hermitian_condition, identity_axioms,
-                               ij_equations, involution_closure, mp_equations,
+                               WorkflowError, _missing_adjoints,
+                               apply_cancellability, douglas_factorization,
+                               ep_condition, hermitian_condition,
+                               identity_axioms, ij_equations, mp_equations,
                                parse_problem, translate, validate_step)
 from conftest import FIXTURES
+
+
+def involution_closure(polys):
+    """Input polynomials plus their adjoints, deduplicated up to sign and
+    scalar multiple (symmetry equations are their own negatives), by the
+    helper ``translate`` closes its assumptions with."""
+    polys = list(polys)
+    if not polys:
+        return []
+    order = polys[0].alg.default_order()
+    return polys + [q for _, q in _missing_adjoints(polys, polys, order)]
 
 
 @pytest.fixture
