@@ -10,7 +10,7 @@ counterexample checks.
 """
 
 from .freealg import (AdjointError, AlgebraError, DegLexOrder, FreeAlgebra,
-                      Indeterminate, ParseError, Polynomial, compare_words)
+                      Indeterminate, ParseError, Polynomial)
 from .rewrite import (BUDGET_EXHAUSTED, COMPLETE, STOPPED_EARLY,
                       CompletionLimits, TracedPolynomial, TraceStep, reduce)
 from .certify import (Certificate, CertifyReport, ClaimResult, Summand,

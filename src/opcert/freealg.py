@@ -506,10 +506,6 @@ class DegLexOrder:
         return -1 if ku < kv else (0 if ku == kv else 1)
 
 
-def compare_words(u: Word, v: Word, order: DegLexOrder) -> int:
-    return order.compare(u, v)
-
-
 # ---------------------------------------------------------------------------
 # Expression parsing
 # ---------------------------------------------------------------------------

@@ -10,11 +10,14 @@ the inputs.
 Trace conventions:
 
 * ``reduce(p, basis)``:  p = value + sum(c * l . basis[i] . r)
-* internally, ``_Reducer.normal_form`` appends the steps it adds:
-  after = before + sum(steps).  A step cancels the word it reduces
-  exactly, so it deletes that word and adds only the reducer's tail.  An
-  engine element therefore satisfies terms = sum(steps), and ``reduce``
-  negates its steps once.
+* internally, ``_Reducer.normal_form`` reduces by monic leads and appends
+  the steps it adds: after = before + sum(steps).  A step cancels the word
+  it reduces exactly, so it deletes that word and adds only the reducer's
+  tail.  An engine element is monic and satisfies terms = sum(steps).
+  ``reduce`` is the one caller whose leads need not be monic: it divides
+  each basis element's tail by its lead coefficient ``lc`` once, and writes
+  a step ``c`` by the monic element as the trace step ``-c/lc`` by the
+  basis element (negated, since the trace satisfies p = value + sum).
 * engine steps are plain ``(c, l, ref, r)`` tuples; ``ref`` is element
   ``k >= 0`` or generator ``i`` as ``~i``.  ``expand_steps`` expands them
   top-down into ``TraceStep`` values over the generators.  Each pending
@@ -105,16 +108,14 @@ _PREFIXED = "prefixed"
 
 
 class _Reducer:
-    """Full normal form against a trie of leading words, rewriting the
+    """Full normal form against a trie of monic leading words, rewriting the
     largest pending word of a sorted word list at each step.
 
-    ``trie`` is the root node.  A node maps a letter to the node of its word
-    extended by that letter.  A lead's entry ``(index, lead_coeff,
-    rank_key)`` is its node itself when no other lead extends it (a leaf),
-    else it sits under key ``None`` of its node; the root's ``None`` holds
-    the empty lead.  The completion engine keeps its prefix lists under
-    ``_PREFIXED`` of the nodes.  A node left empty is pruned, and a node
-    left holding only its lead folds back into the leaf.
+    ``trie`` is the root node.  Every node is a dict that maps a letter to
+    the node of its word extended by that letter; a lead's index sits under
+    key ``None`` of its node, so the root's ``None`` is the empty lead.  The
+    completion engine keeps its prefix lists under ``_PREFIXED`` of the
+    nodes.  A node left empty is pruned.
 
     Tie-break: rewrite the order-largest reducible monomial first; within it,
     the leftmost occurrence of the order-largest matching leading word; equal
@@ -126,13 +127,10 @@ class _Reducer:
         self.trie: dict = {}
 
     def path(self, w: Word) -> list:
-        """The nodes of ``w[:0], w[:1], ...`` as far as the trie holds them
-        (the last may be a leaf)."""
+        """The nodes of ``w[:0], w[:1], ...`` as far as the trie holds them."""
         node = self.trie
         out = [node]
         for c in w:
-            if node.__class__ is tuple:
-                break
             node = node.get(c)
             if node is None:
                 break
@@ -141,62 +139,39 @@ class _Reducer:
 
     def prune(self, w: Word, path: list) -> None:
         """Drop the nodes of ``path`` (see ``path``) that were left empty,
-        deepest first, and fold a node left with only its lead into the
-        leaf."""
+        deepest first."""
         for k in range(len(path) - 1, 0, -1):
-            node = path[k]
-            if node.__class__ is tuple:
-                return
-            if node:
-                if len(node) == 1 and None in node:
-                    path[k - 1][w[k - 1]] = node[None]
+            if path[k]:
                 return
             del path[k - 1][w[k - 1]]
 
-    def set_entry(self, w: Word, idx: int, lc) -> None:
+    def set_entry(self, w: Word, idx: int) -> None:
         """Enter lead ``w`` of ``idx``, unless a lower index holds it."""
-        entry = (idx, lc, self.key(w)[1])
         node = self.trie
-        last = len(w) - 1
-        for k, c in enumerate(w):
+        for c in w:
             child = node.get(c)
             if child is None:
-                if k == last:
-                    node[c] = entry
-                    return
                 child = node[c] = {}
-            elif child.__class__ is tuple:
-                if k == last:
-                    if idx < child[0]:
-                        node[c] = entry
-                    return
-                child = node[c] = {None: child}
             node = child
         cur = node.get(None)
-        if cur is None or idx < cur[0]:
-            node[None] = entry
+        if cur is None or idx < cur:
+            node[None] = idx
 
     def del_entry(self, w: Word) -> None:
         """Remove lead ``w``, if entered, and prune the trie."""
         path = self.path(w)
-        if len(path) <= len(w):
-            return
-        node = path[-1]
-        if node.__class__ is tuple:
-            del path[-2][w[-1]]
-            path.pop()
-        elif node.pop(None, None) is None:
-            return
-        self.prune(w, path)
+        if len(path) > len(w) and path[-1].pop(None, None) is not None:
+            self.prune(w, path)
 
     def find_best_match(self, w: Word):
         """The reduction site in ``w`` under the tie-break above, as
-        ``(pos, lead_length, index, lead_coeff)``, or ``None``.
+        ``(pos, lead_length, index)``, or ``None``.
 
         Walks the trie from each position of ``w`` and keeps the longest
-        hit, then the one with the order-largest rank key; only an equal word
-        has an equal rank key, so ``>`` keeps the leftmost site.  A position
-        with fewer letters left than the best hit is not walked.
+        hit, then the order-largest; only an equal word ranks equal, so
+        ``>`` keeps the leftmost site.  The order is consulted only on a tie
+        in length.  A position with fewer letters left than the best hit is
+        not walked.
         """
         root = self.trie
         best = root.get(None)  # the empty lead, at position 0
@@ -212,19 +187,13 @@ class _Reducer:
                 if node is None:
                     break
                 t += 1
-                if node.__class__ is tuple:  # a leaf: no lead below it
-                    hit = node
-                elif None in node:
-                    hit = node[None]
-                else:
-                    continue
-                if t - pos > size or t - pos == size and hit[2] > best[2]:
-                    best, size, at = hit, t - pos, pos
-                if hit is node:
-                    break
+                if None in node:
+                    if t - pos > size or t - pos == size and \
+                            self.key(w[pos:t]) > self.key(w[at:at + size]):
+                        best, size, at = node[None], t - pos, pos
         if best is None:
             return None
-        return at, size, best[0], best[1]
+        return at, size, best
 
     def normal_form(self, terms: dict, items_of, steps: list,
                     deadline: Optional[float] = None) -> bool:
@@ -232,10 +201,10 @@ class _Reducer:
         (c, l, idx, r), so that after = before + sum(appended steps).
 
         ``items_of(idx)`` yields the tail items of reducer ``idx``, its
-        terms less the lead: a step cancels the word ``w`` it reduces
-        exactly, so it deletes ``w`` and adds the tail.  Returns False if
-        the deadline struck before the normal form was reached (terms are
-        then left mid-reduction).
+        terms less the lead, scaled so that the lead is monic: a step
+        cancels the word ``w`` it reduces exactly, so it deletes ``w`` and
+        adds the tail.  Returns False if the deadline struck before the
+        normal form was reached (terms are then left mid-reduction).
         """
         if not self.trie:
             return True
@@ -254,12 +223,10 @@ class _Reducer:
             hit = self.find_best_match(w)
             if hit is None:
                 continue
-            pos, n, idx, lc = hit
+            pos, n, idx = hit
             left = w[:pos]
             right = w[pos + n:]
             c = terms.pop(w)
-            if lc != 1:
-                c = _div(c, lc)
             steps.append((-c, left, idx, right))
             for nw in add_terms(terms, items_of(idx), -c, left, right):
                 insort(pending, (key(nw), nw))
@@ -280,18 +247,22 @@ def reduce(p: Polynomial, basis: Sequence[Polynomial],
     """
     order = order or p.alg.default_order()
     red = _Reducer(order)
-    tails = []
+    lcs, tails = [], []
     for idx, g in enumerate(basis):
         if g.is_zero:
             raise AlgebraError("basis elements must be nonzero")
         lead = g.lead_word(order)
-        tails.append([item for item in g._terms.items() if item[0] != lead])
-        red.set_entry(lead, idx, g._terms[lead])
+        lc = g._terms[lead]
+        lcs.append(lc)
+        tails.append([(w, _div(c, lc)) for w, c in g._terms.items()
+                      if w != lead])
+        red.set_entry(lead, idx)
     terms = dict(p._terms)
     steps: list = []
     red.normal_form(terms, tails.__getitem__, steps)
     return TracedPolynomial(Polynomial._make(p.alg, terms),
-                            tuple(TraceStep(-c, l, i, r) for c, l, i, r in steps))
+                            tuple(TraceStep(_div(-c, lcs[i]), l, i, r)
+                                  for c, l, i, r in steps))
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +392,7 @@ class CompletionEngine:
         every lead no longer than ``w`` and the lists keep their order."""
         self._active[idx] = w
         reducer = self.reducer
-        reducer.set_entry(w, idx, 1)
+        reducer.set_entry(w, idx)
         path = reducer.path(w)
         suffixes = self._suffixes
         lead_len = self._lead_lens.__getitem__
@@ -539,7 +510,7 @@ class CompletionEngine:
             node = trie  # to the node of v's last k letters
             for c in v[nv - k:]:
                 node = node.get(c)
-                if node is None or node.__class__ is tuple:
+                if node is None:
                     break
             else:
                 lst = node.get(_PREFIXED)
@@ -557,15 +528,12 @@ class CompletionEngine:
                     node = node.get(c)
                     if node is None:
                         break
-                    if node.__class__ is tuple:
-                        hits.append(node)
-                        break
                     if None in node:
                         hits.append(node[None])
                 if nv > maxdeg:
                     skipped += len(hits)
                 else:  # after every overlap row of a partner: nv > any k
-                    rows += [(hit[0], t, 0, nv) for hit in hits]
+                    rows += [(i, t, 0, nv) for i in hits]
         self.stats.obstructions_skipped_degree += skipped
         rows.sort(key=operator.itemgetter(0))
         return rows
@@ -730,7 +698,7 @@ class CompletionEngine:
                 steps: list = [(1, (), k, ())]
                 if not self.normal_form(terms, steps) or len(steps) == 1:
                     # deadline struck or nothing reduced: restore
-                    self.reducer.set_entry(lead, k, 1)
+                    self.reducer.set_entry(lead, k)
                     if self.tripped_limit:
                         return
                     continue

@@ -15,8 +15,8 @@ from fractions import Fraction
 from typing import Container, Iterable, Optional, Sequence
 
 from .certify import Certificate, certify
-from .freealg import (AlgebraError, DegLexOrder, FreeAlgebra, Indeterminate,
-                      ParseError, Polynomial, normalize_coeff)
+from .freealg import (AlgebraError, DegLexOrder, FreeAlgebra, ParseError,
+                      Polynomial, normalize_coeff)
 from .quiver import LabelledQuiver, ProblemCheck, check_problem, infer_signatures
 from .rewrite import CompletionLimits
 
@@ -28,16 +28,6 @@ class WorkflowError(AlgebraError):
 # ---------------------------------------------------------------------------
 # Property macros
 # ---------------------------------------------------------------------------
-
-def _as_poly(alg: FreeAlgebra, x) -> Polynomial:
-    if isinstance(x, Polynomial):
-        return x
-    if isinstance(x, Indeterminate):
-        return alg.monomial((x.iid,))
-    if isinstance(x, str):
-        return alg.gen(x)
-    raise TypeError(f"expected polynomial or name, got {type(x).__name__}")
-
 
 def penrose_equation(x: Polynomial, y: Polynomial, k: int) -> Polynomial:
     """k-th Penrose equation as a polynomial (k in 1..4)."""
@@ -52,54 +42,42 @@ def penrose_equation(x: Polynomial, y: Polynomial, k: int) -> Polynomial:
     raise ValueError("Penrose equations are numbered 1..4")
 
 
-def mp_equations(x, y, alg: Optional[FreeAlgebra] = None) -> list:
+def mp_equations(x: Polynomial, y: Polynomial) -> list:
     """All four defining equations of y as the Moore-Penrose inverse of x.
 
     ``x`` may be a product (polynomial), e.g. a triple abc; equations 3 and 4
     need every letter of x and y to carry an adjoint partner.
     """
-    return ij_equations(x, y, (1, 2, 3, 4), alg)
+    return ij_equations(x, y, (1, 2, 3, 4))
 
 
-def ij_equations(x, y, subset: Iterable[int],
-                 alg: Optional[FreeAlgebra] = None) -> list:
+def ij_equations(x: Polynomial, y: Polynomial, subset: Iterable[int]) -> list:
     """The selected subset of Penrose equations (a {i,...,j}-inverse)."""
     ks = sorted(set(subset))
     if not ks:
         raise AlgebraError("the equation subset must be nonempty")
     if not all(k in (1, 2, 3, 4) for k in ks):
         raise AlgebraError("Penrose equation selectors must lie in {1,2,3,4}")
-    alg = alg or (x.alg if isinstance(x, Polynomial) else y.alg)
-    x, y = _as_poly(alg, x), _as_poly(alg, y)
     return [penrose_equation(x, y, k) for k in ks]
 
 
-def identity_axioms(unit, neighbors: Sequence[tuple],
-                    alg: Optional[FreeAlgebra] = None) -> list:
+def identity_axioms(unit: Polynomial, neighbors: Sequence[tuple]) -> list:
     """Absorption axioms for an explicit identity element.
 
     ``neighbors`` holds (operator, side) pairs; side "right" means the unit
-    sits right of the operator (x·i = x), "left" the mirror.  The idempotency
+    i sits right of the operator (x·i = x), "left" the mirror.  The idempotency
     i·i - i is always included.  The unit is an ordinary indeterminate, never
     the empty word.
     """
-    alg = alg or (unit.alg if isinstance(unit, Polynomial) else None)
-    if alg is None and neighbors:
-        first = neighbors[0][0]
-        alg = first.alg if isinstance(first, Polynomial) else None
-    if alg is None:
-        raise TypeError("cannot infer the algebra; pass alg=")
-    i = _as_poly(alg, unit)
     out = []
     for x, side in neighbors:
-        x = _as_poly(alg, x)
         if side == "right":
-            out.append(x * i - x)
+            out.append(x * unit - x)
         elif side == "left":
-            out.append(i * x - x)
+            out.append(unit * x - x)
         else:
             raise AlgebraError(f"neighbor side must be left or right, got {side!r}")
-    out.append(i * i - i)
+    out.append(unit * unit - unit)
     return out
 
 
@@ -589,7 +567,7 @@ def _expand_macro(problem, macro, args):
         x, y = _expr(problem, parts[0]), _expr(problem, parts[1])
         label = f"{macro}({parts[0]},{parts[1]})"
         return [(f"{label}.{k}", p)
-                for k, p in zip(sorted(set(ks)), ij_equations(x, y, ks, alg))]
+                for k, p in zip(sorted(set(ks)), ij_equations(x, y, ks))]
     if macro == "id":
         head, _, tail = args.partition(";")
         unit = _expr(problem, head.strip())
@@ -601,7 +579,7 @@ def _expand_macro(problem, macro, args):
             neighbors.append((_expr(problem, nm.strip()), side.strip()))
         label = f"id({head.strip()})"
         return [(f"{label}.{k}", p) for k, p in
-                enumerate(identity_axioms(unit, neighbors, alg), start=1)]
+                enumerate(identity_axioms(unit, neighbors), start=1)]
     if macro == "douglas":
         witness = None
         parts = _split_top_level(args)

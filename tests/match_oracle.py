@@ -10,34 +10,30 @@ from opcert.rewrite import _PREFIXED
 
 def best_match(table, w, key):
     """The reduction site in ``w`` by the leads of ``table`` (lead word ->
-    ``(index, lead_coeff)``) as ``(pos, lead_length, index, lead_coeff)``,
-    or None: the longest lead factor, then the order-largest under ``key``,
-    then the leftmost."""
+    index) as ``(pos, lead_length, index)``, or None: the longest lead
+    factor, then the order-largest under ``key``, then the leftmost."""
     sites = [(n, key(w[pos:pos + n]), -pos)
              for n in range(len(w) + 1) for pos in range(len(w) - n + 1)
              if w[pos:pos + n] in table]
     if not sites:
         return None
     n, _, pos = max(sites)
-    return (-pos, n) + table[w[-pos:n - pos]]
+    return -pos, n, table[w[-pos:n - pos]]
 
 
 def trie_contents(trie):
     """``(leads, prefixed)`` of a reducer's lead trie: each lead word with
     its index, and each word with the prefix list on its node.  Asserts that
-    every node below the root has a child: an empty node would have been
-    pruned, and a lead with no lead below it is a leaf."""
+    no node below the root is empty: an empty node would have been
+    pruned."""
     leads, prefixed = {}, {}
     stack = [((), trie)]
     while stack:
         word, node = stack.pop()
-        if isinstance(node, tuple):
-            leads[word] = node[0]
-            continue
-        assert word == () or set(node) - {None, _PREFIXED}, word
+        assert word == () or node, word
         for key, child in node.items():
             if key is None:
-                leads[word] = child[0]
+                leads[word] = child
             elif key == _PREFIXED:
                 prefixed[word] = child
             else:

@@ -1,12 +1,15 @@
 """The reducer's former normal-form loop, kept as an oracle.
 
 ``heap_normal_form`` pops the words of ``terms`` from a heap keyed by
-negated rank keys and adds each reducer's full term items, whose lead
-cancels the popped word.  ``_Reducer.normal_form`` keeps a sorted word list,
-deletes the popped word and adds only the tail.  Both must leave the same
-terms and take the same steps in the same order.  The oracle also counts
-the events a test needs covered: a word cancelled by a step's tail, such a
-word coming back in a later step, and a repeated entry popped again.
+negated rank keys.  It divides a popped word's coefficient by the lead
+coefficient of the reducer that matches it and adds that reducer's full
+term items, whose lead cancels the word.  ``reduce`` scales each basis
+element's tail once to a monic lead, and ``_Reducer.normal_form`` keeps a
+sorted word list, deletes the popped word and adds only the tail.  Both
+must leave the same terms and take the same steps in the same order.  The
+oracle also counts the events a test needs covered: a word cancelled by a
+step's tail, such a word coming back in a later step, and a repeated entry
+popped again.
 """
 
 import collections
@@ -18,10 +21,11 @@ from opcert.freealg import add_terms, normalize_coeff
 from opcert.rewrite import TraceStep
 
 
-def heap_normal_form(reducer, order, terms: dict, items_of, steps: list):
+def heap_normal_form(reducer, order, terms: dict, items_of, lcs: list,
+                     steps: list):
     """Reduce ``terms`` in place by ``reducer``'s leads, appending the steps;
-    ``items_of(idx)`` yields all term items of reducer ``idx``.  Returns the
-    event counts."""
+    ``items_of(idx)`` yields all term items of reducer ``idx``, whose lead
+    has the coefficient ``lcs[idx]``.  Returns the event counts."""
     events = collections.Counter()
     negrank = operator.neg if order.ranking is None else \
         tuple(-r for r in order.ranking).__getitem__
@@ -44,7 +48,8 @@ def heap_normal_form(reducer, order, terms: dict, items_of, steps: list):
         hit = reducer.find_best_match(w)
         if hit is None:
             continue
-        pos, n, idx, lc = hit
+        pos, n, idx = hit
+        lc = lcs[idx]
         left = w[:pos]
         right = w[pos + n:]
         c = terms[w] if lc == 1 else normalize_coeff(Fraction(terms[w]) / lc)

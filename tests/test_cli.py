@@ -1,5 +1,6 @@
 """Command-line behaviour: outputs, artifacts, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -180,6 +181,22 @@ def test_reduce_skips_a_zero_assumption(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines == ["claim g: remainder 0",
                      "    (a) . f . (1)", "    (1) . f . (1)"]
+
+
+# sha256 of what ``opcert reduce <fixture>`` prints for each bundled problem;
+# its trace lines carry the step coefficients, lead coefficients of −1
+# included
+REDUCE_SHA256 = json.loads((Path(__file__).parent / "reduce_sha256.json")
+                           .read_text(encoding="utf-8"))
+
+
+def test_reduce_output_of_every_fixture_is_unchanged(capsys):
+    got = {}
+    for prob in sorted(FIXTURES.glob("*.prob")):
+        assert main(["reduce", prob.stem]) == 0
+        out = capsys.readouterr().out.encode("utf-8")
+        got[prob.stem] = hashlib.sha256(out).hexdigest()
+    assert got == REDUCE_SHA256
 
 
 def test_matcheck_command(capsys):

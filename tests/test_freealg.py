@@ -10,8 +10,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import FIXTURES
 from opcert.certify import algebra_from_ops, certificate_to_dict
 from opcert.freealg import (AdjointError, AlgebraError, DegLexOrder,
-                            FreeAlgebra, ParseError, add_terms,
-                            compare_words)
+                            FreeAlgebra, ParseError, add_terms)
 from opcert.statements import parse_problem, run_problem
 from parse_oracle import oracle_parse
 
@@ -407,20 +406,20 @@ def test_self_adjoint():
 def test_compare_degree_dominates(werner_algebra):
     A = werner_algebra
     order = A.default_order()
-    assert compare_words(A.word("a"), A.word("b", "b", "b"), order) == -1
+    assert order.compare(A.word("a"), A.word("b", "b", "b")) == -1
 
 
 def test_compare_lexicographic_tie(werner_algebra):
     A = werner_algebra
     order = A.default_order()
-    assert compare_words(A.word("a", "b"), A.word("b", "a"), order) == -1
-    assert compare_words(A.word("a"), A.word("a"), order) == 0
+    assert order.compare(A.word("a", "b"), A.word("b", "a")) == -1
+    assert order.compare(A.word("a"), A.word("a")) == 0
 
 
 def test_custom_ranking(werner_algebra):
     A = werner_algebra
     order = DegLexOrder.from_names(A, ["b", "a"])
-    assert compare_words(A.word("b"), A.word("a"), order) == -1
+    assert order.compare(A.word("b"), A.word("a")) == -1
 
 
 # -- rendering --------------------------------------------------------------------
@@ -479,12 +478,12 @@ _WORDS = st.lists(st.integers(0, 5), max_size=4).map(tuple)
 @given(_WORDS, _WORDS, _WORDS, _WORDS)
 def test_deglex_order_axioms(u, v, w, w2):
     order = _ALG.default_order()
-    cmp_uv = compare_words(u, v, order)
-    assert cmp_uv == -compare_words(v, u, order)
+    cmp_uv = order.compare(u, v)
+    assert cmp_uv == -order.compare(v, u)
     assert (cmp_uv == 0) == (u == v)
     if cmp_uv == -1:
         # multiplicative: u < v implies wuw' < wvw'
-        assert compare_words(w + u + w2, w + v + w2, order) == -1
+        assert order.compare(w + u + w2, w + v + w2) == -1
     # degree dominates
     if len(u) < len(v):
         assert cmp_uv == -1

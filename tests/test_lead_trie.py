@@ -2,8 +2,10 @@
 
 ``find_best_match`` is checked against a brute-force listing of every lead
 factor, on lead tables that need not be interreduced, after entries were
-deleted again.  The queue's padding helper is checked against the kernel's
-overlap scans.  A constant lead must match the empty word: without that
+deleted again.  After each entry and deletion the trie, whose nodes are
+plain dicts, must hold each lead's lowest index under key ``None`` of its
+node and no node left empty.  The queue's padding helper is checked against
+the kernel's overlap scans.  A constant lead must match the empty word: without that
 match a completion whose ideal contains 1 appends its constant element
 forever, so those tests stop at a small element count instead of hanging.
 """
@@ -43,17 +45,16 @@ def test_find_best_match_equals_brute_force(case):
     ranking, ops, queries = case
     order = DegLexOrder(ranking)
     red = _Reducer(order)
-    table = {}  # lead word -> (index, lead_coeff), the lowest index kept
+    table = {}  # lead word -> index, the lowest index kept
     for idx, w in ops:
         if idx is None:
             red.del_entry(w)
             table.pop(w, None)
         else:
-            red.set_entry(w, idx, idx + 2)
-            if w not in table or idx < table[w][0]:
-                table[w] = (idx, idx + 2)
-        assert trie_contents(red.trie) == \
-            ({w: hit[0] for w, hit in table.items()}, {})
+            red.set_entry(w, idx)
+            if w not in table or idx < table[w]:
+                table[w] = idx
+        assert trie_contents(red.trie) == (table, {})
     for w in queries + [w for _, w in ops]:
         assert red.find_best_match(w) == best_match(table, w, order.key)
 

@@ -1,12 +1,13 @@
 """The reducer's normal form against the former heap loop, and ``_div``.
 
-``_Reducer.normal_form`` must leave the same terms, with the same
-coefficient types, and append the same steps in the same order as
+``reduce`` must leave the same terms, with the same coefficient types, and
+take the same steps in the same order as
 ``normal_form_oracle.heap_normal_form``, on lead tables that need not be
-monic or interreduced.  The fixed cases pin the situations the random ones
-must cover: permuted rankings, lead coefficients of −1, 2 and 2/3, duplicate
-leads, the empty lead, and a word that a step cancels and a later step
-brings back.
+monic or interreduced: ``reduce`` scales each basis element to a monic lead
+before ``_Reducer.normal_form`` runs, and divides its steps back.  The fixed
+cases pin the situations the random ones must cover: permuted rankings,
+lead coefficients of −1, 2 and 2/3, duplicate leads, the empty lead, and a
+word that a step cancels and a later step brings back.
 """
 
 from fractions import Fraction
@@ -15,10 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opcert.freealg import DegLexOrder, normalize_coeff
-from opcert.rewrite import _div, _Reducer
+from opcert.freealg import DegLexOrder, FreeAlgebra, normalize_coeff
+from opcert.rewrite import TraceStep, _div, _Reducer, reduce
 
 from normal_form_oracle import heap_normal_form
+
+ALG = FreeAlgebra()
+for _name in "abc":
+    ALG.add(_name)
 
 
 def typed(items):
@@ -30,19 +35,22 @@ def both_normal_forms(ranking, basis, terms):
     both ways; asserts they agree and returns the oracle's event counts."""
     order = DegLexOrder(ranking)
     red = _Reducer(order)
-    full, tails = [], []
+    full, lcs = [], []
     for idx, poly in enumerate(basis):
         lead = max(poly, key=order.key)
-        red.set_entry(lead, idx, poly[lead])
+        red.set_entry(lead, idx)
         full.append(list(poly.items()))
-        tails.append([item for item in full[-1] if item[0] != lead])
+        lcs.append(poly[lead])
     want, want_steps = dict(terms), []
-    events = heap_normal_form(red, order, want, full.__getitem__, want_steps)
-    got, got_steps = dict(terms), []
-    assert red.normal_form(got, tails.__getitem__, got_steps)
-    assert typed((c, w) for w, c in got.items()) == \
+    events = heap_normal_form(red, order, want, full.__getitem__, lcs,
+                              want_steps)
+    got = reduce(ALG.poly(terms), [ALG.poly(poly) for poly in basis], order)
+    assert typed((c, w) for w, c in got.value._terms.items()) == \
         typed((c, w) for w, c in want.items())
-    assert typed(got_steps) == typed(want_steps)
+    # reduce's trace satisfies p = value + sum(trace), the oracle's steps
+    # after = before + sum(steps)
+    assert typed(got.trace) == \
+        typed(TraceStep(-c, l, i, r) for c, l, i, r in want_steps)
     return events
 
 

@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 
 from opcert.certify import certify, verify_certificate
-from opcert.freealg import FreeAlgebra, compare_words
+from opcert.freealg import FreeAlgebra
 from opcert.matcheck import RatMatrix, evaluate, mp_inverse
 from opcert.rewrite import CompletionLimits, reduce
 from opcert.statements import load_problem, translate
@@ -102,11 +102,11 @@ def test_deglex_axioms():
         u = _rand_word(rng, len(alg))
         v = _rand_word(rng, len(alg))
         w, w2 = _rand_word(rng, len(alg), 2), _rand_word(rng, len(alg), 2)
-        c = compare_words(u, v, order)
-        assert c == -compare_words(v, u, order)
+        c = order.compare(u, v)
+        assert c == -order.compare(v, u)
         assert (c == 0) == (u == v)
         if c == -1:
-            assert compare_words(w + u + w2, w + v + w2, order) == -1
+            assert order.compare(w + u + w2, w + v + w2) == -1
         if len(u) != len(v):
             assert c == (-1 if len(u) < len(v) else 1)
 

@@ -94,7 +94,7 @@ def test_identity_axioms_closure_adds_adjoints():
     A = FreeAlgebra()
     A.add_pair("a")
     A.add_self_adjoint("j")
-    out = identity_axioms(A.gen("j"), [(A.gen("a"), "right")], alg=A)
+    out = identity_axioms(A.gen("j"), [(A.gen("a"), "right")])
     closed = involution_closure(out)
     assert A.parse("j·a* − a*") in closed
 
