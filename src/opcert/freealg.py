@@ -485,8 +485,14 @@ class DegLexOrder:
 
     @classmethod
     def from_names(cls, alg: FreeAlgebra, names: Iterable[str]) -> "DegLexOrder":
-        """Rank the listed names first (in order); the rest follow by declaration."""
-        listed = [alg.indeterminate(n).iid for n in names]
+        """Rank the listed names first (in order); the rest follow by
+        declaration.  A name listed twice is an ``AlgebraError``."""
+        listed = []
+        for n in names:
+            iid = alg.indeterminate(n).iid
+            if iid in listed:
+                raise AlgebraError(f"order ranks {n!r} twice")
+            listed.append(iid)
         seen = set(listed)
         full = listed + [i for i in range(len(alg)) if i not in seen]
         ranking = [0] * len(alg)

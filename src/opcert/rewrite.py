@@ -34,7 +34,8 @@ from __future__ import annotations
 import heapq
 import operator
 import time
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, insort
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
@@ -119,7 +120,8 @@ class _Reducer:
 
     Tie-break: rewrite the order-largest reducible monomial first; within it,
     the leftmost occurrence of the order-largest matching leading word; equal
-    leading words resolve to the lowest index.
+    leading words resolve to the lowest index.  ``normal_form`` finds that
+    site by walking the trie from each position of the word.
     """
 
     def __init__(self, order: DegLexOrder):
@@ -145,55 +147,27 @@ class _Reducer:
                 return
             del path[k - 1][w[k - 1]]
 
-    def set_entry(self, w: Word, idx: int) -> None:
-        """Enter lead ``w`` of ``idx``, unless a lower index holds it."""
+    def set_entry(self, w: Word, idx: int) -> list:
+        """Enter lead ``w`` of ``idx``, unless a lower index holds it; returns
+        the nodes of ``w[:0], ..., w`` (see ``path``), made where missing."""
         node = self.trie
+        out = [node]
         for c in w:
             child = node.get(c)
             if child is None:
                 child = node[c] = {}
             node = child
+            out.append(node)
         cur = node.get(None)
         if cur is None or idx < cur:
             node[None] = idx
+        return out
 
     def del_entry(self, w: Word) -> None:
         """Remove lead ``w``, if entered, and prune the trie."""
         path = self.path(w)
         if len(path) > len(w) and path[-1].pop(None, None) is not None:
             self.prune(w, path)
-
-    def find_best_match(self, w: Word):
-        """The reduction site in ``w`` under the tie-break above, as
-        ``(pos, lead_length, index)``, or ``None``.
-
-        Walks the trie from each position of ``w`` and keeps the longest
-        hit, then the order-largest; only an equal word ranks equal, so
-        ``>`` keeps the leftmost site.  The order is consulted only on a tie
-        in length.  A position with fewer letters left than the best hit is
-        not walked.
-        """
-        root = self.trie
-        best = root.get(None)  # the empty lead, at position 0
-        size = at = 0
-        n = len(w)
-        for pos in range(n):
-            if n - pos < size:
-                break
-            node = root
-            t = pos
-            while t < n:
-                node = node.get(w[t])
-                if node is None:
-                    break
-                t += 1
-                if None in node:
-                    if t - pos > size or t - pos == size and \
-                            self.key(w[pos:t]) > self.key(w[at:at + size]):
-                        best, size, at = node[None], t - pos, pos
-        if best is None:
-            return None
-        return at, size, best
 
     def normal_form(self, terms: dict, items_of, steps: list,
                     deadline: Optional[float] = None) -> bool:
@@ -206,9 +180,11 @@ class _Reducer:
         adds the tail.  Returns False if the deadline struck before the
         normal form was reached (terms are then left mid-reduction).
         """
-        if not self.trie:
+        root = self.trie
+        if not root:
             return True
         key = self.key
+        empty = root.get(None)  # the empty lead, a factor at position 0
         # (key, word) pairs in ascending order, so ``pop`` gives the largest
         pending = sorted([(key(w), w) for w in terms])
         # words pop in descending order (a step only adds words below the one
@@ -220,12 +196,31 @@ class _Reducer:
             if w == last or w not in terms:
                 continue
             last = w
-            hit = self.find_best_match(w)
-            if hit is None:
+            # the reduction site: walk the trie from each position and keep
+            # the longest hit, then the order-largest; only an equal word
+            # ranks equal, so ``>`` keeps the leftmost site.  A position with
+            # fewer letters left than the best hit is not walked.
+            idx = empty
+            size = at = 0
+            n = len(w)
+            for pos in range(n):
+                if n - pos < size:
+                    break
+                node = root
+                t = pos
+                while t < n:
+                    node = node.get(w[t])
+                    if node is None:
+                        break
+                    t += 1
+                    if None in node:
+                        if t - pos > size or t - pos == size and \
+                                key(w[pos:t]) > key(w[at:at + size]):
+                            idx, size, at = node[None], t - pos, pos
+            if idx is None:
                 continue
-            pos, n, idx = hit
-            left = w[:pos]
-            right = w[pos + n:]
+            left = w[:at]
+            right = w[at + size:]
             c = terms.pop(w)
             steps.append((-c, left, idx, right))
             for nw in add_terms(terms, items_of(idx), -c, left, right):
@@ -284,17 +279,62 @@ def _paddings(u: Word, v: Word, a: int, b: int) -> tuple:
     return (), v[len(u) - b:], u[:b], u[b + len(v):]
 
 
-def _unlist(table: dict, key, idx: int, n: int, lead_len) -> None:
-    """Remove ``idx``, whose lead has ``n`` letters, from ``table[key]``, a
-    list ordered by (lead length, index); drop the key with its last index.
-    Two bisects find the leads of ``n`` letters, a third finds ``idx``."""
+# a prefix or suffix list entry is ``len(lead) << _SHIFT | idx``, so that the
+# lists sort by (lead length, index) as plain ints (no engine holds 2**32
+# elements, so ``idx`` fits below the shift)
+_SHIFT = 32
+_IDX = (1 << _SHIFT) - 1
+
+
+def _unlist(table: dict, key, entry: int) -> None:
+    """Remove ``entry`` from the ascending list ``table[key]``; drop the key
+    with its last entry."""
     lst = table[key]
     if len(lst) == 1:
         del table[key]
     else:
-        lo = bisect_left(lst, n, key=lead_len)
-        hi = bisect_right(lst, n, lo, key=lead_len)
-        del lst[bisect_left(lst, idx, lo, hi)]
+        del lst[bisect_left(lst, entry)]
+
+
+def _is_factor(u: Word, w: Word) -> bool:
+    """Whether ``u`` occurs in ``w``; the empty word occurs in every word."""
+    n = len(u)
+    return any(w[t:t + n] == u for t in range(len(w) - n + 1))
+
+
+class _Queue:
+    """Queue rows in (degree, push order) order: one FIFO per degree, and
+    the lowest non-empty degree pops first.  ``len`` counts the rows."""
+
+    __slots__ = ("_fifos", "_low", "_size")
+
+    def __init__(self):
+        self._fifos: list = []  # degree -> deque of rows
+        self._low = 0           # no row has a lower degree
+        self._size = 0
+
+    def __len__(self) -> int:
+        return self._size
+
+    def push(self, deg: int, row) -> None:
+        fifos = self._fifos
+        while len(fifos) <= deg:
+            fifos.append(deque())
+        fifos[deg].append(row)
+        if deg < self._low:
+            self._low = deg
+        self._size += 1
+
+    def pop(self):
+        """The oldest row of the lowest degree; the queue must not be
+        empty."""
+        fifos = self._fifos
+        low = self._low
+        while not fifos[low]:
+            low += 1
+        self._low = low
+        self._size -= 1
+        return fifos[low].popleft()
 
 
 class _Element:
@@ -326,15 +366,16 @@ class CompletionStats:
 class CompletionEngine:
     """Fair bounded completion with generator-level trace bookkeeping.
 
-    Obstructions are processed as a FIFO keyed by (overlap degree, creation
-    index).  Elements whose lead becomes reducible by a newer lead are retired
-    and their normal forms re-enter the basis, so the active lead set stays
-    interreduced: each active lead word belongs to exactly one element, and
-    the reducer's trie holds exactly the active leads.  Three indexes map a
-    word to the list of active indices whose lead has it as a proper prefix
-    (on the word's trie node, under ``_PREFIXED``), as a proper suffix
-    (``_suffixes``) or as a two-letter factor (``_digrams``).  Prefix and
-    suffix lists are ordered by (lead length, index), so the partners beyond
+    Obstructions are processed lowest overlap degree first, and in the order
+    they were queued within a degree.  Elements whose lead becomes reducible
+    by a newer lead are retired and their normal forms re-enter the basis,
+    so the active lead set stays interreduced: each active lead word belongs
+    to exactly one element, and the reducer's trie holds exactly the active
+    leads.  Three indexes map a word to the list of active indices whose
+    lead has it as a proper prefix (on the word's trie node, under
+    ``_PREFIXED``), as a proper suffix (``_suffixes``) or as a two-letter
+    factor (``_digrams``).  A prefix or suffix list holds the ints
+    ``len(lead) << _SHIFT | idx`` in ascending order, so the partners beyond
     ``max_degree`` form one tail of each list, which is only counted; digram
     lists are ascending.  A new lead finds its overlap partners through the
     first two.  Only a raw generator's lead can have active leads as
@@ -343,8 +384,11 @@ class CompletionEngine:
     retires all hold each of its two-letter factors, so ``_digrams``
     narrows their search.
 
-    Queue entries are rows ``(degree, seq, i, j, len(li), len(lj))``;
+    ``queue`` is a ``_Queue`` of rows ``(i, j, len(li), len(lj))``;
     ``_paddings`` rebuilds the padding words from the two leads.
+
+    ``run`` re-reduces a claim only when a lead activated since the claim's
+    last completed normal form is a factor of one of its words.
     """
 
     def __init__(self, generators, order: DegLexOrder,
@@ -352,19 +396,18 @@ class CompletionEngine:
         self.order = order
         self.limits = limits
         self.reducer = _Reducer(order)
-        self.elements: list[_Element] = []
-        # idx -> len(elements[idx].lead); its ``__getitem__`` is the sort key
-        # of the prefix and suffix lists
-        self._lead_lens: list = []
-        self.queue: list = []
+        elements: list[_Element] = []
+        self.elements = elements
+        self._tail_of = lambda idx: elements[idx].tail
+        self.queue = _Queue()
         self._active: dict = {}   # idx -> lead word (insertion ordered)
-        # proper suffix of an active lead -> idx list ordered by
-        # (lead length, idx); the prefix lists live on the reducer's trie
+        # proper suffix of an active lead -> ascending list of entries
+        # ``len(lead) << _SHIFT | idx``; the prefix lists live on the
+        # reducer's trie
         self._suffixes: dict = {}
         # two-letter factor of an active lead -> ascending idx list, each
         # idx once however often the factor recurs in its lead
         self._digrams: dict = {}
-        self._seq = 0
         self._requeue: list = []
         self.stats = CompletionStats()
         self._deadline = time.monotonic() + limits.time_budget
@@ -391,15 +434,13 @@ class CompletionEngine:
         and the lead indexes.  ``idx`` is the newest index, so it goes after
         every lead no longer than ``w`` and the lists keep their order."""
         self._active[idx] = w
-        reducer = self.reducer
-        reducer.set_entry(w, idx)
-        path = reducer.path(w)
+        path = self.reducer.set_entry(w, idx)
         suffixes = self._suffixes
-        lead_len = self._lead_lens.__getitem__
         n = len(w)
+        entry = n << _SHIFT | idx
         for k in range(1, n):
-            insort(path[k].setdefault(_PREFIXED, []), idx, key=lead_len)
-            insort(suffixes.setdefault(w[n - k:], []), idx, key=lead_len)
+            insort(path[k].setdefault(_PREFIXED, []), entry)
+            insort(suffixes.setdefault(w[n - k:], []), entry)
         digrams = self._digrams
         for key in set(zip(w, w[1:])):  # each w[t:t + 2] once
             digrams.setdefault(key, []).append(idx)
@@ -412,11 +453,11 @@ class CompletionEngine:
         reducer = self.reducer
         path = reducer.path(w)
         suffixes = self._suffixes
-        lead_len = self._lead_lens.__getitem__
         n = len(w)
+        entry = n << _SHIFT | idx
         for k in range(1, n):
-            _unlist(path[k], _PREFIXED, idx, n, lead_len)
-            _unlist(suffixes, w[n - k:], idx, n, lead_len)
+            _unlist(path[k], _PREFIXED, entry)
+            _unlist(suffixes, w[n - k:], entry)
         digrams = self._digrams
         for key in set(zip(w, w[1:])):  # each w[t:t + 2] once
             lst = digrams[key]
@@ -448,7 +489,6 @@ class CompletionEngine:
         elem = _Element(lead, tuple(tail), tuple(steps))
         idx = len(self.elements)
         self.elements.append(elem)
-        self._lead_lens.append(len(lead))
         self.stats.elements_added += 1
         # retire active elements whose lead contains the new lead as a factor
         # (an equal lead included, so active leads stay distinct)
@@ -482,7 +522,7 @@ class CompletionEngine:
 
         A partner ``u`` overlapping ``v`` in ``k`` letters fits iff
         ``len(u) <= max_degree - len(v) + k``; the prefix and suffix lists
-        are ordered by lead length, so one ``bisect_right`` splits each into
+        are ordered by lead length, so one ``bisect_left`` splits each into
         the partners that fit and the tail that is counted.  The prefix list
         of each suffix of ``v`` is found by walking the trie.  No active lead
         contains ``v`` (those were just retired), so the containments left
@@ -496,17 +536,18 @@ class CompletionEngine:
         room = maxdeg - nv
         trie = self.reducer.trie
         suffixes = self._suffixes
-        lead_len = self._lead_lens.__getitem__
         skipped = 0
         rows = []
         for k in range(1, nv):
+            # the first entry of a lead longer than ``room + k``
+            above = (room + k + 1) << _SHIFT
             lst = suffixes.get(v[:k])
             if lst:
-                cut = bisect_right(lst, room + k, key=lead_len)
+                cut = bisect_left(lst, above)
                 skipped += len(lst) - cut
-                for i in lst[:cut]:
-                    nu = lead_len(i)
-                    rows.append((i, 0, nu - k, nu + nv - k))
+                for e in lst[:cut]:
+                    nu = e >> _SHIFT
+                    rows.append((e & _IDX, 0, nu - k, nu + nv - k))
             node = trie  # to the node of v's last k letters
             for c in v[nv - k:]:
                 node = node.get(c)
@@ -515,10 +556,11 @@ class CompletionEngine:
             else:
                 lst = node.get(_PREFIXED)
                 if lst:
-                    cut = bisect_right(lst, room + k, key=lead_len)
+                    cut = bisect_left(lst, above)
                     skipped += len(lst) - cut
-                    for i in lst[:cut]:
-                        rows.append((i, nv - k, 0, nv + lead_len(i) - k))
+                    for e in lst[:cut]:
+                        rows.append((e & _IDX, nv - k, 0,
+                                     nv + (e >> _SHIFT) - k))
         if unreduced:
             empty = trie.get(None)
             for t in range(nv + 1):
@@ -540,15 +582,12 @@ class CompletionEngine:
 
     def _push_rows(self, j: int, rows) -> None:
         maxdeg = self.limits.max_degree
-        queue = self.queue
-        seq = self._seq
+        push = self.queue.push
         for i, a, b, deg in rows:
             if deg > maxdeg:
                 self.stats.obstructions_skipped_degree += 1
                 continue
-            heapq.heappush(queue, (deg, seq, i, j, a, b))
-            seq += 1
-        self._seq = seq
+            push(deg, (i, j, a, b))
 
     # -- normal forms ----------------------------------------------------------
 
@@ -560,9 +599,8 @@ class CompletionEngine:
         Returns False if the deadline struck first; ``time_budget`` has then
         tripped and ``terms`` are left mid-reduction.
         """
-        elements = self.elements
-        if self.reducer.normal_form(terms, lambda idx: elements[idx].tail,
-                                    steps, self._deadline):
+        if self.reducer.normal_form(terms, self._tail_of, steps,
+                                    self._deadline):
             return True
         self.tripped_limit = "time_budget"
         return False
@@ -606,11 +644,13 @@ class CompletionEngine:
         exhausted, or a budget tripped.  Returns True iff one was added."""
         elements = self.elements
         active = self._active
+        queue = self.queue
         while True:
-            self._process_requeue()
-            if not self.queue or self._check_limits():
+            if self._requeue:
+                self._process_requeue()
+            if not queue or self._check_limits():
                 return False
-            _, _, i, j, a, b = heapq.heappop(self.queue)
+            i, j, a, b = queue.pop()
             # a retired partner cannot survive into the final basis, so its
             # obstruction is moot
             u = active.get(i)
@@ -628,7 +668,8 @@ class CompletionEngine:
                 return False
             if terms:
                 self._append(terms, steps)
-                self._process_requeue()
+                if self._requeue:
+                    self._process_requeue()
                 return True
 
     # -- trace expansion --------------------------------------------------------------
@@ -719,7 +760,8 @@ class CompletionEngine:
         """
         # First pass against the raw generators: direct reductions keep the
         # cofactor attribution on the assumptions as stated (and are cheap).
-        pending = self._reduce_claims(claims)
+        pending = self._reduce_claims([[terms, steps, None]
+                                       for terms, steps in claims])
         if pending:
             self.interreduce()
             pending = self._reduce_claims(pending)
@@ -733,7 +775,33 @@ class CompletionEngine:
         return status
 
     def _reduce_claims(self, claims) -> list:
-        """Reduce each claim by the current basis; returns those left."""
-        for terms, steps in claims:
-            self.normal_form(terms, steps)
+        """Reduce each claim ``[terms, steps, mark]`` by the current basis;
+        returns those left.
+
+        ``mark`` is the element count at the claim's last completed normal
+        form, or None before the first and after a pass the deadline cut
+        short.  No lead active at that normal form divides a word of the
+        claim, and its words have not changed since, so the claim is reduced
+        again only if a lead added since ``mark``, and still active, divides
+        one of its words.
+        """
+        now = len(self.elements)
+        for claim in claims:
+            terms, steps, mark = claim
+            if mark is None or self._new_lead_divides(terms, mark):
+                claim[2] = now if self.normal_form(terms, steps) else None
+            else:
+                claim[2] = now
         return [claim for claim in claims if claim[0]]
+
+    def _new_lead_divides(self, terms: dict, since: int) -> bool:
+        """Whether an active lead of index ``since`` or above is a factor
+        of a word of ``terms``."""
+        active = self._active
+        longest = max(map(len, terms))
+        for k in range(since, len(self.elements)):
+            u = active.get(k)
+            if u is not None and len(u) <= longest and \
+                    any(_is_factor(u, w) for w in terms):
+                return True
+        return False

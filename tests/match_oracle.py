@@ -1,8 +1,9 @@
 """Brute-force oracles for the reducer's lead trie.
 
 ``best_match`` lists every lead factor of a word and applies the documented
-tie-break; ``trie_contents`` reads a trie back into plain tables and checks
-that it is pruned.
+tie-break; ``reduction_site`` reads the site the reducer's trie walk picks
+from a one-word normal form; ``trie_contents`` reads a trie back into plain
+tables and checks that it is pruned.
 """
 
 from opcert.rewrite import _PREFIXED
@@ -19,6 +20,21 @@ def best_match(table, w, key):
         return None
     n, _, pos = max(sites)
     return -pos, n, table[w[-pos:n - pos]]
+
+
+def reduction_site(reducer, w):
+    """The site at which ``reducer.normal_form`` rewrites the word ``w``, as
+    ``(pos, lead_length, index)``, or None: the one step of the normal form
+    of ``w`` by leads whose tails are empty."""
+    steps = []
+    terms = {w: 1}
+    reducer.normal_form(terms, lambda idx: (), steps)
+    if not steps:
+        assert terms == {w: 1}
+        return None
+    ((c, left, idx, right),) = steps
+    assert c == -1 and terms == {}
+    return len(left), len(w) - len(left) - len(right), idx
 
 
 def trie_contents(trie):

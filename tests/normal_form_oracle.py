@@ -20,6 +20,8 @@ from fractions import Fraction
 from opcert.freealg import add_terms, normalize_coeff
 from opcert.rewrite import TraceStep
 
+from match_oracle import reduction_site
+
 
 def heap_normal_form(reducer, order, terms: dict, items_of, lcs: list,
                      steps: list):
@@ -45,7 +47,7 @@ def heap_normal_form(reducer, order, terms: dict, items_of, lcs: list,
         if w not in terms:
             continue
         last = w
-        hit = reducer.find_best_match(w)
+        hit = reduction_site(reducer, w)
         if hit is None:
             continue
         pos, n, idx = hit

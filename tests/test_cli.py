@@ -356,15 +356,24 @@ def test_huge_integer_literal_is_an_input_error(tmp_path, capsys, command,
      "line 21: inv subset reads {1,3}"),
     (("time_budget 30", "order a zz"),
      "line 31: unknown indeterminate 'zz'"),
+    (("time_budget 30", "order b a b"),
+     "line 31: order ranks 'b' twice"),
     (("[ops]\na\n", "[ops]\na : v1 -> v2\n"),
      "line 6: declared signature of 'a' contradicts the quiver section"),
-], ids=["inv_subset", "order", "signature_pin"])
+], ids=["inv_subset", "order", "order_repeat", "signature_pin"])
 def test_compat_names_the_faulty_problem_line(tmp_path, capsys, edit,
                                               message):
     assert edit[0] in _WERNER_PROBLEM
     bad = tmp_path / "bad.prob"
     bad.write_text(_WERNER_PROBLEM.replace(*edit), encoding="utf-8")
     assert _input_error(capsys, ["compat", str(bad)]) == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["certify", "reduce"])
+def test_order_option_naming_a_name_twice_is_an_input_error(capsys, command):
+    # without the check the second ``b`` overwrote the first: a ranked first
+    assert _input_error(capsys, [command, "werner", "--order", "b,a,b"]) == \
+        "error: order ranks 'b' twice\n"
 
 
 def test_reduce_unknown_claim_is_an_input_error(capsys):

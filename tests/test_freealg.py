@@ -420,6 +420,8 @@ def test_custom_ranking(werner_algebra):
     A = werner_algebra
     order = DegLexOrder.from_names(A, ["b", "a"])
     assert order.compare(A.word("b"), A.word("a")) == -1
+    with pytest.raises(AlgebraError, match="order ranks 'b' twice"):
+        DegLexOrder.from_names(A, ["b", "a", "b"])
 
 
 # -- rendering --------------------------------------------------------------------

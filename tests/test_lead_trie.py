@@ -1,14 +1,19 @@
-"""The reducer's lead trie and the completion queue's compact rows.
+"""The reducer's lead trie and the completion queue and its compact rows.
 
-``find_best_match`` is checked against a brute-force listing of every lead
-factor, on lead tables that need not be interreduced, after entries were
-deleted again.  After each entry and deletion the trie, whose nodes are
-plain dicts, must hold each lead's lowest index under key ``None`` of its
-node and no node left empty.  The queue's padding helper is checked against
-the kernel's overlap scans.  A constant lead must match the empty word: without that
-match a completion whose ideal contains 1 appends its constant element
-forever, so those tests stop at a small element count instead of hanging.
+The reduction site that ``_Reducer.normal_form``'s trie walk picks, read
+from one-word normal forms, is checked against a brute-force listing of
+every lead factor, on lead tables that need not be interreduced, after
+entries were deleted again.  After each entry and deletion the trie, whose
+nodes are plain dicts, must hold each lead's lowest index under key
+``None`` of its node and no node left empty.  The queue's padding helper
+is checked against the kernel's overlap scans, and the queue's pop order
+against a heap keyed by (degree, push order).  A constant lead must match
+the empty word: without that match a completion whose ideal contains 1
+appends its constant element forever, so those tests stop at a small
+element count instead of hanging.
 """
+
+import heapq
 
 import pytest
 from hypothesis import given, settings
@@ -17,9 +22,9 @@ from hypothesis import strategies as st
 from opcert import _kernel_py
 from opcert.freealg import DegLexOrder, FreeAlgebra
 from opcert.rewrite import (COMPLETE, CompletionEngine, CompletionLimits,
-                            TraceStep, _paddings, _Reducer, reduce)
+                            TraceStep, _paddings, _Queue, _Reducer, reduce)
 
-from match_oracle import best_match, trie_contents
+from match_oracle import best_match, reduction_site, trie_contents
 
 
 def words(letters, max_size):
@@ -41,7 +46,7 @@ def lead_tables(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(lead_tables())
-def test_find_best_match_equals_brute_force(case):
+def test_reduction_site_equals_brute_force(case):
     ranking, ops, queries = case
     order = DegLexOrder(ranking)
     red = _Reducer(order)
@@ -56,7 +61,7 @@ def test_find_best_match_equals_brute_force(case):
                 table[w] = idx
         assert trie_contents(red.trie) == (table, {})
     for w in queries + [w for _, w in ops]:
-        assert red.find_best_match(w) == best_match(table, w, order.key)
+        assert reduction_site(red, w) == best_match(table, w, order.key)
 
 
 @settings(max_examples=300, deadline=None)
@@ -67,6 +72,25 @@ def test_paddings_rebuild_the_overlap_rows(u, v):
     for lead, li, ri, lj, rj, overlap in rows:
         assert li + lead + ri == lj + v + rj == overlap
         assert _paddings(lead, v, len(li), len(lj)) == (li, ri, lj, rj)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.none() | st.integers(0, 6), max_size=60))
+def test_queue_pops_by_degree_then_push_order(ops):
+    """``None`` pops a row, an int pushes a row of that degree."""
+    queue, heap = _Queue(), []
+    for seq, deg in enumerate(ops):
+        if deg is None:
+            if heap:
+                assert queue.pop() == heapq.heappop(heap)[2]
+        else:
+            queue.push(deg, ("row", seq))
+            heapq.heappush(heap, (deg, seq, ("row", seq)))
+        assert len(queue) == len(heap)
+        assert bool(queue) == bool(heap)
+    while heap:
+        assert queue.pop() == heapq.heappop(heap)[2]
+    assert not queue
 
 
 def _algebra():

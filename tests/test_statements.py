@@ -383,6 +383,15 @@ def test_order_naming_an_undeclared_operator_names_its_line():
     parse_problem(text.replace(" zz", "")).order()
 
 
+def test_order_naming_an_operator_twice_names_its_line():
+    text = "[ops]\na\nb\n[claim]\ng = a\n[options]\norder b a b\n"
+    with pytest.raises(ProblemFileError) as err:
+        parse_problem(text)
+    assert str(err.value) == "line 7: order ranks 'b' twice"
+    order = parse_problem(text.replace(" a b", " a")).order()
+    assert order.ranking == (1, 0)  # b ranked first
+
+
 @pytest.mark.parametrize("subset", ["{1,2,3}junk", "{1}{2}"])
 def test_inv_subset_is_the_whole_third_argument(subset):
     with pytest.raises(ProblemFileError) as err:
