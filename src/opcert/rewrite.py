@@ -607,6 +607,11 @@ class CompletionEngine:
 
     def _process_requeue(self) -> None:
         while self._requeue:
+            # a normal form checks the deadline only every 256 steps, and a
+            # retirement can requeue many short ones
+            if time.monotonic() > self._deadline:
+                self.tripped_limit = "time_budget"
+                return
             m = self._requeue.pop()
             terms = self.elements[m].terms
             steps: list = [(1, (), m, ())]
