@@ -296,12 +296,6 @@ def _unlist(table: dict, key, entry: int) -> None:
         del lst[bisect_left(lst, entry)]
 
 
-def _is_factor(u: Word, w: Word) -> bool:
-    """Whether ``u`` occurs in ``w``; the empty word occurs in every word."""
-    n = len(u)
-    return any(w[t:t + n] == u for t in range(len(w) - n + 1))
-
-
 class _Queue:
     """Queue rows in (degree, push order) order: one FIFO per degree, and
     the lowest non-empty degree pops first.  ``len`` counts the rows."""
@@ -386,9 +380,6 @@ class CompletionEngine:
 
     ``queue`` is a ``_Queue`` of rows ``(i, j, len(li), len(lj))``;
     ``_paddings`` rebuilds the padding words from the two leads.
-
-    ``run`` re-reduces a claim only when a lead activated since the claim's
-    last completed normal form is a factor of one of its words.
     """
 
     def __init__(self, generators, order: DegLexOrder,
@@ -607,11 +598,6 @@ class CompletionEngine:
 
     def _process_requeue(self) -> None:
         while self._requeue:
-            # a normal form checks the deadline only every 256 steps, and a
-            # retirement can requeue many short ones
-            if time.monotonic() > self._deadline:
-                self.tripped_limit = "time_budget"
-                return
             m = self._requeue.pop()
             terms = self.elements[m].terms
             steps: list = [(1, (), m, ())]
@@ -765,8 +751,7 @@ class CompletionEngine:
         """
         # First pass against the raw generators: direct reductions keep the
         # cofactor attribution on the assumptions as stated (and are cheap).
-        pending = self._reduce_claims([[terms, steps, None]
-                                       for terms, steps in claims])
+        pending = self._reduce_claims(claims)
         if pending:
             self.interreduce()
             pending = self._reduce_claims(pending)
@@ -780,33 +765,7 @@ class CompletionEngine:
         return status
 
     def _reduce_claims(self, claims) -> list:
-        """Reduce each claim ``[terms, steps, mark]`` by the current basis;
-        returns those left.
-
-        ``mark`` is the element count at the claim's last completed normal
-        form, or None before the first and after a pass the deadline cut
-        short.  No lead active at that normal form divides a word of the
-        claim, and its words have not changed since, so the claim is reduced
-        again only if a lead added since ``mark``, and still active, divides
-        one of its words.
-        """
-        now = len(self.elements)
-        for claim in claims:
-            terms, steps, mark = claim
-            if mark is None or self._new_lead_divides(terms, mark):
-                claim[2] = now if self.normal_form(terms, steps) else None
-            else:
-                claim[2] = now
+        """Reduce each claim by the current basis; returns those left."""
+        for terms, steps in claims:
+            self.normal_form(terms, steps)
         return [claim for claim in claims if claim[0]]
-
-    def _new_lead_divides(self, terms: dict, since: int) -> bool:
-        """Whether an active lead of index ``since`` or above is a factor
-        of a word of ``terms``."""
-        active = self._active
-        longest = max(map(len, terms))
-        for k in range(since, len(self.elements)):
-            u = active.get(k)
-            if u is not None and len(u) <= longest and \
-                    any(_is_factor(u, w) for w in terms):
-                return True
-        return False

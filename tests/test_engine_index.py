@@ -12,15 +12,9 @@ lead, where the indexed engine checks only the candidates of its two-letter
 factor index.  Both engines must build the same queue in the same order
 and retire the same leads in the same order, so everything downstream
 (counters, basis, traces) is identical too.
-
-``run``'s claim pass, which reduces a claim again only when a lead added
-since its last normal form divides one of its words, must leave the same
-claim terms and steps as ``AlwaysReduce``, which reduces every claim on
-every pass, also when the deadline cuts a pass short.
 """
 
 import dataclasses
-import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -80,38 +74,20 @@ def assert_same_state(indexed, scan):
             {e.elements[k].lead: k for k in e.active_indices()}
 
 
-def timed_out(engines):
-    """True once the deadline struck either engine.  The two engines then
-    stop at different points, one maybe mid-reduction, so the step that
-    was cut is not compared."""
-    return any(e.tripped_limit == "time_budget" for e in engines)
-
-
 def run_both(alg, gens, max_degree):
     """Drive both engines in lockstep as ``certify`` does; returns the
-    scan engine's event counts, or None if the deadline ended the run.
-
-    Each engine has a budget of 5 seconds.  A few generator sets make
-    coefficients grow without bound.  For example, the two-letter set
-    ``[{aaaa: -1, b: -1, bbb: 1}, {bbab: 1, aabb: 2}, {abbb: -1, aaab: -1,
-    aabb: -2}]`` at max_degree 7: its 14th ``process()`` takes half a
-    minute and leaves coefficients of 400,000 bits, and the next one takes
-    minutes more.  Every step before the cut is still compared."""
+    scan engine's event counts."""
     order = alg.default_order()
     limits = CompletionLimits(max_degree=max_degree, max_iterations=300,
-                              max_basis_size=80, time_budget=5)
+                              max_basis_size=80, time_budget=600)
     engines = [cls(list(enumerate(gens)), order, limits)
                for cls in (IndexedEngine, ScanEngine)]
     assert_same_state(*engines)
     for e in engines:
         e.interreduce()
-    if timed_out(engines):
-        return None
     assert_same_state(*engines)
     while True:
         added = [e.process() for e in engines]
-        if timed_out(engines):
-            return None
         assert added[0] == added[1]
         assert_same_state(*engines)
         if not added[0]:
@@ -209,130 +185,6 @@ def test_indexed_enumeration_matches_scan(case):
     letters, gens, max_degree = case
     alg = _algebra(letters)
     run_both(alg, [alg.poly(t) for t in gens], max_degree)
-
-
-class AlwaysReduce(CompletionEngine):
-    """The claim pass without marks: every claim left is reduced again."""
-
-    def _reduce_claims(self, claims):
-        for terms, steps, _ in claims:
-            self.normal_form(terms, steps)
-        return [claim for claim in claims if claim[0]]
-
-
-class CountingEngine(CompletionEngine):
-    """Counts the claims its claim passes take and the normal forms they
-    run."""
-
-    def __init__(self, *args, **kwargs):
-        self.claims_seen = self.claim_forms = 0
-        self._in_pass = False
-        super().__init__(*args, **kwargs)
-
-    def _reduce_claims(self, claims):
-        self.claims_seen += len(claims)
-        self._in_pass = True
-        try:
-            return super()._reduce_claims(claims)
-        finally:
-            self._in_pass = False
-
-    def normal_form(self, terms, steps):
-        self.claim_forms += self._in_pass
-        return super().normal_form(terms, steps)
-
-
-def cut_short(cls):
-    """``cls`` whose deadline has passed before it starts."""
-
-    class Cut(cls):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            self._deadline = float("-inf")
-
-    return Cut
-
-
-def run_claims(cls, alg, gens, claims, max_degree):
-    """``cls.run`` on the claims; the outcome with every coefficient's
-    type, terms in dict order.  The small caps stop completions before
-    their coefficients grow to thousands of digits."""
-    limits = CompletionLimits(max_degree=max_degree, max_iterations=30,
-                              max_basis_size=16, time_budget=600)
-    engine = cls(list(enumerate(gens)), alg.default_order(), limits)
-    pending = [(dict(c._terms), []) for c in claims]
-    status = engine.run(pending)
-    typed = [([(w, type(c), c) for w, c in terms.items()],
-              [(type(step[0]),) + step for step in steps])
-             for terms, steps in pending]
-    return engine, (status, engine.tripped_limit, engine.stats, typed)
-
-
-def assert_claim_pass_matches(alg, gens, claims, max_degree, cut=False):
-    """The claim pass that skips claims no new lead divides gives the
-    outcome of re-reducing every claim; returns the engine under test."""
-    classes = (CountingEngine, AlwaysReduce)
-    if cut:
-        classes = [cut_short(cls) for cls in classes]
-    (engine, got), (_, want) = [run_claims(cls, alg, gens, claims,
-                                           max_degree) for cls in classes]
-    assert got == want
-    return engine
-
-
-@st.composite
-def claim_cases(draw):
-    letters, gens, max_degree = draw(generator_sets())
-    word = st.lists(st.integers(0, letters - 1), max_size=6).map(tuple)
-    poly = st.dictionaries(word, st.sampled_from([-2, -1, 1, 2]),
-                           min_size=1, max_size=4)
-    return letters, gens, draw(st.lists(poly, min_size=1, max_size=3)), \
-        max_degree
-
-
-@settings(max_examples=60, deadline=None)
-@given(claim_cases())
-def test_claim_pass_matches_always_reducing(case):
-    letters, gens, claims, max_degree = case
-    alg = _algebra(letters)
-    assert_claim_pass_matches(alg, [alg.poly(t) for t in gens],
-                              [alg.poly(t) for t in claims], max_degree)
-
-
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_claim_pass_matches_always_reducing_on_the_cases(name):
-    letters, gens, max_degree = CASES[name]
-    alg = _algebra(letters)
-    words = [w for n in range(5) for w in itertools.product(range(letters),
-                                                            repeat=n)]
-    claims = [alg.poly({w: 1 for w in words}),
-              alg.poly({w: (-1) ** k * (k + 1) for k, w in enumerate(words)})]
-    assert_claim_pass_matches(alg, [alg.poly(t) for t in gens], claims,
-                              max_degree)
-
-
-def test_claim_pass_cut_short_by_the_deadline_is_redone():
-    """b^30·a^30 takes 900 steps by b·a -> a·b.  With the deadline passed,
-    each of the three claim passes of ``run`` stops after 256 steps, and
-    each pass after a cut one must take the claim up again."""
-    alg = _algebra(2)
-    gens = [alg.poly({(1, 0): 1, (0, 1): -1})]
-    claims = [alg.poly({(1,) * 30 + (0,) * 30: 1, (0,): 3})]
-    engine, (_, tripped, _, ((_, steps),)) = run_claims(
-        cut_short(CountingEngine), alg, gens, claims, 6)
-    assert tripped == "time_budget"
-    assert engine.claims_seen == engine.claim_forms == 3
-    assert len(steps) == 3 * 256
-    assert_claim_pass_matches(alg, gens, claims, 6, cut=True)
-
-
-def test_claim_pass_skips_claims_no_new_lead_divides():
-    letters, gens, max_degree = CASES["several"]
-    alg = _algebra(letters)
-    claims = [alg.poly({(0, 0, 0, 0, 0, 0, 0): 1}), alg.poly({(1, 1): 1})]
-    engine = assert_claim_pass_matches(alg, [alg.poly(t) for t in gens],
-                                       claims, max_degree)
-    assert engine.claim_forms < engine.claims_seen
 
 
 def test_hartwig_degree_12_counters(recorded_engines):

@@ -282,25 +282,6 @@ def test_deadline_during_interreduce_stops_completion():
                                                   + " − b")]
 
 
-def test_deadline_stops_the_requeue_before_its_next_normal_form():
-    # a·b retires a·b·a when the engine is built; its normal form (a² − b,
-    # one step) is too short to reach the reducer's deadline check, so the
-    # requeue must check the deadline itself and leave the element queued
-    A = FreeAlgebra()
-    for n in "ab":
-        A.add(n)
-    gens = [A.parse("a·b·a − b"), A.parse("a·b − a")]
-    engine = CompletionEngine(list(enumerate(gens)), A.default_order(),
-                              CompletionLimits(max_degree=6))
-    assert engine._requeue == [0]
-    engine._deadline = float("-inf")
-    assert not engine.process()
-    assert engine.tripped_limit == "time_budget"
-    assert engine._requeue == [0]
-    assert len(engine.elements) == 2
-    assert engine.status() == BUDGET_EXHAUSTED
-
-
 def test_limits_must_be_positive():
     with pytest.raises(ValueError):
         CompletionLimits(max_degree=0)
