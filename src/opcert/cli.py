@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 invalid certificate or incompatible statement,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -22,7 +23,7 @@ from .certify import load_certificate, save_certificate, verify_certificate
 from .freealg import AlgebraError
 from .matcheck import example1_check, example2_check, fixture_penrose_report
 from .rewrite import reduce as nf_reduce
-from .statements import load_problem, run_problem, translate
+from .statements import certify_claims, load_problem, translate
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -60,20 +61,30 @@ def _load(args):
     return path, load_problem(path)
 
 
+def _cert_file(outdir: Path, stem: str, claim: str) -> Path:
+    """The certificate file of ``claim`` in ``outdir``; a claim name that
+    would not make a plain file name is an input error."""
+    if any(c in claim for c in {"/", os.sep, "\0"}):
+        raise AlgebraError(f"claim {claim!r} cannot name a certificate file")
+    return outdir / f"{stem}.{claim}.cert"
+
+
 def cmd_certify(args) -> int:
     path, problem = _load(args)
     _apply_limit_overrides(problem, args)
-    trans, report = run_problem(problem)
+    outdir = Path(args.output) if args.output else None
+    if outdir:
+        for name, _ in problem.claims:
+            _cert_file(outdir, path.stem, name)
+    trans = translate(problem)
     print(f"problem {path.stem}: {trans.indeterminate_count} indeterminates, "
           f"{len(trans.assumptions)} assumptions, {len(trans.claims)} claims")
-    if trans.quiver_check is not None:
-        _print_quiver_check(trans)
-        if not trans.quiver_check.ok:
-            return EXIT_INVALID
+    if not _quiver_gate(path, trans):
+        return EXIT_INVALID
     for wf in trans.workflow_reports:
         print(f"  workflow {wf.conclusion_name}: witness certified "
               f"({wf.certificate.term_count} terms), conclusion added")
-    outdir = Path(args.output) if args.output else None
+    report = certify_claims(trans)
     if outdir:
         outdir.mkdir(parents=True, exist_ok=True)
     worst = EXIT_OK
@@ -91,7 +102,7 @@ def cmd_certify(args) -> int:
                           f"{cert.assumption_names[s.index]} . "
                           f"({alg.render(s.right)})")
             if outdir:
-                dest = outdir / f"{path.stem}.{res.name}.cert"
+                dest = _cert_file(outdir, path.stem, res.name)
                 save_certificate(cert, dest)
                 print(f"    wrote {dest}")
         else:
@@ -122,15 +133,15 @@ def cmd_check_cert(args) -> int:
 
 def cmd_compat(args) -> int:
     path, problem = _load(args)
-    trans = translate(problem)
+    return EXIT_OK if _quiver_gate(path, translate(problem)) else EXIT_INVALID
+
+
+def _quiver_gate(path: Path, trans) -> bool:
+    """Print the quiver check of ``trans``; True iff a quiver was given or
+    inferred and every statement passed it."""
     if trans.quiver is None:
         print(f"{path.stem}: no quiver given and none inferable")
-        return EXIT_INVALID
-    _print_quiver_check(trans)
-    return EXIT_OK if trans.quiver_check.ok else EXIT_INVALID
-
-
-def _print_quiver_check(trans) -> None:
+        return False
     check = trans.quiver_check
     q = trans.quiver
     print(f"  quiver: {len(q.vertices)} vertices, {len(q.edges)} edges; "
@@ -139,6 +150,7 @@ def _print_quiver_check(trans) -> None:
         print(f"    {name}: {comp.reason}")
     for label, partner in check.adjoint_violations:
         print(f"    adjoint edges not reversed: {label} vs {partner}")
+    return check.ok
 
 
 def cmd_reduce(args) -> int:

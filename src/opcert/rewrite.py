@@ -103,20 +103,16 @@ def _div(c, lc):
 # Normal forms
 # ---------------------------------------------------------------------------
 
-# the key, beside the letters, under which a trie node holds the completion
-# engine's list of the active leads that its word is a proper prefix of
-_PREFIXED = "prefixed"
-
-
 class _Reducer:
     """Full normal form against a trie of monic leading words, rewriting the
     largest pending word of a sorted word list at each step.
 
     ``trie`` is the root node.  Every node is a dict that maps a letter to
     the node of its word extended by that letter; a lead's index sits under
-    key ``None`` of its node, so the root's ``None`` is the empty lead.  The
-    completion engine keeps its prefix lists under ``_PREFIXED`` of the
-    nodes.  A node left empty is pruned.
+    key ``None`` of its node, so the root's ``None`` is the empty lead.
+    Nodes hold nothing else, and a node left empty is pruned.  The trie is
+    the reducer's own: ``set_entry`` and ``del_entry`` change it, and
+    ``normal_form`` and ``factors`` read it.
 
     Tie-break: rewrite the order-largest reducible monomial first; within it,
     the leftmost occurrence of the order-largest matching leading word; equal
@@ -128,46 +124,52 @@ class _Reducer:
         self.key = order.key
         self.trie: dict = {}
 
-    def path(self, w: Word) -> list:
-        """The nodes of ``w[:0], w[:1], ...`` as far as the trie holds them."""
+    def set_entry(self, w: Word, idx: int) -> None:
+        """Enter lead ``w`` of ``idx``, unless a lower index holds it."""
         node = self.trie
-        out = [node]
-        for c in w:
-            node = node.get(c)
-            if node is None:
-                break
-            out.append(node)
-        return out
-
-    def prune(self, w: Word, path: list) -> None:
-        """Drop the nodes of ``path`` (see ``path``) that were left empty,
-        deepest first."""
-        for k in range(len(path) - 1, 0, -1):
-            if path[k]:
-                return
-            del path[k - 1][w[k - 1]]
-
-    def set_entry(self, w: Word, idx: int) -> list:
-        """Enter lead ``w`` of ``idx``, unless a lower index holds it; returns
-        the nodes of ``w[:0], ..., w`` (see ``path``), made where missing."""
-        node = self.trie
-        out = [node]
         for c in w:
             child = node.get(c)
             if child is None:
                 child = node[c] = {}
             node = child
-            out.append(node)
         cur = node.get(None)
         if cur is None or idx < cur:
             node[None] = idx
-        return out
 
     def del_entry(self, w: Word) -> None:
-        """Remove lead ``w``, if entered, and prune the trie."""
-        path = self.path(w)
-        if len(path) > len(w) and path[-1].pop(None, None) is not None:
-            self.prune(w, path)
+        """Remove lead ``w``, if entered, and prune the nodes left empty."""
+        node = self.trie
+        path = [node]  # the nodes of w[:0], w[:1], ..., w
+        for c in w:
+            node = node.get(c)
+            if node is None:
+                return
+            path.append(node)
+        if node.pop(None, None) is None:
+            return
+        for k in range(len(w), 0, -1):  # deepest first
+            if path[k]:
+                return
+            del path[k - 1][w[k - 1]]
+
+    def factors(self, w: Word) -> list:
+        """The leads that are factors of ``w``, as ``(pos, idx)`` pairs by
+        position, and at each position the empty lead first, then by
+        length."""
+        root = self.trie
+        empty = root.get(None)
+        out = []
+        for pos in range(len(w) + 1):
+            if empty is not None:
+                out.append((pos, empty))
+            node = root
+            for c in w[pos:]:
+                node = node.get(c)
+                if node is None:
+                    break
+                if None in node:
+                    out.append((pos, node[None]))
+        return out
 
     def normal_form(self, terms: dict, items_of, steps: list,
                     deadline: Optional[float] = None) -> bool:
@@ -364,19 +366,18 @@ class CompletionEngine:
     they were queued within a degree.  Elements whose lead becomes reducible
     by a newer lead are retired and their normal forms re-enter the basis,
     so the active lead set stays interreduced: each active lead word belongs
-    to exactly one element, and the reducer's trie holds exactly the active
-    leads.  Three indexes map a word to the list of active indices whose
-    lead has it as a proper prefix (on the word's trie node, under
-    ``_PREFIXED``), as a proper suffix (``_suffixes``) or as a two-letter
-    factor (``_digrams``).  A prefix or suffix list holds the ints
-    ``len(lead) << _SHIFT | idx`` in ascending order, so the partners beyond
-    ``max_degree`` form one tail of each list, which is only counted; digram
-    lists are ascending.  A new lead finds its overlap partners through the
-    first two.  Only a raw generator's lead can have active leads as
-    factors: every other new lead is a normal form, so the trie is searched
-    for factor partners only for the generators.  The leads a new lead
-    retires all hold each of its two-letter factors, so ``_digrams``
-    narrows their search.
+    to exactly one element, and the reducer holds exactly the active leads.
+    The engine's own three dicts map a word to the list of active indices
+    whose lead has it as a proper prefix (``_prefixes``), as a proper suffix
+    (``_suffixes``) or as a two-letter factor (``_digrams``).  A prefix or
+    suffix list holds the ints ``len(lead) << _SHIFT | idx`` in ascending
+    order, so the partners beyond ``max_degree`` form one tail of each list,
+    which is only counted; digram lists are ascending.  A new lead finds its
+    overlap partners through the first two.  Only a raw generator's lead can
+    have active leads as factors: every other new lead is a normal form, so
+    the reducer lists factor partners (``_Reducer.factors``) only for the
+    generators.  The leads a new lead retires all hold each of its
+    two-letter factors, so ``_digrams`` narrows their search.
 
     ``queue`` is a ``_Queue`` of rows ``(i, j, len(li), len(lj))``;
     ``_paddings`` rebuilds the padding words from the two leads.
@@ -392,9 +393,9 @@ class CompletionEngine:
         self._tail_of = lambda idx: elements[idx].tail
         self.queue = _Queue()
         self._active: dict = {}   # idx -> lead word (insertion ordered)
-        # proper suffix of an active lead -> ascending list of entries
-        # ``len(lead) << _SHIFT | idx``; the prefix lists live on the
-        # reducer's trie
+        # proper prefix, and proper suffix, of an active lead -> ascending
+        # list of entries ``len(lead) << _SHIFT | idx``
+        self._prefixes: dict = {}
         self._suffixes: dict = {}
         # two-letter factor of an active lead -> ascending idx list, each
         # idx once however often the factor recurs in its lead
@@ -425,12 +426,13 @@ class CompletionEngine:
         and the lead indexes.  ``idx`` is the newest index, so it goes after
         every lead no longer than ``w`` and the lists keep their order."""
         self._active[idx] = w
-        path = self.reducer.set_entry(w, idx)
+        self.reducer.set_entry(w, idx)
+        prefixes = self._prefixes
         suffixes = self._suffixes
         n = len(w)
         entry = n << _SHIFT | idx
         for k in range(1, n):
-            insort(path[k].setdefault(_PREFIXED, []), entry)
+            insort(prefixes.setdefault(w[:k], []), entry)
             insort(suffixes.setdefault(w[n - k:], []), entry)
         digrams = self._digrams
         for key in set(zip(w, w[1:])):  # each w[t:t + 2] once
@@ -438,16 +440,14 @@ class CompletionEngine:
 
     def _deactivate(self, idx: int) -> None:
         """Drop ``idx`` from the active set and the lead indexes (the
-        reducer entry is the caller's business; ``interreduce`` deletes it
-        first, so the trie nodes left empty here are pruned)."""
+        reducer entry is the caller's business)."""
         w = self._active.pop(idx)
-        reducer = self.reducer
-        path = reducer.path(w)
+        prefixes = self._prefixes
         suffixes = self._suffixes
         n = len(w)
         entry = n << _SHIFT | idx
         for k in range(1, n):
-            _unlist(path[k], _PREFIXED, entry)
+            _unlist(prefixes, w[:k], entry)
             _unlist(suffixes, w[n - k:], entry)
         digrams = self._digrams
         for key in set(zip(w, w[1:])):  # each w[t:t + 2] once
@@ -456,7 +456,6 @@ class CompletionEngine:
                 del digrams[key]
             else:
                 del lst[bisect_left(lst, idx)]
-        reducer.prune(w, path)
 
     def _retire(self, idx: int) -> None:
         self._deactivate(idx)
@@ -514,8 +513,7 @@ class CompletionEngine:
         A partner ``u`` overlapping ``v`` in ``k`` letters fits iff
         ``len(u) <= max_degree - len(v) + k``; the prefix and suffix lists
         are ordered by lead length, so one ``bisect_left`` splits each into
-        the partners that fit and the tail that is counted.  The prefix list
-        of each suffix of ``v`` is found by walking the trie.  No active lead
+        the partners that fit and the tail that is counted.  No active lead
         contains ``v`` (those were just retired), so the containments left
         are active leads that are factors of ``v``, including an empty lead;
         they are searched only if ``v`` is ``unreduced``, since a normal
@@ -525,7 +523,7 @@ class CompletionEngine:
         nv = len(v)
         maxdeg = self.limits.max_degree
         room = maxdeg - nv
-        trie = self.reducer.trie
+        prefixes = self._prefixes
         suffixes = self._suffixes
         skipped = 0
         rows = []
@@ -539,34 +537,18 @@ class CompletionEngine:
                 for e in lst[:cut]:
                     nu = e >> _SHIFT
                     rows.append((e & _IDX, 0, nu - k, nu + nv - k))
-            node = trie  # to the node of v's last k letters
-            for c in v[nv - k:]:
-                node = node.get(c)
-                if node is None:
-                    break
-            else:
-                lst = node.get(_PREFIXED)
-                if lst:
-                    cut = bisect_left(lst, above)
-                    skipped += len(lst) - cut
-                    for e in lst[:cut]:
-                        rows.append((e & _IDX, nv - k, 0,
-                                     nv + (e >> _SHIFT) - k))
+            lst = prefixes.get(v[nv - k:])
+            if lst:
+                cut = bisect_left(lst, above)
+                skipped += len(lst) - cut
+                for e in lst[:cut]:
+                    rows.append((e & _IDX, nv - k, 0, nv + (e >> _SHIFT) - k))
         if unreduced:
-            empty = trie.get(None)
-            for t in range(nv + 1):
-                hits = [] if empty is None else [empty]
-                node = trie
-                for c in v[t:]:
-                    node = node.get(c)
-                    if node is None:
-                        break
-                    if None in node:
-                        hits.append(node[None])
-                if nv > maxdeg:
-                    skipped += len(hits)
-                else:  # after every overlap row of a partner: nv > any k
-                    rows += [(i, t, 0, nv) for i in hits]
+            hits = self.reducer.factors(v)
+            if nv > maxdeg:
+                skipped += len(hits)
+            else:  # after every overlap row of a partner: nv > any k
+                rows += [(i, pos, 0, nv) for pos, i in hits]
         self.stats.obstructions_skipped_degree += skipped
         rows.sort(key=operator.itemgetter(0))
         return rows

@@ -160,23 +160,20 @@ class CancellabilityStep:
     conclusion: Polynomial
 
 
-def _strip_right(p: Polynomial, word, coeff) -> Optional[Polynomial]:
+def _strip(p: Polynomial, word, coeff, side: str) -> Optional[Polynomial]:
+    """``p`` with ``word`` cut off each term at the ``side`` end and the
+    coefficients divided by ``coeff``, or None if a term lacks ``word``
+    there."""
     n = len(word)
     terms = {}
     for w, c in p._terms.items():
-        if len(w) < n or w[len(w) - n:] != word:
+        if side == "left":
+            cut, rest = w[:n], w[n:]
+        else:
+            cut, rest = w[len(w) - n:], w[:len(w) - n]
+        if len(w) < n or cut != word:
             return None
-        terms[w[:len(w) - n]] = normalize_coeff(Fraction(c) / coeff)
-    return p.alg.poly(terms)
-
-
-def _strip_left(p: Polynomial, word, coeff) -> Optional[Polynomial]:
-    n = len(word)
-    terms = {}
-    for w, c in p._terms.items():
-        if len(w) < n or w[:n] != word:
-            return None
-        terms[w[n:]] = normalize_coeff(Fraction(c) / coeff)
+        terms[rest] = normalize_coeff(Fraction(c) / coeff)
     return p.alg.poly(terms)
 
 
@@ -188,11 +185,10 @@ def validate_step(step: CancellabilityStep) -> Polynomial:
         raise WorkflowError("cancellability element must be a single monomial")
     ((eword, ecoeff),) = step.element._terms.items()
     estar = step.element.adjoint()
+    z = _strip(step.conclusion, eword, ecoeff, step.side)
     if step.side == "right":
-        z = _strip_right(step.conclusion, eword, ecoeff)
         expected = step.conclusion * estar
     else:
-        z = _strip_left(step.conclusion, eword, ecoeff)
         expected = estar * step.conclusion
     if z is None:
         raise WorkflowError(
@@ -334,16 +330,19 @@ def translate(problem: Problem) -> Translation:
                        reports, order, opts)
 
 
+def certify_claims(trans: Translation):
+    """Certify the claims of a translation; returns the CertifyReport."""
+    opts = trans.options
+    return certify(trans.assumptions, trans.claims, trans.order, opts.limits,
+                   assumption_names=trans.assumption_names,
+                   claim_names=trans.claim_names,
+                   require_zero_constant=not opts.allow_constant_terms)
+
+
 def run_problem(problem: Problem):
-    """translate + certify; returns (Translation, CertifyReport)."""
+    """translate + certify_claims; returns (Translation, CertifyReport)."""
     trans = translate(problem)
-    opts = problem.options
-    report = certify(trans.assumptions, trans.claims, trans.order,
-                     opts.limits,
-                     assumption_names=trans.assumption_names,
-                     claim_names=trans.claim_names,
-                     require_zero_constant=not opts.allow_constant_terms)
-    return trans, report
+    return trans, certify_claims(trans)
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,10 @@
 
 ``best_match`` lists every lead factor of a word and applies the documented
 tie-break; ``reduction_site`` reads the site the reducer's trie walk picks
-from a one-word normal form; ``trie_contents`` reads a trie back into plain
-tables and checks that it is pruned.
+from a one-word normal form; ``lead_factors`` lists every lead factor of a
+word; ``trie_contents`` reads a trie back into its lead table and checks
+that it is pruned.
 """
-
-from opcert.rewrite import _PREFIXED
 
 
 def best_match(table, w, key):
@@ -20,6 +19,13 @@ def best_match(table, w, key):
         return None
     n, _, pos = max(sites)
     return -pos, n, table[w[-pos:n - pos]]
+
+
+def lead_factors(table, w):
+    """Every factor of ``w`` that ``table`` (lead word -> index) holds, as
+    ``(pos, index)`` pairs: by position, then by lead length."""
+    return [(pos, table[w[pos:pos + n]]) for pos in range(len(w) + 1)
+            for n in range(len(w) - pos + 1) if w[pos:pos + n] in table]
 
 
 def reduction_site(reducer, w):
@@ -38,11 +44,10 @@ def reduction_site(reducer, w):
 
 
 def trie_contents(trie):
-    """``(leads, prefixed)`` of a reducer's lead trie: each lead word with
-    its index, and each word with the prefix list on its node.  Asserts that
-    no node below the root is empty: an empty node would have been
-    pruned."""
-    leads, prefixed = {}, {}
+    """The leads of a reducer's lead trie, each lead word with its index.
+    Asserts that no node below the root is empty, since an empty node would
+    have been pruned, and that nodes hold letters and leads only."""
+    leads = {}
     stack = [((), trie)]
     while stack:
         word, node = stack.pop()
@@ -50,8 +55,7 @@ def trie_contents(trie):
         for key, child in node.items():
             if key is None:
                 leads[word] = child
-            elif key == _PREFIXED:
-                prefixed[word] = child
             else:
+                assert isinstance(key, int), key
                 stack.append((word + (key,), child))
-    return leads, prefixed
+    return leads

@@ -160,6 +160,44 @@ def test_compat_pass_and_fail(tmp_path, capsys):
     assert "f3" in out  # offending polynomial named
 
 
+# f makes a's source u and b's target w one vertex, against the declared
+# signatures, so no quiver can be inferred
+_CONTRADICTORY = ("[ops]\na : u -> v\nb : v -> w\n[assume]\n"
+                  "f = a·b - a·b·a·b\n[claim]\ng = a·b·a·b·a·b - a·b\n")
+
+
+@pytest.mark.parametrize("command", ["compat", "certify"])
+def test_no_inferable_quiver_is_a_failed_check(tmp_path, capsys, command):
+    prob = tmp_path / "contra.prob"
+    prob.write_text(_CONTRADICTORY, encoding="utf-8")
+    extra = ["--output", str(tmp_path / "certs")] if command == "certify" \
+        else []
+    assert main([command, str(prob)] + extra) == 1
+    out = capsys.readouterr().out
+    assert "contra: no quiver given and none inferable\n" in out
+    assert "claim g" not in out  # certify stops before the completion
+    assert not list(tmp_path.rglob("*.cert"))
+
+
+@pytest.mark.parametrize("claim, name", [
+    ("x/y = a·b·b - a", "x/y"),
+    ("mp(1/2·a, b)", "mp(1/2·a,b).1"),  # a macro label with a rational
+    ("x\0y = a·b·b - a", "x\0y"),  # open() raises ValueError on it
+])
+def test_claim_name_that_is_no_file_name_stops_certify_first(tmp_path, capsys,
+                                                             claim, name):
+    prob = tmp_path / "slash.prob"
+    prob.write_text("[ops]\na adjoint\nb adjoint\n[assume]\nf = a·b - a\n"
+                    f"[claim]\n{claim}\n", encoding="utf-8")
+    outdir = tmp_path / "certs"
+    assert main(["certify", str(prob), "--output", str(outdir)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == \
+        f"error: claim {name!r} cannot name a certificate file\n"
+    assert captured.out == ""  # nothing translated or certified
+    assert not outdir.exists()
+
+
 def test_reduce_prints_remainder_and_trace(capsys):
     rc = main(["reduce", "werner"])
     out = capsys.readouterr().out

@@ -65,12 +65,11 @@ def assert_same_state(indexed, scan):
     assert len(indexed.queue) == len(scan.queue)
     assert indexed.stats == scan.stats
     assert indexed.active_indices() == scan.active_indices()
-    prefixed = trie_contents(indexed.reducer.trie)[1]
-    assert (prefixed, indexed._suffixes, indexed._digrams) == \
+    assert (indexed._prefixes, indexed._suffixes, indexed._digrams) == \
         rebuilt_indexes(indexed)
     # the reducer's trie holds exactly the active leads, one each
     for e in (indexed, scan):
-        assert trie_contents(e.reducer.trie)[0] == \
+        assert trie_contents(e.reducer.trie) == \
             {e.elements[k].lead: k for k in e.active_indices()}
 
 

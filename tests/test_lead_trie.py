@@ -3,11 +3,13 @@
 The reduction site that ``_Reducer.normal_form``'s trie walk picks, read
 from one-word normal forms, is checked against a brute-force listing of
 every lead factor, on lead tables that need not be interreduced, after
-entries were deleted again.  After each entry and deletion the trie, whose
-nodes are plain dicts, must hold each lead's lowest index under key
-``None`` of its node and no node left empty.  The queue's padding helper
-is checked against the kernel's overlap scans, and the queue's pop order
-against a heap keyed by (degree, push order).  A constant lead must match
+entries were deleted again; so is the list of lead factors that
+``_Reducer.factors`` gives the completion engine.  After each entry and
+deletion the trie, whose nodes are plain dicts, must hold each lead's
+lowest index under key ``None`` of its node, nothing but letters and
+leads, and no node left empty.  The queue's padding helper is checked
+against the kernel's overlap scans, and the queue's pop order against a
+heap keyed by (degree, push order).  A constant lead must match
 the empty word: without that match a completion whose ideal contains 1
 appends its constant element forever, so those tests stop at a small
 element count instead of hanging.
@@ -24,7 +26,8 @@ from opcert.freealg import DegLexOrder, FreeAlgebra
 from opcert.rewrite import (COMPLETE, CompletionEngine, CompletionLimits,
                             TraceStep, _paddings, _Queue, _Reducer, reduce)
 
-from match_oracle import best_match, reduction_site, trie_contents
+from match_oracle import (best_match, lead_factors, reduction_site,
+                          trie_contents)
 
 
 def words(letters, max_size):
@@ -44,13 +47,11 @@ def lead_tables(draw):
     return ranking, ops, queries
 
 
-@settings(max_examples=300, deadline=None)
-@given(lead_tables())
-def test_reduction_site_equals_brute_force(case):
-    ranking, ops, queries = case
-    order = DegLexOrder(ranking)
-    red = _Reducer(order)
-    table = {}  # lead word -> index, the lowest index kept
+def entered(red, ops):
+    """Apply ``ops`` to the reducer ``red``; returns the lead table (lead
+    word -> index, the lowest index kept), which the trie must hold, and
+    hold alone, after each operation."""
+    table = {}
     for idx, w in ops:
         if idx is None:
             red.del_entry(w)
@@ -59,9 +60,29 @@ def test_reduction_site_equals_brute_force(case):
             red.set_entry(w, idx)
             if w not in table or idx < table[w]:
                 table[w] = idx
-        assert trie_contents(red.trie) == (table, {})
+        assert trie_contents(red.trie) == table
+    return table
+
+
+@settings(max_examples=300, deadline=None)
+@given(lead_tables())
+def test_reduction_site_equals_brute_force(case):
+    ranking, ops, queries = case
+    order = DegLexOrder(ranking)
+    red = _Reducer(order)
+    table = entered(red, ops)
     for w in queries + [w for _, w in ops]:
         assert reduction_site(red, w) == best_match(table, w, order.key)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lead_tables())
+def test_factors_equal_brute_force(case):
+    ranking, ops, queries = case
+    red = _Reducer(DegLexOrder(ranking))
+    table = entered(red, ops)
+    for w in queries + [w for _, w in ops]:
+        assert red.factors(w) == lead_factors(table, w)
 
 
 @settings(max_examples=300, deadline=None)
