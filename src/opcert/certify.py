@@ -32,10 +32,6 @@ class Summand:
     right: Polynomial
 
 
-def _poly_is_integral(p: Polynomial) -> bool:
-    return all(c.denominator == 1 for c in p._terms.values())
-
-
 @dataclass(frozen=True)
 class Certificate:
     """Two-sided cofactor representation of ``claim`` over ``assumptions``.
@@ -66,8 +62,8 @@ class Certificate:
 
 
 def scan_integral(summands: Sequence[Summand]) -> bool:
-    return all(_poly_is_integral(s.left) and _poly_is_integral(s.right)
-               for s in summands)
+    return all(c.denominator == 1 for s in summands
+               for p in (s.left, s.right) for c in p._terms.values())
 
 
 def make_certificate(claim: Polynomial, assumptions: Sequence[Polynomial],
@@ -158,17 +154,21 @@ def minimize_certificate(cert: Certificate) -> Certificate:
 def _merge(blocks: list, side: int) -> list:
     """Sum the other cofactors of the blocks with equal index and equal
     ``side`` cofactor (0 left, 2 right), in order of first occurrence, and
-    drop the blocks whose sum is zero.  The input dicts stay untouched."""
+    drop the blocks whose sum is zero.  A block is kept as it is until a
+    second one merges into it; only then are it and its ``other`` dict
+    copied, so the input dicts stay untouched."""
     other = 2 - side
     merged: dict = {}
     for block in blocks:
         key = (block[1], frozenset(block[side].items()))
         acc = merged.get(key)
         if acc is None:
-            acc = merged[key] = list(block)
-            acc[other] = dict(block[other])
-        else:
-            add_terms(acc[other], block[other].items())
+            merged[key] = block
+            continue
+        if type(acc) is tuple:
+            acc = merged[key] = list(acc)
+            acc[other] = dict(acc[other])
+        add_terms(acc[other], block[other].items())
     return [tuple(b) for b in merged.values() if b[other]]
 
 

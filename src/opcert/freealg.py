@@ -506,11 +506,6 @@ class DegLexOrder:
             return (len(w), w)
         return (len(w), tuple(r[x] for x in w))
 
-    def compare(self, u: Word, v: Word) -> int:
-        """-1, 0 or 1 as u <, =, > v."""
-        ku, kv = self.key(u), self.key(v)
-        return -1 if ku < kv else (0 if ku == kv else 1)
-
 
 # ---------------------------------------------------------------------------
 # Expression parsing

@@ -21,12 +21,12 @@ Trace conventions:
 * engine steps are plain ``(c, l, ref, r)`` tuples; ``ref`` is element
   ``k >= 0`` or generator ``i`` as ``~i``.  ``expand_steps`` expands them
   top-down into ``TraceStep`` values over the generators.  Each pending
-  element, and each generator, holds the contexts ``l + (-1,) + r -> c`` in
-  which it is still to be expanded.  The newest element goes first (a step
-  refers only to older elements, so its contexts are final) and passes its
-  contexts on through its steps; the generators' contexts are the result.
-  Every sum is an ``add_terms`` call, and each element is expanded once per
-  context.
+  element, and each generator, maps the ``(l, r)`` word pairs in which it
+  is still to be expanded to their coefficients.  The newest element goes
+  first (a step refers only to older elements, so its contexts are final)
+  and passes its contexts on through its steps; the generators' contexts
+  are the result.  Every sum is one ``add_terms`` call per step, and each
+  element is expanded once, in all its contexts together.
 """
 
 from __future__ import annotations
@@ -265,9 +265,6 @@ def reduce(p: Polynomial, basis: Sequence[Polynomial],
 # ---------------------------------------------------------------------------
 # Completion engine
 # ---------------------------------------------------------------------------
-
-# the one negative letter of an element context word ``l + _CONTEXT + r``
-_CONTEXT = (-1,)
 
 def _paddings(u: Word, v: Word, a: int, b: int) -> tuple:
     """The words ``(li, ri, lj, rj)`` with ``li.u.ri == lj.v.rj``, the
@@ -650,13 +647,12 @@ class CompletionEngine:
     def expand_steps(self, steps) -> list:
         """Expand element-level steps into generator-level TraceSteps.
 
-        Top-down: each element and each generator keeps the contexts
-        ``l + _CONTEXT + r -> c`` in which it is still to be expanded.  The
-        newest pending element has all its contexts, since a step refers only
-        to older elements, and passes them through its steps.  A step with
-        empty left and right words moves all contexts in one ``add_terms``
-        call; any other step takes one call per context.  Equal words merge
-        and zero sums drop out.
+        Top-down: each element and each generator maps the ``(left, right)``
+        contexts in which it is still to be expanded to their coefficients.
+        The newest pending element has all its contexts, since a step refers
+        only to older elements, and passes them through its steps.  Each
+        step moves all contexts in one ``add_terms`` call, wrapped in its
+        left and right words.  Equal pairs merge and zero sums drop out.
         """
         elements = self.elements
         out: dict = {}      # generator -> its contexts
@@ -664,7 +660,6 @@ class CompletionEngine:
         newest: list = []   # heap of -k over the pending elements
 
         def spread(steps, contexts: dict) -> None:
-            split = None  # contexts as (left, right, coeff)
             for c, l, ref, r in steps:
                 if ref < 0:
                     acc = out.setdefault(~ref, {})
@@ -673,30 +668,22 @@ class CompletionEngine:
                 else:
                     acc = pending[ref] = {}
                     heapq.heappush(newest, -ref)
-                if not (l or r):
+                # pair keys pass add_terms's empty default words unchanged
+                if l or r:
+                    add_terms(acc, [((left + l, r + right), cw)
+                                    for (left, right), cw in contexts.items()],
+                              c)
+                else:
                     add_terms(acc, contexts.items(), c)
-                    continue
-                if split is None:
-                    split = []
-                    for w, cw in contexts.items():
-                        t = w.index(_CONTEXT[0])
-                        split.append((w[:t], w[t + 1:], cw))
-                items = ((l + _CONTEXT + r, c),)
-                for left, right, cw in split:
-                    add_terms(acc, items, cw, left, right)
 
-        spread(steps, {_CONTEXT: 1})
+        spread(steps, {((), ()): 1})
         while newest:
             k = -heapq.heappop(newest)
             contexts = pending.pop(k)
             if contexts:
                 spread(elements[k].steps, contexts)
-        quads = []
-        for i, contexts in out.items():
-            for w, c in contexts.items():
-                t = w.index(_CONTEXT[0])
-                quads.append(TraceStep(c, w[:t], i, w[t + 1:]))
-        return quads
+        return [TraceStep(c, l, i, r) for i, contexts in out.items()
+                for (l, r), c in contexts.items()]
 
     def interreduce(self) -> None:
         """Reduce every active element against the others until stable."""

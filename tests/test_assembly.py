@@ -8,12 +8,14 @@ summands in the same order, and the same ``integral`` flag, as the
 """
 
 import collections
+import copy
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opcert.certify import (_quads_to_summands, certificate_to_dict,
+from opcert.certify import (_merge, _quads_to_summands, certificate_to_dict,
                             make_certificate, minimize_certificate, Summand)
 from opcert.freealg import FreeAlgebra
 from opcert.rewrite import (CompletionEngine, CompletionLimits, TraceStep,
@@ -187,3 +189,42 @@ def test_contexts_meeting_at_a_shared_element_cancel():
     # with nothing left over, every context cancels
     assert engine.expand_steps(steps + [TraceStep(-1, (), 0, (b,)),
                                         TraceStep(-1, (), 0, (b,))]) == []
+
+
+def test_contexts_shifted_onto_one_pair_merge():
+    alg = _algebra(2)
+    a, b = (alg.indeterminate(n).iid for n in "ab")
+    engine = CompletionEngine([(0, alg.parse("a·b − b"))],
+                              alg.default_order(), LIMITS)
+    # elements 1 and 2 refer to element 0 with both sides non-empty
+    engine.elements.append(_Element((), (), ((1, (b,), 0, (a,)),)))
+    engine.elements.append(_Element((), (), ((1, (a, b), 0, (a, b)),)))
+    # element 1 in context (a, b) and element 2 in context ((), ()) both
+    # pass the pair (a·b, a·b) to element 0
+    for c2, expected in ((Fraction(3, 2), [TraceStep(2, (a, b), 0, (a, b))]),
+                           (Fraction(-1, 2), [])):
+        steps = [TraceStep(Fraction(1, 2), (a,), 1, (b,)),
+                 TraceStep(c2, (), 2, ())]
+        quads = engine.expand_steps(steps)
+        assert typed_steps(quads) == typed_steps(expected)
+        assert typed_steps(oracle_expand_steps(engine, steps)) == \
+            typed_steps(expected)
+
+
+@pytest.mark.parametrize("side", [0, 2])
+def test_merge_copies_a_block_only_when_another_joins_it(side):
+    def block(shared, index, summed):
+        b = [None, index, None]
+        b[side], b[2 - side] = shared, summed
+        return tuple(b)
+
+    first = block({(0,): 1}, 0, {(1,): 1})
+    alone = block({(1,): 1}, 1, {(0,): 1})
+    second = block({(0,): 1}, 0, {(1,): 2, (0,): 1})
+    blocks = [first, alone, second]
+    before = copy.deepcopy(blocks)
+    merged, kept = _merge(blocks, side)
+    assert merged == block({(0,): 1}, 0, {(1,): 3, (0,): 1})
+    assert all(merged[2 - side] is not b[2 - side] for b in blocks)
+    assert blocks == before
+    assert kept is alone

@@ -403,23 +403,29 @@ def test_self_adjoint():
 
 # -- order ---------------------------------------------------------------------
 
+def compare(order, u, v) -> int:
+    """-1, 0 or 1 as u <, =, > v under ``order``."""
+    ku, kv = order.key(u), order.key(v)
+    return -1 if ku < kv else (0 if ku == kv else 1)
+
+
 def test_compare_degree_dominates(werner_algebra):
     A = werner_algebra
     order = A.default_order()
-    assert order.compare(A.word("a"), A.word("b", "b", "b")) == -1
+    assert compare(order, A.word("a"), A.word("b", "b", "b")) == -1
 
 
 def test_compare_lexicographic_tie(werner_algebra):
     A = werner_algebra
     order = A.default_order()
-    assert order.compare(A.word("a", "b"), A.word("b", "a")) == -1
-    assert order.compare(A.word("a"), A.word("a")) == 0
+    assert compare(order, A.word("a", "b"), A.word("b", "a")) == -1
+    assert compare(order, A.word("a"), A.word("a")) == 0
 
 
 def test_custom_ranking(werner_algebra):
     A = werner_algebra
     order = DegLexOrder.from_names(A, ["b", "a"])
-    assert order.compare(A.word("b"), A.word("a")) == -1
+    assert compare(order, A.word("b"), A.word("a")) == -1
     with pytest.raises(AlgebraError, match="order ranks 'b' twice"):
         DegLexOrder.from_names(A, ["b", "a", "b"])
 
@@ -480,12 +486,12 @@ _WORDS = st.lists(st.integers(0, 5), max_size=4).map(tuple)
 @given(_WORDS, _WORDS, _WORDS, _WORDS)
 def test_deglex_order_axioms(u, v, w, w2):
     order = _ALG.default_order()
-    cmp_uv = order.compare(u, v)
-    assert cmp_uv == -order.compare(v, u)
+    cmp_uv = compare(order, u, v)
+    assert cmp_uv == -compare(order, v, u)
     assert (cmp_uv == 0) == (u == v)
     if cmp_uv == -1:
         # multiplicative: u < v implies wuw' < wvw'
-        assert order.compare(w + u + w2, w + v + w2) == -1
+        assert compare(order, w + u + w2, w + v + w2) == -1
     # degree dominates
     if len(u) < len(v):
         assert cmp_uv == -1
