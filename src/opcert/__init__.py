@@ -24,8 +24,8 @@ from .statements import (CancellabilityStep, Problem, ProblemFileError,
                          Translation, WorkflowError, apply_cancellability,
                          douglas_factorization, ep_condition,
                          hermitian_condition, identity_axioms, ij_equations,
-                         load_problem, mp_equations, parse_problem,
-                         run_problem, translate)
+                         load_problem, parse_problem, run_problem,
+                         translate)
 from .matcheck import (RatMatrix, Realization, evaluate, example1_check,
                        example2_check, mp_inverse, penrose_check)
 

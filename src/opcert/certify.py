@@ -147,8 +147,9 @@ def minimize_certificate(cert: Certificate) -> Certificate:
     summands = [Summand(Polynomial._make(alg, left), i,
                         Polynomial._make(alg, right))
                 for left, i, right in blocks]
+    # merging only sums and negates coefficients: integral stays integral
     return replace(cert, summands=tuple(summands),
-                   integral=scan_integral(summands))
+                   integral=cert.integral or scan_integral(summands))
 
 
 def _merge(blocks: list, side: int) -> list:

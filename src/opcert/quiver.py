@@ -76,16 +76,14 @@ def path_signature(w: Word, q: LabelledQuiver):
     """
     if not w:
         return WILDCARD
-    for x in w:
-        if x not in q.edges:
+    edges = q.edges
+    sig = None
+    for x in reversed(w):
+        edge = edges.get(x)
+        if edge is None or sig is not None and edge[0] != sig[1]:
             return None
-    src, cur = q.edges[w[-1]]
-    for x in reversed(w[:-1]):
-        s, t = q.edges[x]
-        if s != cur:
-            return None
-        cur = t
-    return (src, cur)
+        sig = edge if sig is None else (sig[0], edge[1])
+    return sig
 
 
 @dataclass(frozen=True)
@@ -124,8 +122,7 @@ def compatible(p: Polynomial, q: LabelledQuiver) -> Compatibility:
                                  f"monomials {alg.render_word(sig_word)} and "
                                  f"{alg.render_word(w)} have different "
                                  f"signatures {sig} vs {s}")
-    if sig is not WILDCARD and any(len(w) == 0 for w in p._terms) \
-            and sig[0] != sig[1]:
+    if sig is not WILDCARD and () in p._terms and sig[0] != sig[1]:
         return Compatibility(False, None, ((),),
                              "constant monomial requires source = target, "
                              f"got {sig}")
@@ -155,82 +152,63 @@ class _UnionFind:
             self.parent[ra] = rb
 
 
-def infer_signatures(polys: Sequence[Polynomial],
-                     alg: Optional[FreeAlgebra] = None,
+def infer_signatures(polys: Sequence[Polynomial], alg: FreeAlgebra,
                      pinned: Optional[dict] = None) -> Optional[LabelledQuiver]:
     """Most general quiver making all polynomials compatible.
 
-    Vertices are equivalence classes of endpoint slots under the chaining and
-    same-source/same-target constraints; adjoint partners are constrained to
-    run reversed.  ``pinned`` may map iids to (source, target) vertex names;
-    the result is None exactly when two distinct pinned vertices are forced to
-    merge (without pins, a quiver always exists, possibly collapsed).
+    Vertices are the classes of the endpoint slots ``("s", iid)`` and
+    ``("t", iid)`` under the chaining and same-source/same-target
+    constraints; adjoint partners are constrained to run reversed.  The
+    vertices are listed in order of their first slot, letters taken in order
+    of first occurrence, and the k-th is named ``v<k>`` unless a pin names
+    it.  ``pinned`` may map iids to (source, target) vertex names, which
+    join the classes as ``("v", name)`` slots; the result is None exactly
+    when two distinct pinned vertices are forced to merge (without pins, a
+    quiver always exists, possibly collapsed).
     """
-    if alg is None:
-        if not polys:
-            return None
-        alg = polys[0].alg
     uf = _UnionFind()
-    occurring: list = []
-    seen = set()
-
-    def slot(kind, iid):
-        return (kind, iid)
-
-    for p in polys:
-        for w in p._terms:
-            for x in w:
-                if x not in seen:
-                    seen.add(x)
-                    occurring.append(x)
+    occurring = dict.fromkeys(x for p in polys for w in p._terms for x in w)
     # adjoint edges run reversed
     for x in occurring:
         partner = alg.adjoint_id(x)
-        if partner is not None and partner in seen:
-            uf.union(slot("s", x), slot("t", partner))
-            uf.union(slot("t", x), slot("s", partner))
+        if partner is not None and partner in occurring:
+            uf.union(("s", x), ("t", partner))
+            uf.union(("t", x), ("s", partner))
     for p in polys:
         poly_src = poly_tgt = None
-        has_constant = False
-        for w in p.monomials():
+        for w in p._terms:
             if not w:
-                has_constant = True
                 continue
             # chain inner endpoints (rightmost letter applies first)
             for a, b in zip(w, w[1:]):  # a left of b: source(a) = target(b)
-                uf.union(slot("s", a), slot("t", b))
-            msrc = slot("s", w[-1])
-            mtgt = slot("t", w[0])
+                uf.union(("s", a), ("t", b))
             if poly_src is None:
-                poly_src, poly_tgt = msrc, mtgt
+                poly_src, poly_tgt = ("s", w[-1]), ("t", w[0])
             else:
-                uf.union(poly_src, msrc)
-                uf.union(poly_tgt, mtgt)
-        if has_constant and poly_src is not None:
+                uf.union(poly_src, ("s", w[-1]))
+                uf.union(poly_tgt, ("t", w[0]))
+        if poly_src is not None and () in p._terms:
             uf.union(poly_src, poly_tgt)
     # pinned names: merge the named vertex into the class
     pinned = pinned or {}
     for iid, (src, tgt) in pinned.items():
-        uf.union(slot("s", iid), ("v", src))
-        uf.union(slot("t", iid), ("v", tgt))
+        uf.union(("s", iid), ("v", src))
+        uf.union(("t", iid), ("v", tgt))
     # two distinct pinned names in one class -> contradiction
     names_of_class: dict = {}
-    for iid, (src, tgt) in pinned.items():
-        for kind, name in (("s", src), ("t", tgt)):
+    for src, tgt in pinned.values():
+        for name in (src, tgt):
             root = uf.find(("v", name))
             if names_of_class.setdefault(root, name) != name:
                 return None
     # canonical vertex names, ordered by first slot appearance
     labels: dict = {}
-    ordered_slots = []
     for x in occurring:
-        ordered_slots.append(slot("s", x))
-        ordered_slots.append(slot("t", x))
-    for s in ordered_slots:
-        root = uf.find(s)
-        if root not in labels:
-            labels[root] = names_of_class.get(root, f"v{len(labels) + 1}")
-    edges = [(x, labels[uf.find(slot('s', x))], labels[uf.find(slot('t', x))])
+        for s in (("s", x), ("t", x)):
+            root = uf.find(s)
+            if root not in labels:
+                labels[root] = names_of_class.get(root, f"v{len(labels) + 1}")
+    edges = [(x, labels[uf.find(("s", x))], labels[uf.find(("t", x))])
              for x in occurring]
     return LabelledQuiver(alg, list(dict.fromkeys(labels.values())), edges)
 

@@ -403,7 +403,7 @@ class CompletionEngine:
         # the first limit found tripped: "max_iterations", "max_basis_size"
         # or "time_budget" (also when the deadline strikes mid-reduction)
         self.tripped_limit: Optional[str] = None
-        seen_monic: dict = {}
+        seen_monic = set()
         for src_index, g in generators:
             if g.is_zero:
                 continue
@@ -412,7 +412,7 @@ class CompletionEngine:
             key = frozenset(monic._terms.items())
             if key in seen_monic:
                 continue  # duplicate generator: alias to first occurrence
-            seen_monic[key] = src_index
+            seen_monic.add(key)
             self._append(monic._terms, ((_div(1, lc), (), ~src_index, ()),),
                          unreduced=True)
 

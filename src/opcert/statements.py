@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from typing import Container, Iterable, Optional, Sequence
 
 from .certify import Certificate, certify
 from .freealg import (AlgebraError, DegLexOrder, FreeAlgebra, ParseError,
-                      Polynomial, normalize_coeff)
+                      Polynomial)
 from .quiver import LabelledQuiver, ProblemCheck, check_problem, infer_signatures
 from .rewrite import CompletionLimits
 
@@ -42,17 +41,13 @@ def penrose_equation(x: Polynomial, y: Polynomial, k: int) -> Polynomial:
     raise ValueError("Penrose equations are numbered 1..4")
 
 
-def mp_equations(x: Polynomial, y: Polynomial) -> list:
-    """All four defining equations of y as the Moore-Penrose inverse of x.
-
-    ``x`` may be a product (polynomial), e.g. a triple abc; equations 3 and 4
-    need every letter of x and y to carry an adjoint partner.
-    """
-    return ij_equations(x, y, (1, 2, 3, 4))
-
-
 def ij_equations(x: Polynomial, y: Polynomial, subset: Iterable[int]) -> list:
-    """The selected subset of Penrose equations (a {i,...,j}-inverse)."""
+    """The selected subset of Penrose equations (a {i,...,j}-inverse).
+
+    The subset ``(1, 2, 3, 4)`` gives the Moore-Penrose inverse.  ``x`` may
+    be a product (polynomial), e.g. a triple abc; equations 3 and 4 need
+    every letter of x and y to carry an adjoint partner.
+    """
     ks = sorted(set(subset))
     if not ks:
         raise AlgebraError("the equation subset must be nonempty")
@@ -119,23 +114,17 @@ def fresh_name(alg: FreeAlgebra, stem: str = "w",
     return f"{stem}{k}"
 
 
-def _monic_key(p: Polynomial, order: DegLexOrder):
-    lc = p.lead_coeff(order)
-    return frozenset((w, normalize_coeff(Fraction(c) / lc))
-                     for w, c in p._terms.items())
-
-
 def _missing_adjoints(present: Sequence[Polynomial],
                       new: Sequence[Polynomial], order: DegLexOrder) -> list:
     """``(k, new[k].adjoint())`` for each adjoint not in ``present`` nor
     met earlier, up to sign and scalar multiple."""
-    seen = {_monic_key(p, order) for p in present if p}
+    seen = {frozenset(p.monic(order)._terms.items()) for p in present if p}
     out = []
     for k, p in enumerate(new):
         if p.is_zero:
             continue
         q = p.adjoint()
-        key = _monic_key(q, order)
+        key = frozenset(q.monic(order)._terms.items())
         if key not in seen:
             seen.add(key)
             out.append((k, q))
@@ -160,37 +149,28 @@ class CancellabilityStep:
     conclusion: Polynomial
 
 
-def _strip(p: Polynomial, word, coeff, side: str) -> Optional[Polynomial]:
-    """``p`` with ``word`` cut off each term at the ``side`` end and the
-    coefficients divided by ``coeff``, or None if a term lacks ``word``
-    there."""
-    n = len(word)
-    terms = {}
-    for w, c in p._terms.items():
-        if side == "left":
-            cut, rest = w[:n], w[n:]
-        else:
-            cut, rest = w[len(w) - n:], w[:len(w) - n]
-        if len(w) < n or cut != word:
-            return None
-        terms[rest] = normalize_coeff(Fraction(c) / coeff)
-    return p.alg.poly(terms)
+def validate_step(step: CancellabilityStep) -> None:
+    """Shape-check a step, or raise WorkflowError.
 
-
-def validate_step(step: CancellabilityStep) -> Polynomial:
-    """Shape-check a step; returns the z-part or raises WorkflowError."""
+    The element is one monomial, every term of the conclusion carries the
+    element's word at the step's end (so the conclusion factors as z·e on
+    the right, e·z on the left), and the witness is the conclusion times e*
+    on that side.
+    """
     if step.side not in ("left", "right"):
         raise WorkflowError(f"side must be left or right, got {step.side!r}")
     if len(step.element._terms) != 1:
         raise WorkflowError("cancellability element must be a single monomial")
-    ((eword, ecoeff),) = step.element._terms.items()
+    (eword,) = step.element._terms
     estar = step.element.adjoint()
-    z = _strip(step.conclusion, eword, ecoeff, step.side)
     if step.side == "right":
+        factors = all(w[len(w) - len(eword):] == eword
+                      for w in step.conclusion._terms)
         expected = step.conclusion * estar
     else:
+        factors = all(w[:len(eword)] == eword for w in step.conclusion._terms)
         expected = estar * step.conclusion
-    if z is None:
+    if not factors:
         raise WorkflowError(
             "conclusion does not factor through the cancellability element "
             f"on the {step.side}")
@@ -198,7 +178,6 @@ def validate_step(step: CancellabilityStep) -> Polynomial:
         raise WorkflowError(
             "witness does not match the cancellability shape: expected "
             f"{expected.alg.render(expected)}")
-    return z
 
 
 def apply_cancellability(step: CancellabilityStep,

@@ -8,7 +8,7 @@ from opcert.certify import verify_certificate
 from opcert.matcheck import RatMatrix, Realization, evaluate, mp_inverse
 from opcert.quiver import LabelledQuiver
 from opcert.rewrite import BUDGET_EXHAUSTED
-from opcert.statements import load_problem, mp_equations, run_problem
+from opcert.statements import ij_equations, load_problem, run_problem
 from opcert.freealg import FreeAlgebra
 
 from conftest import FIXTURES, assert_certificate_file_unchanged
@@ -56,7 +56,7 @@ def test_mp_equations_vanish_on_true_inverse_matrices():
     alg = FreeAlgebra()
     alg.add_pair("x")
     alg.add_pair("y")
-    eqs = mp_equations(alg.gen("x"), alg.gen("y"))
+    eqs = ij_equations(alg.gen("x"), alg.gen("y"), (1, 2, 3, 4))
     rng = random.Random(42)
     quiver = LabelledQuiver(alg, ["v"], [
         ("x", "v", "v"), ("x*", "v", "v"), ("y", "v", "v"), ("y*", "v", "v")])

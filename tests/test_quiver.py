@@ -1,12 +1,17 @@
 """Labelled quivers: path signatures, compatibility, inference, problem gate."""
 
+import hashlib
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 
 from opcert.freealg import AlgebraError, FreeAlgebra
 from opcert.quiver import (WILDCARD, LabelledQuiver, check_problem, compatible,
                            infer_signatures, path_signature)
+from opcert.statements import load_problem, translate
+from conftest import FIXTURES
 
 
 @pytest.fixture
@@ -138,6 +143,22 @@ def test_infer_adjoint_edges_reversed(paired_algebra):
         src, tgt = q.signature(name)
         assert q.signature(name + "*") == (tgt, src)
     assert check_problem([A.parse("a·b")], [], q).ok
+
+
+# sha256 of each bundled problem's translated quiver (its repr: vertex names
+# and edges in order) and gate verdict; a change that renames vertices or
+# reorders edges on purpose updates this file and says why
+QUIVER_SHA256 = json.loads((Path(__file__).parent / "quiver_sha256.json")
+                           .read_text(encoding="utf-8"))
+
+
+def test_translated_quiver_of_every_fixture_is_unchanged():
+    got = {}
+    for prob in sorted(FIXTURES.glob("*.prob")):
+        trans = translate(load_problem(prob))
+        text = f"{trans.quiver!r}\nok {trans.quiver_check.ok}\n"
+        got[prob.stem] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert got == QUIVER_SHA256
 
 
 # -- the problem gate -----------------------------------------------------------------

@@ -8,8 +8,8 @@ from opcert.statements import (CancellabilityStep, ProblemFileError,
                                WorkflowError, _missing_adjoints,
                                apply_cancellability, douglas_factorization,
                                ep_condition, hermitian_condition,
-                               identity_axioms, ij_equations, mp_equations,
-                               parse_problem, translate, validate_step)
+                               identity_axioms, ij_equations, parse_problem,
+                               translate, validate_step)
 from conftest import FIXTURES
 
 
@@ -36,7 +36,7 @@ def mp_algebra():
 
 def test_mp_equations_exact(mp_algebra):
     A = mp_algebra
-    eqs = mp_equations(A.gen("a"), A.gen("a†"))
+    eqs = ij_equations(A.gen("a"), A.gen("a†"), (1, 2, 3, 4))
     assert eqs == [
         A.parse("a·a†·a − a"),
         A.parse("a†·a·a† − a†"),
@@ -50,7 +50,7 @@ def test_mp_equations_accept_products():
     for n in ("a", "b", "c", "m~"):
         A.add_pair(n)
     m = A.parse("a·b·c")
-    eqs = mp_equations(m, A.gen("m~"))
+    eqs = ij_equations(m, A.gen("m~"), (1, 2, 3, 4))
     assert eqs[0] == A.parse("a·b·c·m~·a·b·c − a·b·c")
 
 
@@ -58,7 +58,7 @@ def test_mp_equations_self_adjoint_slot():
     A = FreeAlgebra()
     x = A.add_self_adjoint("x")
     A.add_pair("y")
-    eqs = mp_equations(A.gen("x"), A.gen("y"))
+    eqs = ij_equations(A.gen("x"), A.gen("y"), (1, 2, 3, 4))
     # (xy)* − xy with x* = x
     assert eqs[2] == A.parse("y*·x − x·y")
 
@@ -68,7 +68,9 @@ def test_ij_equations_subsets(mp_algebra):
     a, g = A.gen("a"), A.gen("a†")
     assert ij_equations(a, g, {1}) == [A.parse("a·a†·a − a")]
     assert len(ij_equations(a, g, {1, 2, 3})) == 3
-    assert ij_equations(a, g, {1, 2, 3, 4}) == mp_equations(a, g)
+    # the selectors are a set: order and repeats do not matter
+    assert ij_equations(a, g, [4, 2, 2, 3, 1]) == \
+        ij_equations(a, g, (1, 2, 3, 4))
     with pytest.raises(AlgebraError):
         ij_equations(a, g, set())
     with pytest.raises(AlgebraError):
@@ -169,10 +171,15 @@ def cancel_setup():
 
 def test_validate_step_shapes(cancel_setup):
     A, step = cancel_setup
-    assert validate_step(step) == A.gen("z")
-    left = CancellabilityStep("left", A.gen("m"),
-                              A.parse("m*·m·z"), A.parse("m·z"))
-    assert validate_step(left) == A.gen("z")
+    validate_step(step)
+    validate_step(CancellabilityStep("left", A.gen("m"),
+                                     A.parse("m*·m·z"), A.parse("m·z")))
+    # an element with a coefficient: the witness carries it too
+    validate_step(CancellabilityStep("right", A.parse("2·m"),
+                                     A.parse("2·z·m·m* − 2·m·m*"),
+                                     A.parse("z·m − m")))
+    validate_step(CancellabilityStep("left", A.parse("2·m"),
+                                     A.parse("2·m*·m·z"), A.parse("m·z")))
 
 
 def test_validate_step_rejects_shape_mismatch(cancel_setup):
@@ -186,6 +193,16 @@ def test_validate_step_rejects_shape_mismatch(cancel_setup):
     with pytest.raises(WorkflowError):
         validate_step(CancellabilityStep(
             "right", A.parse("m + z"), A.parse("z·m·m*"), A.parse("z·m")))
+    # one term of the conclusion lacks the element's word at the step's end,
+    # though the witness has the expected shape
+    with pytest.raises(WorkflowError, match="does not factor"):
+        validate_step(CancellabilityStep(
+            "right", A.gen("m"), A.parse("z·m·m* − m·z·m*"),
+            A.parse("z·m − m·z")))
+    with pytest.raises(WorkflowError, match="does not factor"):
+        validate_step(CancellabilityStep(
+            "left", A.gen("m"), A.parse("m*·m·z − m*·z·m"),
+            A.parse("m·z − z·m")))
 
 
 def test_apply_cancellability_success(cancel_setup):
