@@ -1,25 +1,21 @@
 """The lead-word scans of completion, in pure Python.
 
-Words are tuples of ints.  ``self_overlaps`` lists a lead's self-overlaps and
-``find_retirees`` confirms which candidate leads contain a new lead (the
-completion engine draws the candidates from its two-letter factor index).
-``batch_overlaps`` is the pairwise overlap/containment scan of one lead
-against many; the engine finds the same rows through its lead indexes, and
-the tests use this scan as their oracle.  The three stay a module of their
-own because the benchmark's tracer patches them here; reduction and term
-arithmetic live in ``rewrite`` and ``freealg.add_terms``.
+Words are tuples of ints.  ``self_overlaps`` lists the sizes of a lead's
+self-overlaps and ``find_retirees`` confirms which candidate leads contain a
+new lead (the completion engine draws the candidates from its two-letter
+factor index).  ``batch_overlaps`` is the pairwise overlap/containment scan
+of one lead against many; the engine finds the same rows through its lead
+indexes, and the tests use this scan as their oracle.  The three stay a
+module of their own because the benchmark's tracer patches them here;
+reduction and term arithmetic live in ``rewrite`` and ``freealg.add_terms``.
 """
 
 
 def self_overlaps(v):
-    """Proper self-overlaps of a leading word: rows (li, ri, lj, rj, overlap)
-    with the i-role on the left copy and the j-role on the right copy."""
-    out = []
+    """Sizes ``0 < k < len(v)``, ascending, with ``v[-k:] == v[:k]``: the
+    proper self-overlaps of a leading word, overlap word ``v + v[k:]``."""
     n = len(v)
-    for k in range(1, n):
-        if v[n - k:] == v[:k]:
-            out.append(((), v[k:], v[:n - k], (), v + v[k:]))
-    return out
+    return [k for k in range(1, n) if v[n - k:] == v[:k]]
 
 
 def batch_overlaps(v, others):

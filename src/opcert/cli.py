@@ -168,9 +168,10 @@ def cmd_reduce(args) -> int:
             continue
         traced = nf_reduce(claim, basis, trans.order)
         print(f"claim {name}: remainder {alg.render(traced.value)}")
-        for left, idx, right in traced.trace_triples():
+        for c, left, idx, right in traced.trace:
             aname = trans.assumption_names[kept[idx]]
-            print(f"    ({alg.render(left)}) . {aname} . ({alg.render(right)})")
+            print(f"    ({alg.render(alg.monomial(left, c))}) . {aname} . "
+                  f"({alg.render(alg.monomial(right))})")
     return EXIT_OK
 
 

@@ -369,13 +369,16 @@ def example2_check() -> CheckReport:
 
 def load_matrix_fixture(path) -> dict:
     """Read {"matrices": {name: [[...], ...]}} with "p/q" string rationals;
-    malformed content raises ``AlgebraError`` naming the file."""
+    malformed content, or no matrix at all, raises ``AlgebraError`` naming
+    the file."""
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
         if type(data) is not dict or type(data.get("matrices")) is not dict:
             raise AlgebraError('not a matrix file (expected {"matrices": {...}})')
         mats = data["matrices"]
+        if not mats:
+            raise AlgebraError("no matrices to check")
         for name, rows in mats.items():
             if type(rows) is not list or any(type(r) is not list for r in rows):
                 raise AlgebraError(f"matrix {name!r} must be a list of rows")
@@ -385,11 +388,15 @@ def load_matrix_fixture(path) -> dict:
 
 
 def fixture_penrose_report(path) -> CheckReport:
-    """Check every ``X_mp`` entry of a fixture file against mp_inverse(X)."""
+    """Check every ``X_mp`` entry of a fixture file against mp_inverse(X);
+    an ``X_mp`` without its ``X`` fails."""
     mats = load_matrix_fixture(path)
     rep = CheckReport(str(path), [])
     for name, mat in mats.items():
         if name.endswith("_mp"):
+            if name[:-3] not in mats:
+                rep.push(f"{name}: no matrix {name[:-3]} to compare with",
+                         False)
             continue
         stated = mats.get(name + "_mp")
         computed = mp_inverse(mat)

@@ -161,10 +161,12 @@ def infer_signatures(polys: Sequence[Polynomial], alg: FreeAlgebra,
     constraints; adjoint partners are constrained to run reversed.  The
     vertices are listed in order of their first slot, letters taken in order
     of first occurrence, and the k-th is named ``v<k>`` unless a pin names
-    it.  ``pinned`` may map iids to (source, target) vertex names, which
-    join the classes as ``("v", name)`` slots; the result is None exactly
-    when two distinct pinned vertices are forced to merge (without pins, a
-    quiver always exists, possibly collapsed).
+    it; a ``v<k>`` that is pinned, or already named, moves on to the next
+    free ``v<k + 1>``, ``v<k + 2>``, ...  ``pinned`` may map iids to
+    (source, target) vertex names, which join the classes as ``("v", name)``
+    slots; the result is None exactly when two distinct pinned vertices are
+    forced to merge (without pins, a quiver always exists, possibly
+    collapsed).
     """
     uf = _UnionFind()
     occurring = dict.fromkeys(x for p in polys for w in p._terms for x in w)
@@ -201,16 +203,26 @@ def infer_signatures(polys: Sequence[Polynomial], alg: FreeAlgebra,
             root = uf.find(("v", name))
             if names_of_class.setdefault(root, name) != name:
                 return None
-    # canonical vertex names, ordered by first slot appearance
+    # canonical vertex names, ordered by first slot appearance; a generated
+    # name skips the pinned names and those generated before it
+    taken = set(names_of_class.values())
     labels: dict = {}
     for x in occurring:
         for s in (("s", x), ("t", x)):
             root = uf.find(s)
-            if root not in labels:
-                labels[root] = names_of_class.get(root, f"v{len(labels) + 1}")
+            if root in labels:
+                continue
+            name = names_of_class.get(root)
+            if name is None:
+                k = len(labels) + 1
+                while f"v{k}" in taken:
+                    k += 1
+                name = f"v{k}"
+                taken.add(name)
+            labels[root] = name
     edges = [(x, labels[uf.find(("s", x))], labels[uf.find(("t", x))])
              for x in occurring]
-    return LabelledQuiver(alg, list(dict.fromkeys(labels.values())), edges)
+    return LabelledQuiver(alg, list(labels.values()), edges)
 
 
 @dataclass

@@ -65,11 +65,6 @@ class TracedPolynomial:
     value: Polynomial
     trace: tuple
 
-    def trace_triples(self) -> list:
-        """Trace as (left Polynomial, index, right Polynomial) triples."""
-        alg = self.value.alg
-        return [(alg.monomial(l, c), i, alg.monomial(r)) for c, l, i, r in self.trace]
-
 
 @dataclass(frozen=True)
 class CompletionLimits:
@@ -112,7 +107,7 @@ class _Reducer:
     key ``None`` of its node, so the root's ``None`` is the empty lead.
     Nodes hold nothing else, and a node left empty is pruned.  The trie is
     the reducer's own: ``set_entry`` and ``del_entry`` change it, and
-    ``normal_form`` and ``factors`` read it.
+    ``normal_form`` alone reads it.
 
     Tie-break: rewrite the order-largest reducible monomial first; within it,
     the leftmost occurrence of the order-largest matching leading word; equal
@@ -151,25 +146,6 @@ class _Reducer:
             if path[k]:
                 return
             del path[k - 1][w[k - 1]]
-
-    def factors(self, w: Word) -> list:
-        """The leads that are factors of ``w``, as ``(pos, idx)`` pairs by
-        position, and at each position the empty lead first, then by
-        length."""
-        root = self.trie
-        empty = root.get(None)
-        out = []
-        for pos in range(len(w) + 1):
-            if empty is not None:
-                out.append((pos, empty))
-            node = root
-            for c in w[pos:]:
-                node = node.get(c)
-                if node is None:
-                    break
-                if None in node:
-                    out.append((pos, node[None]))
-        return out
 
     def normal_form(self, terms: dict, items_of, steps: list,
                     deadline: Optional[float] = None) -> bool:
@@ -371,10 +347,10 @@ class CompletionEngine:
     order, so the partners beyond ``max_degree`` form one tail of each list,
     which is only counted; digram lists are ascending.  A new lead finds its
     overlap partners through the first two.  Only a raw generator's lead can
-    have active leads as factors: every other new lead is a normal form, so
-    the reducer lists factor partners (``_Reducer.factors``) only for the
-    generators.  The leads a new lead retires all hold each of its
-    two-letter factors, so ``_digrams`` narrows their search.
+    have active leads as factors, every other new lead being a normal
+    form, and those few leads are scanned directly.  The leads a new lead
+    retires all hold each of its two-letter factors, so ``_digrams``
+    narrows their search.
 
     ``queue`` is a ``_Queue`` of rows ``(i, j, len(li), len(lj))``;
     ``_paddings`` rebuilds the padding words from the two leads.
@@ -448,11 +424,7 @@ class CompletionEngine:
             _unlist(suffixes, w[n - k:], entry)
         digrams = self._digrams
         for key in set(zip(w, w[1:])):  # each w[t:t + 2] once
-            lst = digrams[key]
-            if len(lst) == 1:
-                del digrams[key]
-            else:
-                del lst[bisect_left(lst, idx)]
+            _unlist(digrams, key, idx)
 
     def _retire(self, idx: int) -> None:
         self._deactivate(idx)
@@ -484,8 +456,9 @@ class CompletionEngine:
             self._requeue.append(m)
         # queue obstructions against the still-active leads, then self
         self._push_rows(idx, self._pair_rows(lead, unreduced))
-        self._push_rows(idx, [(idx, 0, len(lj), len(overlap)) for _, _, lj, _,
-                              overlap in _kernel_py.self_overlaps(lead)])
+        n = len(lead)
+        self._push_rows(idx, [(idx, 0, n - k, 2 * n - k)
+                              for k in _kernel_py.self_overlaps(lead)])
         self._activate(idx, lead)
         return idx
 
@@ -512,10 +485,11 @@ class CompletionEngine:
         are ordered by lead length, so one ``bisect_left`` splits each into
         the partners that fit and the tail that is counted.  No active lead
         contains ``v`` (those were just retired), so the containments left
-        are active leads that are factors of ``v``, including an empty lead;
-        they are searched only if ``v`` is ``unreduced``, since a normal
-        form has no active lead as a factor.  Rows are made in the scan's
-        order for each partner, so a stable sort by partner finishes them.
+        are active leads that are factors of ``v``, an empty lead at each
+        position; a normal form has none, so they are scanned for directly,
+        by position, only if ``v`` is ``unreduced`` (a generator's lead).
+        Rows are made in the scan's order for each partner, so a stable
+        sort by partner finishes them.
         """
         nv = len(v)
         maxdeg = self.limits.max_degree
@@ -541,11 +515,13 @@ class CompletionEngine:
                 for e in lst[:cut]:
                     rows.append((e & _IDX, nv - k, 0, nv + (e >> _SHIFT) - k))
         if unreduced:
-            hits = self.reducer.factors(v)
+            hits = [(i, pos, 0, nv) for i, u in self._active.items()
+                    for pos in range(nv - len(u) + 1)
+                    if v[pos:pos + len(u)] == u]
             if nv > maxdeg:
                 skipped += len(hits)
             else:  # after every overlap row of a partner: nv > any k
-                rows += [(i, pos, 0, nv) for pos, i in hits]
+                rows += hits
         self.stats.obstructions_skipped_degree += skipped
         rows.sort(key=operator.itemgetter(0))
         return rows

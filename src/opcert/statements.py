@@ -103,15 +103,13 @@ def ep_condition(alg: FreeAlgebra, x: Polynomial,
     return [(s, p1), (t, p2)]
 
 
-def fresh_name(alg: FreeAlgebra, stem: str = "w",
-               taken: Container[str] = ()) -> str:
-    """The first ``stem + k`` that, with its partner ``stem + k + "*"``,
-    names neither an indeterminate of ``alg`` nor anything in ``taken``."""
+def fresh_name(alg: FreeAlgebra, taken: Container[str] = ()) -> str:
+    """The first ``"w" + k`` that, with its partner ``"w" + k + "*"``, names
+    neither an indeterminate of ``alg`` nor anything in ``taken``."""
     k = 1
-    while any(n in alg._by_name or n in taken
-              for n in (f"{stem}{k}", f"{stem}{k}*")):
+    while any(n in alg._by_name or n in taken for n in (f"w{k}", f"w{k}*")):
         k += 1
-    return f"{stem}{k}"
+    return f"w{k}"
 
 
 def _missing_adjoints(present: Sequence[Polynomial],
@@ -338,14 +336,14 @@ class ProblemFileError(AlgebraError):
         self.line_no = line_no
 
 
-def _split_top_level(text: str, sep: str = ",") -> list:
+def _split_top_level(text: str) -> list:
     parts, depth, cur = [], 0, []
     for ch in text:
         if ch in "({":
             depth += 1
         elif ch in ")}":
             depth -= 1
-        if ch == sep and depth == 0:
+        if ch == "," and depth == 0:
             parts.append("".join(cur))
             cur = []
         else:

@@ -2,9 +2,8 @@
 
 ``best_match`` lists every lead factor of a word and applies the documented
 tie-break; ``reduction_site`` reads the site the reducer's trie walk picks
-from a one-word normal form; ``lead_factors`` lists every lead factor of a
-word; ``trie_contents`` reads a trie back into its lead table and checks
-that it is pruned.
+from a one-word normal form; ``trie_contents`` reads a trie back into its
+lead table and checks that it is pruned.
 """
 
 
@@ -19,13 +18,6 @@ def best_match(table, w, key):
         return None
     n, _, pos = max(sites)
     return -pos, n, table[w[-pos:n - pos]]
-
-
-def lead_factors(table, w):
-    """Every factor of ``w`` that ``table`` (lead word -> index) holds, as
-    ``(pos, index)`` pairs: by position, then by lead length."""
-    return [(pos, table[w[pos:pos + n]]) for pos in range(len(w) + 1)
-            for n in range(len(w) - pos + 1) if w[pos:pos + n] in table]
 
 
 def reduction_site(reducer, w):

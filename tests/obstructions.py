@@ -46,7 +46,9 @@ def _pair_obstructions(i: int, u: Word, j: int, v: Word):
     (including equal words).
     """
     if i == j:
-        return [Obstruction(i, i, *row) for row in _kernel_py.self_overlaps(u)]
+        n = len(u)
+        return [Obstruction(i, i, (), u[k:], u[:n - k], (), u + u[k:])
+                for k in _kernel_py.self_overlaps(u)]
     return [Obstruction(row[0], j, *row[1:])
             for row in _kernel_py.batch_overlaps(v, [(i, u)])]
 

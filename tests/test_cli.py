@@ -244,6 +244,16 @@ def test_matcheck_command(capsys):
     assert main(["matcheck", "example2_1"]) == 0
 
 
+def test_matcheck_fails_a_stated_inverse_without_its_matrix(tmp_path, capsys):
+    path = tmp_path / "lone_inverse.mat"
+    path.write_bytes(_matrices({"A": [[2]], "X_mp": [[1]]}))
+    assert main(["matcheck", str(path)]) == 1
+    assert capsys.readouterr().out == (
+        f"{path}: FAIL\n"
+        "  [ok] A: Penrose equations hold for computed inverse\n"
+        "  [FAIL] X_mp: no matrix X to compare with\n")
+
+
 def test_limit_overrides_flow_through(capsys):
     # forcing a tiny degree on werner still certifies (claim reduces directly)
     assert main(["certify", "werner", "--max-degree", "6"]) == 0
@@ -336,6 +346,7 @@ _CAUGHT_BY_LOADER = {
     "word.mat": _matrices({"A": [["x"]]}),
     "zero_denominator.mat": _matrices({"A": [["1/0"]]}),
     "empty.mat": b"",
+    "no_matrices.mat": _matrices({}),
     "nested.cert": b"[" * 100_000,  # RecursionError in the JSON decoder
     "nested.mat": b"[" * 100_000,
 }

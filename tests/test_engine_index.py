@@ -130,6 +130,10 @@ CASES = {
     # a·a·b − b·a reduces by b·a − a in its tail during interreduce
     "interreduce": (2, [{(0, 0, 1): 1, (1, 0): -1}, {(1, 0): 1, (0,): -1}],
                     6),
+    # the generator lead a·b·a·b holds the earlier leads a·b at positions
+    # 0 and 2 and b·a at position 1, between them
+    "containment_twice": (2, [{(0, 1): 1, (0,): -1}, {(1, 0): 1, (1,): -1},
+                              {(0, 1, 0, 1): 1, (0,): -1}], 6),
     # a constant lead is a factor of every word, at every position
     "constant": (2, [{(): 1}, {(0, 1): 1, (0,): -1}], 5),
     # a·b retires a·b·a and b·a·b at once; their requeue order matters
@@ -158,6 +162,7 @@ CASES = {
 @pytest.mark.parametrize("name, event", [
     ("retire", "retired"),
     ("containment", "containment"),
+    ("containment_twice", "containment"),
     ("interreduce", "deactivated"),
     ("constant", "containment"),
     ("several", "several_retired"),

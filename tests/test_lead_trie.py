@@ -3,15 +3,14 @@
 The reduction site that ``_Reducer.normal_form``'s trie walk picks, read
 from one-word normal forms, is checked against a brute-force listing of
 every lead factor, on lead tables that need not be interreduced, after
-entries were deleted again; so is the list of lead factors that
-``_Reducer.factors`` gives the completion engine.  After each entry and
-deletion the trie, whose nodes are plain dicts, must hold each lead's
-lowest index under key ``None`` of its node, nothing but letters and
-leads, and no node left empty.  The queue's padding helper is checked
-against the kernel's overlap scans, and the queue's pop order against a
-heap keyed by (degree, push order).  A constant lead must match
-the empty word: without that match a completion whose ideal contains 1
-appends its constant element forever, so those tests stop at a small
+entries were deleted again.  After each entry and deletion the trie, whose
+nodes are plain dicts, must hold each lead's lowest index under key
+``None`` of its node, nothing but letters and leads, and no node left
+empty.  The queue's padding helper is checked against the kernel's overlap
+scans (a self-overlap size rebuilt into its words), and the queue's pop
+order against a heap keyed by (degree, push order).  A constant lead must
+match the empty word: without that match a completion whose ideal contains
+1 appends its constant element forever, so those tests stop at a small
 element count instead of hanging.
 """
 
@@ -26,8 +25,7 @@ from opcert.freealg import DegLexOrder, FreeAlgebra
 from opcert.rewrite import (COMPLETE, CompletionEngine, CompletionLimits,
                             TraceStep, _paddings, _Queue, _Reducer, reduce)
 
-from match_oracle import (best_match, lead_factors, reduction_site,
-                          trie_contents)
+from match_oracle import best_match, reduction_site, trie_contents
 
 
 def words(letters, max_size):
@@ -76,20 +74,12 @@ def test_reduction_site_equals_brute_force(case):
 
 
 @settings(max_examples=300, deadline=None)
-@given(lead_tables())
-def test_factors_equal_brute_force(case):
-    ranking, ops, queries = case
-    red = _Reducer(DegLexOrder(ranking))
-    table = entered(red, ops)
-    for w in queries + [w for _, w in ops]:
-        assert red.factors(w) == lead_factors(table, w)
-
-
-@settings(max_examples=300, deadline=None)
 @given(words(3, 6), words(3, 6))
 def test_paddings_rebuild_the_overlap_rows(u, v):
     rows = [(u,) + row[1:] for row in _kernel_py.batch_overlaps(v, [(0, u)])]
-    rows += [(v,) + row for row in _kernel_py.self_overlaps(v)]
+    n = len(v)
+    rows += [(v, (), v[k:], v[:n - k], (), v + v[k:])
+             for k in _kernel_py.self_overlaps(v)]
     for lead, li, ri, lj, rj, overlap in rows:
         assert li + lead + ri == lj + v + rj == overlap
         assert _paddings(lead, v, len(li), len(lj)) == (li, ri, lj, rj)

@@ -10,7 +10,7 @@ import pytest
 from opcert.freealg import AlgebraError, FreeAlgebra
 from opcert.quiver import (WILDCARD, LabelledQuiver, check_problem, compatible,
                            infer_signatures, path_signature)
-from opcert.statements import load_problem, translate
+from opcert.statements import load_problem, parse_problem, translate
 from conftest import FIXTURES
 
 
@@ -134,6 +134,20 @@ def test_infer_respects_pins_and_detects_contradiction():
     q2 = infer_signatures(polys, B, pinned={a.iid: ("x", "y"),
                                             b.iid: ("x", "z")})
     assert q2 is None
+
+
+@pytest.mark.parametrize("pin, edges", [
+    # a's vertex v1 is the name the first free class would get
+    ("v1", {"b": ("v2", "v3"), "c": ("v4", "v5"), "a": ("v1", "v1")}),
+    # b's target skips the pinned v2, and c's source skips the v3 taken
+    ("v2", {"b": ("v1", "v3"), "c": ("v4", "v5"), "a": ("v2", "v2")}),
+])
+def test_inferred_names_skip_pinned_and_generated_names(pin, edges):
+    trans = translate(parse_problem(
+        f"[ops]\na : {pin} -> {pin}\nb\nc\n[assume]\nb\nc\n[claim]\na\n"))
+    q = trans.quiver
+    assert {name: q.signature(name) for name in "bca"} == edges
+    assert len(q.vertices) == 5
 
 
 def test_infer_adjoint_edges_reversed(paired_algebra):
