@@ -12,7 +12,7 @@ counterexample checks.
 from .freealg import (AdjointError, AlgebraError, DegLexOrder, FreeAlgebra,
                       Indeterminate, ParseError, Polynomial)
 from .rewrite import (BUDGET_EXHAUSTED, COMPLETE, STOPPED_EARLY,
-                      CompletionLimits, TracedPolynomial, TraceStep, reduce)
+                      CompletionLimits, reduce)
 from .certify import (Certificate, CertifyReport, ClaimResult, Summand,
                       VerificationResult, certify, load_certificate,
                       make_certificate, minimize_certificate, save_certificate,

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 from .freealg import (AlgebraError, DegLexOrder, FreeAlgebra, Polynomial,
                       add_terms)
 from .rewrite import (BUDGET_EXHAUSTED, COMPLETE, CompletionEngine,
-                      CompletionLimits, TraceStep)
+                      CompletionLimits)
 
 CERT_FORMAT = "opcert-certificate/1"
 
@@ -207,22 +207,11 @@ class CertifyReport:
     stats: CertifyStats
 
     @property
-    def used_assumption_indices(self) -> set:
-        return {i for r in self.results if r.certified
-                for i in r.certificate.used_indices}
-
-    @property
     def ok(self) -> bool:
         return all(r.certified for r in self.results)
 
-    def result(self, name: str) -> ClaimResult:
-        for r in self.results:
-            if r.name == name:
-                return r
-        raise KeyError(name)
 
-
-def _quads_to_summands(alg: FreeAlgebra, quads: Sequence[TraceStep],
+def _quads_to_summands(alg: FreeAlgebra, quads: Sequence[tuple],
                        order: DegLexOrder) -> list:
     """Summands adding up to ``-sum(quads)``: a claim reduced to zero by
     ``normal_form`` satisfies 0 = claim + sum(steps).  The quads are

@@ -74,10 +74,12 @@ def cmd_certify(args) -> int:
     _apply_limit_overrides(problem, args)
     outdir = Path(args.output) if args.output else None
     if outdir:
+        if outdir.exists() and not outdir.is_dir():
+            raise NotADirectoryError(f"--output {outdir} is not a directory")
         for name, _ in problem.claims:
             _cert_file(outdir, path.stem, name)
     trans = translate(problem)
-    print(f"problem {path.stem}: {trans.indeterminate_count} indeterminates, "
+    print(f"problem {path.stem}: {len(trans.algebra)} indeterminates, "
           f"{len(trans.assumptions)} assumptions, {len(trans.claims)} claims")
     if not _quiver_gate(path, trans):
         return EXIT_INVALID
@@ -166,9 +168,9 @@ def cmd_reduce(args) -> int:
     for name, claim in zip(trans.claim_names, trans.claims):
         if args.claim and name != args.claim:
             continue
-        traced = nf_reduce(claim, basis, trans.order)
-        print(f"claim {name}: remainder {alg.render(traced.value)}")
-        for c, left, idx, right in traced.trace:
+        value, steps = nf_reduce(claim, basis, trans.order)
+        print(f"claim {name}: remainder {alg.render(value)}")
+        for c, left, idx, right in steps:
             aname = trans.assumption_names[kept[idx]]
             print(f"    ({alg.render(alg.monomial(left, c))}) . {aname} . "
                   f"({alg.render(alg.monomial(right))})")

@@ -256,10 +256,6 @@ class Translation:
     order: DegLexOrder
     options: ProblemOptions
 
-    @property
-    def indeterminate_count(self) -> int:
-        return len(self.algebra)
-
 
 def translate(problem: Problem) -> Translation:
     """Expand a problem into assumption/claim polynomials plus the quiver.

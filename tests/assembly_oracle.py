@@ -11,7 +11,6 @@ reference, groups quads through ``FreeAlgebra.monomial`` and
 
 from opcert.certify import Certificate, Summand, scan_integral
 from opcert.freealg import add_terms
-from opcert.rewrite import TraceStep
 
 
 def oracle_expand_steps(engine, steps) -> list:
@@ -42,7 +41,7 @@ def oracle_expand_steps(engine, steps) -> list:
     quads = []
     for w, c in expand(steps).items():
         t = w.index(min(w))  # letters are >= 0
-        quads.append(TraceStep(c, w[:t], ~w[t], w[t + 1:]))
+        quads.append((c, w[:t], ~w[t], w[t + 1:]))
     return quads
 
 

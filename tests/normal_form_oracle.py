@@ -18,7 +18,6 @@ import operator
 from fractions import Fraction
 
 from opcert.freealg import add_terms, normalize_coeff
-from opcert.rewrite import TraceStep
 
 from match_oracle import reduction_site
 
@@ -55,7 +54,7 @@ def heap_normal_form(reducer, order, terms: dict, items_of, lcs: list,
         left = w[:pos]
         right = w[pos + n:]
         c = terms[w] if lc == 1 else normalize_coeff(Fraction(terms[w]) / lc)
-        steps.append(TraceStep(-c, left, idx, right))
+        steps.append((-c, left, idx, right))
         before = set(terms)
         new = add_terms(terms, items_of(idx), -c, left, right)
         gone = before.difference(terms) - {w}

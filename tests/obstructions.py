@@ -17,8 +17,7 @@ from typing import Optional, Sequence
 from opcert import _kernel_py
 from opcert.freealg import (AlgebraError, DegLexOrder, Polynomial, Word,
                             normalize_coeff)
-from opcert.rewrite import (COMPLETE, CompletionEngine, CompletionLimits,
-                            TracedPolynomial, TraceStep)
+from opcert.rewrite import COMPLETE, CompletionEngine, CompletionLimits
 
 
 @dataclass(frozen=True)
@@ -76,10 +75,11 @@ def find_obstructions(basis: Sequence[Polynomial],
 
 
 def s_polynomial(o: Obstruction, basis: Sequence[Polynomial],
-                 order: Optional[DegLexOrder] = None) -> TracedPolynomial:
-    """Difference of the two padded, lead-normalized multiples.
+                 order: Optional[DegLexOrder] = None) -> tuple:
+    """Difference of the two padded, lead-normalized multiples, as the
+    pair ``(value, steps)`` with ``value = sum(steps)``.
 
-    The leading terms cancel by construction; ``value = sum(trace)``.
+    The leading terms cancel by construction.
     """
     order = order or basis[0].alg.default_order()
     gi, gj = basis[o.i], basis[o.j]
@@ -90,9 +90,8 @@ def s_polynomial(o: Obstruction, basis: Sequence[Polynomial],
     left_j = alg.monomial(o.left_j, cj)
     value = left_i * gi * alg.monomial(o.right_i) \
         - left_j * gj * alg.monomial(o.right_j)
-    trace = (TraceStep(ci, o.left_i, o.i, o.right_i),
-             TraceStep(normalize_coeff(-cj), o.left_j, o.j, o.right_j))
-    return TracedPolynomial(value, trace)
+    return value, ((ci, o.left_i, o.i, o.right_i),
+                   (normalize_coeff(-cj), o.left_j, o.j, o.right_j))
 
 
 class ScanEngine(CompletionEngine):
@@ -146,9 +145,9 @@ def complete(generators: Sequence[Polynomial],
              limits: Optional[CompletionLimits] = None):
     """Bounded completion of the generator set.
 
-    Returns ``(basis, status)`` where each basis element is a
-    ``TracedPolynomial`` whose trace expresses it exactly in the original
-    generators (``value = sum(trace)``), and status is ``"complete"`` when
+    Returns ``(basis, status)`` where each basis element is a pair
+    ``(value, steps)`` whose steps express it exactly in the original
+    generators (``value = sum(steps)``), and status is ``"complete"`` when
     every obstruction within ``max_degree`` reduced to zero within budget.
     """
     generators = list(generators)
@@ -163,7 +162,6 @@ def complete(generators: Sequence[Polynomial],
     alg = generators[0].alg
     basis = []
     for k in engine.active_indices():
-        trace = engine.expand_steps([TraceStep(1, (), k, ())])
-        basis.append(TracedPolynomial(
-            Polynomial._make(alg, engine.elements[k].terms), tuple(trace)))
+        basis.append((Polynomial._make(alg, engine.elements[k].terms),
+                      tuple(engine.expand_steps([(1, (), k, ())]))))
     return basis, engine.status()

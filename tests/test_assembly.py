@@ -18,8 +18,7 @@ from hypothesis import strategies as st
 from opcert.certify import (_merge, _quads_to_summands, certificate_to_dict,
                             make_certificate, minimize_certificate, Summand)
 from opcert.freealg import FreeAlgebra
-from opcert.rewrite import (CompletionEngine, CompletionLimits, TraceStep,
-                            _Element)
+from opcert.rewrite import CompletionEngine, CompletionLimits, _Element
 
 from assembly_oracle import (oracle_expand_steps, oracle_minimize_certificate,
                              oracle_quads_to_summands)
@@ -85,9 +84,9 @@ def run_system(case):
     engine.run(pending)
     steps = []
     for c, l, k, r, negated in extra:
-        steps.append(TraceStep(c, l, k % len(engine.elements), r))
+        steps.append((c, l, k % len(engine.elements), r))
         if negated:
-            steps.append(TraceStep(-c, l, k % len(engine.elements), r))
+            steps.append((-c, l, k % len(engine.elements), r))
     return alg, gens, members, engine, pending, steps
 
 
@@ -108,7 +107,7 @@ class ReadCounter(list):
 def test_expand_steps_matches_bottom_up(case):
     _, _, _, engine, pending, steps = run_system(case)
     cases = [steps] + [claim_steps for _, claim_steps in pending]
-    cases += [[TraceStep(1, (), k, ())] for k in engine.active_indices()]
+    cases += [[(1, (), k, ())] for k in engine.active_indices()]
     elements = engine.elements
     for given_steps in cases:
         engine.elements = ReadCounter(elements)
@@ -182,13 +181,12 @@ def test_contexts_meeting_at_a_shared_element_cancel():
                                              (2, (), 0, (b,)))))
     engine.elements.append(_Element((), (), ((1, (), 0, ()),)))
     # element 1 passes a·e0 to element 0, element 2 passes −a·e0: they cancel
-    steps = [TraceStep(1, (), 1, ()), TraceStep(-1, (a,), 2, ())]
-    expected = [TraceStep(2, (), 0, (b,))]
+    steps = [(1, (), 1, ()), (-1, (a,), 2, ())]
+    expected = [(2, (), 0, (b,))]
     assert engine.expand_steps(steps) == expected
     assert oracle_expand_steps(engine, steps) == expected
     # with nothing left over, every context cancels
-    assert engine.expand_steps(steps + [TraceStep(-1, (), 0, (b,)),
-                                        TraceStep(-1, (), 0, (b,))]) == []
+    assert engine.expand_steps(steps + [(-1, (), 0, (b,))] * 2) == []
 
 
 def test_contexts_shifted_onto_one_pair_merge():
@@ -201,10 +199,9 @@ def test_contexts_shifted_onto_one_pair_merge():
     engine.elements.append(_Element((), (), ((1, (a, b), 0, (a, b)),)))
     # element 1 in context (a, b) and element 2 in context ((), ()) both
     # pass the pair (a·b, a·b) to element 0
-    for c2, expected in ((Fraction(3, 2), [TraceStep(2, (a, b), 0, (a, b))]),
-                           (Fraction(-1, 2), [])):
-        steps = [TraceStep(Fraction(1, 2), (a,), 1, (b,)),
-                 TraceStep(c2, (), 2, ())]
+    for c2, expected in ((Fraction(3, 2), [(2, (a, b), 0, (a, b))]),
+                         (Fraction(-1, 2), [])):
+        steps = [(Fraction(1, 2), (a,), 1, (b,)), (c2, (), 2, ())]
         quads = engine.expand_steps(steps)
         assert typed_steps(quads) == typed_steps(expected)
         assert typed_steps(oracle_expand_steps(engine, steps)) == \

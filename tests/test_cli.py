@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -198,6 +199,16 @@ def test_claim_name_that_is_no_file_name_stops_certify_first(tmp_path, capsys,
     assert not outdir.exists()
 
 
+def test_output_onto_a_file_stops_certify_first(tmp_path, capsys):
+    target = tmp_path / "taken"
+    target.write_text("keep\n", encoding="utf-8")
+    assert main(["certify", "werner", "--output", str(target)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --output {target} is not a directory\n"
+    assert captured.out == ""  # nothing translated or certified
+    assert target.read_text(encoding="utf-8") == "keep\n"
+
+
 def test_reduce_prints_remainder_and_trace(capsys):
     rc = main(["reduce", "werner"])
     out = capsys.readouterr().out
@@ -235,6 +246,23 @@ def test_reduce_output_of_every_fixture_is_unchanged(capsys):
         out = capsys.readouterr().out.encode("utf-8")
         got[prob.stem] = hashlib.sha256(out).hexdigest()
     assert got == REDUCE_SHA256
+
+
+# sha256 of what ``opcert certify <fixture>`` prints for each bundled problem,
+# with the elapsed seconds of its summary line masked
+CERTIFY_SHA256 = json.loads((Path(__file__).parent / "certify_stdout_sha256.json")
+                            .read_text(encoding="utf-8"))
+
+
+def test_certify_output_of_every_fixture_is_unchanged(capsys):
+    got = {}
+    for prob in sorted(FIXTURES.glob("*.prob")):
+        want_rc = 2 if prob.stem == "nonmember" else 0
+        assert main(["certify", prob.stem]) == want_rc, prob.stem
+        out = re.sub(r", \d+\.\d\ds, completion ", ", <elapsed>s, completion ",
+                     capsys.readouterr().out)
+        got[prob.stem] = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert got == CERTIFY_SHA256
 
 
 def test_matcheck_command(capsys):

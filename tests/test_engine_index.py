@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from opcert.certify import certify
 from opcert.freealg import FreeAlgebra
-from opcert.rewrite import CompletionEngine, CompletionLimits, TraceStep
+from opcert.rewrite import CompletionEngine, CompletionLimits
 from opcert.statements import load_problem, translate
 
 from conftest import FIXTURES
@@ -98,7 +98,7 @@ def run_both(alg, gens, max_degree):
     # of elements; equal element-level steps already imply equal expansions
     if len(indexed.elements) <= 16:
         for k in indexed.active_indices():
-            step = [TraceStep(1, (), k, ())]
+            step = [(1, (), k, ())]
             assert indexed.expand_steps(step) == scan.expand_steps(step)
     return scan.events
 

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opcert.freealg import DegLexOrder, FreeAlgebra, normalize_coeff
-from opcert.rewrite import TraceStep, _div, _Reducer, reduce
+from opcert.rewrite import _div, _Reducer, reduce
 
 from normal_form_oracle import heap_normal_form
 
@@ -44,13 +44,13 @@ def both_normal_forms(ranking, basis, terms):
     want, want_steps = dict(terms), []
     events = heap_normal_form(red, order, want, full.__getitem__, lcs,
                               want_steps)
-    got = reduce(ALG.poly(terms), [ALG.poly(poly) for poly in basis], order)
-    assert typed((c, w) for w, c in got.value._terms.items()) == \
+    value, steps = reduce(ALG.poly(terms), [ALG.poly(poly) for poly in basis],
+                          order)
+    assert typed((c, w) for w, c in value._terms.items()) == \
         typed((c, w) for w, c in want.items())
-    # reduce's trace satisfies p = value + sum(trace), the oracle's steps
+    # reduce's steps satisfy p = value + sum(steps), the oracle's
     # after = before + sum(steps)
-    assert typed(got.trace) == \
-        typed(TraceStep(-c, l, i, r) for c, l, i, r in want_steps)
+    assert typed(steps) == typed((-c, l, i, r) for c, l, i, r in want_steps)
     return events
 
 

@@ -7,12 +7,13 @@ ring arithmetic.
 """
 
 import random
+import time
 
 import pytest
 
 from opcert.freealg import AlgebraError, FreeAlgebra
 from opcert.rewrite import (BUDGET_EXHAUSTED, COMPLETE, CompletionEngine,
-                            CompletionLimits, TraceStep, reduce)
+                            CompletionLimits, reduce)
 
 from obstructions import (Obstruction, complete, find_obstructions,
                           s_polynomial)
@@ -106,13 +107,13 @@ def test_s_polynomial_self_overlap_cancels(werner_algebra):
     A = werner_algebra
     g = A.parse("a·a⁻·a − a")
     (ob,) = find_obstructions([g])
-    sp = s_polynomial(ob, [g])
+    value, steps = s_polynomial(ob, [g])
     # oracle: (aa⁻a − a)·a⁻a − aa⁻·(aa⁻a − a) = 0
     left = g * A.parse("a⁻·a")
     right = A.parse("a·a⁻") * g
     assert left - right == A.zero()
-    assert sp.value.is_zero or sp.value == left - right
-    assert expand_trace(sp.trace, [g], A) == sp.value
+    assert value.is_zero or value == left - right
+    assert expand_trace(steps, [g], A) == value
 
 
 def test_s_polynomial_two_element_overlap():
@@ -123,20 +124,20 @@ def test_s_polynomial_two_element_overlap():
     obs = [o for o in find_obstructions([g0, g1])
            if o.overlap == A.word("a", "b", "a")]
     (ob,) = obs
-    sp = s_polynomial(ob, [g0, g1])
+    value, steps = s_polynomial(ob, [g0, g1])
     # oracle: (ab − a)a − a(ba − b) = ab − a²
-    assert sp.value == g0 * A.gen("a") - A.gen("a") * g1
-    assert sp.value == A.parse("a·b − a·a")
-    assert expand_trace(sp.trace, [g0, g1], A) == sp.value
+    assert value == g0 * A.gen("a") - A.gen("a") * g1
+    assert value == A.parse("a·b − a·a")
+    assert expand_trace(steps, [g0, g1], A) == value
 
 
 def test_s_polynomial_lead_below_overlap(werner_system):
     A, F, _ = werner_system
     order = A.default_order()
     for ob in find_obstructions(F):
-        sp = s_polynomial(ob, F)
-        if not sp.value.is_zero:
-            assert order.key(sp.value.lead_word(order)) < order.key(ob.overlap)
+        value, _ = s_polynomial(ob, F)
+        if not value.is_zero:
+            assert order.key(value.lead_word(order)) < order.key(ob.overlap)
 
 
 # -- reduce -------------------------------------------------------------------------
@@ -144,26 +145,24 @@ def test_s_polynomial_lead_below_overlap(werner_system):
 def test_reduce_self(werner_algebra):
     A = werner_algebra
     g = A.parse("a·a⁻·a − a")
-    traced = reduce(g, [g])
-    assert traced.value.is_zero
-    assert traced.trace == ((1, (), 0, ()),)
+    value, steps = reduce(g, [g])
+    assert value.is_zero
+    assert steps == ((1, (), 0, ()),)
 
 
 def test_reduce_werner_claim_uses_minimal_assumptions(werner_system):
     A, F, f = werner_system
-    traced = reduce(f, F)
-    assert traced.value.is_zero
-    assert {s.index for s in traced.trace} <= {0, 1, 2, 5}
-    assert expand_trace(traced.trace, F, A) == f
+    value, steps = reduce(f, F)
+    assert value.is_zero
+    assert {i for _, _, i, _ in steps} <= {0, 1, 2, 5}
+    assert expand_trace(steps, F, A) == f
 
 
 def test_reduce_no_occurrence():
     A = FreeAlgebra()
     for n in "abcd":
         A.add(n)
-    traced = reduce(A.parse("a·b"), [A.parse("c·d − c")])
-    assert traced.value == A.parse("a·b")
-    assert traced.trace == ()
+    assert reduce(A.parse("a·b"), [A.parse("c·d − c")]) == (A.parse("a·b"), ())
 
 
 def test_reduce_zero_basis_element_rejected(werner_algebra):
@@ -177,17 +176,17 @@ def test_reduce_tie_break_prefers_order_largest_lead(werner_algebra):
     # declaration ranking puts ib above b⁻i, so index 0 rewrites first, at
     # the leftmost occurrence.
     basis = [A.parse("i·b − b"), A.parse("b⁻·i − b⁻")]
-    traced = reduce(A.parse("a·b·b⁻·i·b"), basis)
-    first = traced.trace[0]
-    assert first.index == 0
-    assert first.left == A.word("a", "b", "b⁻")
+    _, steps = reduce(A.parse("a·b·b⁻·i·b"), basis)
+    _, left, index, _ = steps[0]
+    assert index == 0
+    assert left == A.word("a", "b", "b⁻")
 
 
 def test_reduce_tie_break_lowest_index_on_equal_leads(werner_algebra):
     A = werner_algebra
     basis = [A.parse("a·b − a"), A.parse("a·b − b")]
-    traced = reduce(A.parse("a·b"), basis)
-    assert traced.trace[0].index == 0
+    _, steps = reduce(A.parse("a·b"), basis)
+    assert steps[0][2] == 0
 
 
 def test_reduce_is_idempotent(werner_system):
@@ -198,10 +197,8 @@ def test_reduce_is_idempotent(werner_system):
         words = [tuple(rng.randrange(len(names)) for _ in range(rng.randrange(5)))
                  for _ in range(4)]
         p = A.poly({w: rng.choice([-2, -1, 1, 2]) for w in words})
-        once = reduce(p, F)
-        twice = reduce(once.value, F)
-        assert twice.value == once.value
-        assert twice.trace == ()
+        once, _ = reduce(p, F)
+        assert reduce(once, F) == (once, ())
 
 
 # -- complete ---------------------------------------------------------------------------
@@ -216,7 +213,7 @@ def test_complete_idempotent_letter():
     g = A.parse("x·x − x")
     basis, status = complete([g])
     assert status == COMPLETE
-    assert [tp.value for tp in basis] == [g]
+    assert [value for value, _ in basis] == [g]
     # the single self-overlap resolves: (x²−x)x − x(x²−x) = 0
     assert g * A.gen("x") - A.gen("x") * g == A.zero()
 
@@ -226,8 +223,8 @@ def test_complete_inner_inverse_pair(werner_algebra):
     gens = [A.parse("a·a⁻·a − a"), A.parse("a⁻·a·a⁻ − a⁻")]
     basis, status = complete(gens)
     assert status == COMPLETE
-    for tp in basis:
-        assert expand_trace(tp.trace, gens, A) == tp.value
+    for value, steps in basis:
+        assert expand_trace(steps, gens, A) == value
 
 
 def test_complete_traces_verify_and_spolys_resolve(werner_system):
@@ -235,21 +232,21 @@ def test_complete_traces_verify_and_spolys_resolve(werner_system):
     limits = CompletionLimits(max_degree=8, time_budget=60)
     basis, status = complete(F, limits=limits)
     assert status == COMPLETE
-    values = [tp.value for tp in basis]
-    for tp in basis:
-        assert expand_trace(tp.trace, F, A) == tp.value
+    values = [value for value, _ in basis]
+    for value, steps in basis:
+        assert expand_trace(steps, F, A) == value
     # every S-polynomial within the degree bound reduces to zero
     for ob in find_obstructions(values):
         if ob.degree <= limits.max_degree:
-            sp = s_polynomial(ob, values)
-            assert reduce(sp.value, values).value.is_zero
+            sp, _ = s_polynomial(ob, values)
+            assert reduce(sp, values)[0].is_zero
     # membership soundness: the claim reduces to zero and its composed
     # cofactor representation expands back to the claim exactly
-    traced = reduce(f, values)
-    assert traced.value.is_zero
+    value, steps = reduce(f, values)
+    assert value.is_zero
     composed = A.zero()
-    for c, l, i, r in traced.trace:
-        part = A.monomial(l, c) * expand_trace(basis[i].trace, F, A) * A.monomial(r)
+    for c, l, i, r in steps:
+        part = A.monomial(l, c) * expand_trace(basis[i][1], F, A) * A.monomial(r)
         composed = composed + part
     assert composed == f
 
@@ -277,9 +274,25 @@ def test_deadline_during_interreduce_stops_completion():
     assert status == BUDGET_EXHAUSTED
     basis, status = complete(gens, limits=CompletionLimits(time_budget=300))
     assert status == COMPLETE
-    assert [tp.value for tp in basis] == [A.parse("a − b"),
-                                          A.parse("c·" + "·".join(["b"] * 300)
-                                                  + " − b")]
+    assert [value for value, _ in basis] == [
+        A.parse("a − b"), A.parse("c·" + "·".join(["b"] * 300) + " − b")]
+
+
+def test_a_deadline_after_another_limit_keeps_the_first_tripped():
+    # run()'s final claim pass may meet the deadline after max_iterations
+    # stopped the loop; the run must still name max_iterations
+    A = FreeAlgebra()
+    for n in "bac":
+        A.add(n)
+    engine = CompletionEngine([(0, A.parse("a − b"))], A.default_order(),
+                              CompletionLimits(max_iterations=1))
+    engine.stats.obstructions_processed = 1
+    assert engine._check_limits() == "max_iterations"
+    engine._deadline = time.monotonic() - 1
+    # c·a³⁰⁰ takes 300 rewrites, past the reducer's first deadline check
+    terms = dict(A.parse("c·" + "·".join(["a"] * 300))._terms)
+    assert not engine.normal_form(terms, [])
+    assert engine.tripped_limit == "max_iterations"
 
 
 def test_limits_must_be_positive():
@@ -306,7 +319,7 @@ def test_duplicate_generators_alias_to_first(werner_algebra):
     basis, status = complete([g, g, 2 * g])
     assert status == COMPLETE
     assert len(basis) == 1
-    assert {step.index for step in basis[0].trace} == {0}
+    assert {i for _, _, i, _ in basis[0][1]} == {0}
 
 
 def test_zero_generators_dropped(werner_algebra):
@@ -314,17 +327,17 @@ def test_zero_generators_dropped(werner_algebra):
     g = A.parse("a·a⁻·a − a")
     basis, status = complete([A.zero(), g])
     assert status == COMPLETE
-    assert [tp.value for tp in basis] == [g]
-    assert {step.index for step in basis[0].trace} == {1}
+    assert [value for value, _ in basis] == [g]
+    assert {i for _, _, i, _ in basis[0][1]} == {1}
 
 
 def test_reduce_non_monic_basis(werner_algebra):
     A = werner_algebra
     basis = [A.parse("2·a·b − a")]
-    traced = reduce(A.parse("4·a·b"), basis)
-    assert traced.value == A.parse("2·a")
-    assert traced.trace == ((2, (), 0, ()),)
-    assert traced.value + expand_trace(traced.trace, basis, A) == A.parse("4·a·b")
+    value, steps = reduce(A.parse("4·a·b"), basis)
+    assert value == A.parse("2·a")
+    assert steps == ((2, (), 0, ()),)
+    assert value + expand_trace(steps, basis, A) == A.parse("4·a·b")
 
 
 def test_expand_steps_merges_and_cancels_at_generator_level():
@@ -334,8 +347,8 @@ def test_expand_steps_merges_and_cancels_at_generator_level():
     g = A.parse("2·a·b − b")
     engine = CompletionEngine([(0, g)], A.default_order(), CompletionLimits())
     # element 0 is the monic a·b − 1/2·b = 1/2·g
-    step = TraceStep(1, (a,), 0, ())
+    step = (1, (a,), 0, ())
     merged = engine.expand_steps([step, step])
-    assert merged == [TraceStep(1, (a,), 0, ())]
-    assert type(merged[0].coeff) is int
-    assert engine.expand_steps([step, step._replace(coeff=-1)]) == []
+    assert merged == [(1, (a,), 0, ())]
+    assert type(merged[0][0]) is int
+    assert engine.expand_steps([step, (-1, (a,), 0, ())]) == []

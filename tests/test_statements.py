@@ -234,7 +234,7 @@ def test_translate_empty_problem():
 def test_translate_werner_fixture():
     prob = parse_problem((FIXTURES / "werner.prob").read_text(encoding="utf-8"))
     trans = translate(prob)
-    assert trans.indeterminate_count == 5
+    assert len(trans.algebra) == 5
     assert len(trans.assumptions) == 8
     assert trans.quiver is not None and len(trans.quiver.vertices) == 3
     assert trans.quiver_check.ok
@@ -244,7 +244,7 @@ def test_translate_hartwig_counts():
     prob = parse_problem(
         (FIXTURES / "hartwig_v_to_i.prob").read_text(encoding="utf-8"))
     trans = translate(prob)
-    assert trans.indeterminate_count == 22
+    assert len(trans.algebra) == 22
     assert len(trans.assumptions) == 34
     assert len(trans.quiver.vertices) == 4
     assert len(trans.quiver.edges) == 22
