@@ -206,10 +206,6 @@ class CertifyReport:
     results: list
     stats: CertifyStats
 
-    @property
-    def ok(self) -> bool:
-        return all(r.certified for r in self.results)
-
 
 def _quads_to_summands(alg: FreeAlgebra, quads: Sequence[tuple],
                        order: DegLexOrder) -> list:

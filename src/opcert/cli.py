@@ -74,7 +74,10 @@ def cmd_certify(args) -> int:
     _apply_limit_overrides(problem, args)
     outdir = Path(args.output) if args.output else None
     if outdir:
-        if outdir.exists() and not outdir.is_dir():
+        # the path, or else the nearest ancestor of it that exists
+        nearest = next((p for p in (outdir, *outdir.parents) if p.exists()),
+                       outdir)
+        if not nearest.is_dir():
             raise NotADirectoryError(f"--output {outdir} is not a directory")
         for name, _ in problem.claims:
             _cert_file(outdir, path.stem, name)
@@ -84,8 +87,8 @@ def cmd_certify(args) -> int:
     if not _quiver_gate(path, trans):
         return EXIT_INVALID
     for wf in trans.workflow_reports:
-        print(f"  workflow {wf.conclusion_name}: witness certified "
-              f"({wf.certificate.term_count} terms), conclusion added")
+        print(f"  workflow {wf.conclusion_name}: conclusion {wf.source}, "
+              f"witness certified ({wf.certificate.term_count} terms)")
     report = certify_claims(trans)
     if outdir:
         outdir.mkdir(parents=True, exist_ok=True)

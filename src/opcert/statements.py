@@ -14,14 +14,14 @@ from dataclasses import dataclass, field, replace
 from typing import Container, Iterable, Optional, Sequence
 
 from .certify import Certificate, certify
-from .freealg import (AlgebraError, DegLexOrder, FreeAlgebra, ParseError,
-                      Polynomial)
+from .freealg import (AdjointError, AlgebraError, DegLexOrder, FreeAlgebra,
+                      ParseError, Polynomial)
 from .quiver import LabelledQuiver, ProblemCheck, check_problem, infer_signatures
 from .rewrite import CompletionLimits
 
 
 class WorkflowError(AlgebraError):
-    """A quasi-identity step is malformed or its witness was not certified."""
+    """A quasi-identity step is malformed or finds no certified witness."""
 
 
 # ---------------------------------------------------------------------------
@@ -137,70 +137,70 @@ def _missing_adjoints(present: Sequence[Polynomial],
 class CancellabilityStep:
     """Apply left/right star-cancellability of ``element`` (a monomial).
 
-    right: z.e.e* = 0 implies z.e = 0 -- witness must be conclusion . e*,
-    conclusion must factor as z.e.  left is the mirror image.
+    right: z.e.e* = 0 implies z.e = 0; left is the mirror image.  The
+    conclusion z.e is derived from the claims by ``apply_cancellability``.
     """
 
     side: str  # "left" | "right"
     element: Polynomial
-    witness: Polynomial
-    conclusion: Polynomial
+
+    def __post_init__(self):
+        if self.side not in ("left", "right"):
+            raise WorkflowError(
+                f"side must be left or right, got {self.side!r}")
+        if len(self.element) != 1:
+            raise WorkflowError(
+                "cancellability element must be a single monomial")
+        self.element.adjoint()  # AdjointError for a letter without a partner
 
 
-def validate_step(step: CancellabilityStep) -> None:
-    """Shape-check a step, or raise WorkflowError.
-
-    The element is one monomial, every term of the conclusion carries the
-    element's word at the step's end (so the conclusion factors as z·e on
-    the right, e·z on the left), and the witness is the conclusion times e*
-    on that side.
-    """
-    if step.side not in ("left", "right"):
-        raise WorkflowError(f"side must be left or right, got {step.side!r}")
-    if len(step.element._terms) != 1:
-        raise WorkflowError("cancellability element must be a single monomial")
-    (eword,) = step.element._terms
-    estar = step.element.adjoint()
-    if step.side == "right":
-        factors = all(w[len(w) - len(eword):] == eword
-                      for w in step.conclusion._terms)
-        expected = step.conclusion * estar
-    else:
-        factors = all(w[:len(eword)] == eword for w in step.conclusion._terms)
-        expected = estar * step.conclusion
-    if not factors:
-        raise WorkflowError(
-            "conclusion does not factor through the cancellability element "
-            f"on the {step.side}")
-    if expected != step.witness:
-        raise WorkflowError(
-            "witness does not match the cancellability shape: expected "
-            f"{expected.alg.render(expected)}")
+def _cancellation_candidates(claims: Sequence[tuple]):
+    """Each nonzero claim, then its adjoint ``name*`` if it has one."""
+    for name, c in claims:
+        if c.is_zero:
+            continue
+        yield name, c
+        try:
+            yield name + "*", c.adjoint()
+        except AdjointError:
+            pass
 
 
 def apply_cancellability(step: CancellabilityStep,
                          assumptions: Sequence[Polynomial],
+                         claims: Sequence[tuple],
                          order: Optional[DegLexOrder] = None,
                          limits: Optional[CompletionLimits] = None, *,
                          assumption_names: Optional[Sequence[str]] = None,
                          require_zero_constant: bool = True):
-    """Certify the witness in the current ideal and return the conclusion.
+    """Derive the step's conclusion from the ``(name, polynomial)`` claims.
 
-    Returns ``(conclusion, witness_certificate)``; raises WorkflowError when
-    the witness cannot be certified within the limits (no assumption is added
+    Each candidate (a claim, then its adjoint) whose terms all carry the
+    element's word at the step's end is a conclusion z.e (e.z on the left);
+    its witness z.e.e* (e*.e.z) is certified in the current ideal.  Returns
+    ``(source_name, conclusion, witness_certificate)`` for the first that
+    certifies; raises WorkflowError when none does (no assumption is added
     in that case).
     """
-    validate_step(step)
-    report = certify(list(assumptions), [step.witness], order, limits,
-                     assumption_names=assumption_names,
-                     claim_names=["witness"],
-                     require_zero_constant=require_zero_constant)
-    res = report.results[0]
-    if not res.certified:
-        raise WorkflowError(
-            "cancellability witness is not certified within the limits; "
-            f"irreducible remainder: {res.remainder}")
-    return step.conclusion, res.certificate
+    (eword,) = step.element._terms
+    estar = step.element.adjoint()
+    right = step.side == "right"
+    tried = []
+    for name, c in _cancellation_candidates(claims):
+        if not all((w[len(w) - len(eword):] if right else w[:len(eword)])
+                   == eword for w in c._terms):
+            continue
+        res = certify(list(assumptions), [c * estar if right else estar * c],
+                      order, limits, assumption_names=assumption_names,
+                      claim_names=["witness"],
+                      require_zero_constant=require_zero_constant).results[0]
+        if res.certified:
+            return name, c, res.certificate
+        tried.append(name)
+    raise WorkflowError(
+        f"no claim gives a certified {step.side} cancellability witness for "
+        f"{step.element.alg.render(step.element)} "
+        f"(candidates tried: {', '.join(tried) or 'none has its shape'})")
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +239,7 @@ class WorkflowReport:
     step: CancellabilityStep
     conclusion_name: str
     certificate: Certificate
+    source: str  # the claim, or claim adjoint ``name*``, concluded
 
 
 @dataclass
@@ -261,9 +262,9 @@ def translate(problem: Problem) -> Translation:
     """Expand a problem into assumption/claim polynomials plus the quiver.
 
     Applies the involution closure when declared, runs workflow steps in
-    order (each step's witness is certified against the current assumption
-    set, monotonically enlarging the ideal), and infers or validates the
-    quiver.
+    order (each step adjoins a claim whose witness is certified against the
+    current assumption set, monotonically enlarging the ideal), and infers
+    or validates the quiver.
     """
     alg = problem.algebra
     order = problem.order()
@@ -281,15 +282,16 @@ def translate(problem: Problem) -> Translation:
         close_from(0)
     reports = []
     for k, step in enumerate(problem.workflow, start=1):
-        conclusion, cert = apply_cancellability(
-            step, polys, order, opts.limits, assumption_names=names,
+        source, conclusion, cert = apply_cancellability(
+            step, polys, problem.claims, order, opts.limits,
+            assumption_names=names,
             require_zero_constant=not opts.allow_constant_terms)
         base = f"step{k}"
         names.append(base)
         polys.append(conclusion)
         if opts.closure:
             close_from(len(polys) - 1)
-        reports.append(WorkflowReport(step, base, cert))
+        reports.append(WorkflowReport(step, base, cert, source))
     claims = [p for _, p in problem.claims]
     claim_names = [n for n, _ in problem.claims]
     quiver = problem.quiver
@@ -589,16 +591,11 @@ def _expand_macro(problem, macro, args):
 
 
 def _parse_workflow_line(problem, line):
-    m = re.match(r"cancel\s+(left|right)\s+(.+?)\s+witness\s+(.+?)\s+conclude\s+(.+)$",
-                 line)
+    m = re.match(r"cancel\s+(left|right)\s+(.+)$", line)
     if not m:
-        raise AlgebraError(
-            "workflow lines read: cancel left|right ELEM witness EXPR conclude EXPR")
-    side, elem_s, wit_s, conc_s = m.groups()
-    step = CancellabilityStep(side, _expr(problem, elem_s),
-                              _expr(problem, wit_s), _expr(problem, conc_s))
-    validate_step(step)
-    problem.workflow.append(step)
+        raise AlgebraError("workflow lines read: cancel left|right ELEM")
+    problem.workflow.append(
+        CancellabilityStep(m.group(1), _expr(problem, m.group(2))))
 
 
 # ``CompletionLimits`` field -> type of its problem-file value

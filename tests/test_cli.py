@@ -202,11 +202,13 @@ def test_claim_name_that_is_no_file_name_stops_certify_first(tmp_path, capsys,
 def test_output_onto_a_file_stops_certify_first(tmp_path, capsys):
     target = tmp_path / "taken"
     target.write_text("keep\n", encoding="utf-8")
-    assert main(["certify", "werner", "--output", str(target)]) == 3
-    captured = capsys.readouterr()
-    assert captured.err == f"error: --output {target} is not a directory\n"
-    assert captured.out == ""  # nothing translated or certified
-    assert target.read_text(encoding="utf-8") == "keep\n"
+    # the file itself, or an ancestor of the output directory
+    for outdir in (target, target / "sub"):
+        assert main(["certify", "werner", "--output", str(outdir)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --output {outdir} is not a directory\n"
+        assert captured.out == ""  # nothing translated or certified
+        assert target.read_text(encoding="utf-8") == "keep\n"
 
 
 def test_reduce_prints_remainder_and_trace(capsys):

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from opcert.certify import certify, verify_certificate
 from opcert.freealg import FreeAlgebra
-from opcert.matcheck import RatMatrix, evaluate, mp_inverse
+from opcert.matcheck import evaluate
 from opcert.rewrite import CompletionLimits, reduce
 from opcert.statements import load_problem, translate
 

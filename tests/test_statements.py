@@ -2,14 +2,14 @@
 
 import pytest
 
-from opcert.freealg import AlgebraError, FreeAlgebra
+from opcert.freealg import AdjointError, AlgebraError, FreeAlgebra
 from opcert.rewrite import CompletionLimits
 from opcert.statements import (CancellabilityStep, ProblemFileError,
                                WorkflowError, _missing_adjoints,
                                apply_cancellability, douglas_factorization,
                                ep_condition, hermitian_condition,
                                identity_axioms, ij_equations, parse_problem,
-                               translate, validate_step)
+                               translate)
 from conftest import FIXTURES
 
 
@@ -160,67 +160,77 @@ def test_fresh_witness_naming_is_deterministic():
 # -- cancellability ---------------------------------------------------------------
 
 @pytest.fixture
-def cancel_setup():
+def cancel_algebra():
     A = FreeAlgebra()
     for n in ("m", "z"):
         A.add_pair(n)
-    m, z = A.gen("m"), A.gen("z")
-    step = CancellabilityStep("right", m, z * m * A.parse("m*"), z * m)
-    return A, step
+    A.add("u")  # no adjoint partner
+    return A
 
 
-def test_validate_step_shapes(cancel_setup):
-    A, step = cancel_setup
-    validate_step(step)
-    validate_step(CancellabilityStep("left", A.gen("m"),
-                                     A.parse("m*·m·z"), A.parse("m·z")))
-    # an element with a coefficient: the witness carries it too
-    validate_step(CancellabilityStep("right", A.parse("2·m"),
-                                     A.parse("2·z·m·m* − 2·m·m*"),
-                                     A.parse("z·m − m")))
-    validate_step(CancellabilityStep("left", A.parse("2·m"),
-                                     A.parse("2·m*·m·z"), A.parse("m·z")))
+def test_cancellation_step_checks_its_element(cancel_algebra):
+    A = cancel_algebra
+    CancellabilityStep("left", A.parse("2·m"))  # a coefficient is allowed
+    with pytest.raises(WorkflowError, match="single monomial"):
+        CancellabilityStep("right", A.parse("m + z"))
+    with pytest.raises(WorkflowError, match="single monomial"):
+        CancellabilityStep("right", A.parse("0"))
+    with pytest.raises(WorkflowError, match="left or right"):
+        CancellabilityStep("up", A.gen("m"))
+    with pytest.raises(AdjointError):
+        CancellabilityStep("right", A.parse("m·u"))
 
 
-def test_validate_step_rejects_shape_mismatch(cancel_setup):
-    A, _ = cancel_setup
-    with pytest.raises(WorkflowError):
-        validate_step(CancellabilityStep(
-            "right", A.gen("m"), A.parse("z·m·m*"), A.gen("z")))  # z is not z·m
-    with pytest.raises(WorkflowError):
-        validate_step(CancellabilityStep(
-            "right", A.gen("m"), A.parse("z·m·m"), A.parse("z·m")))  # wrong witness
-    with pytest.raises(WorkflowError):
-        validate_step(CancellabilityStep(
-            "right", A.parse("m + z"), A.parse("z·m·m*"), A.parse("z·m")))
-    # one term of the conclusion lacks the element's word at the step's end,
-    # though the witness has the expected shape
-    with pytest.raises(WorkflowError, match="does not factor"):
-        validate_step(CancellabilityStep(
-            "right", A.gen("m"), A.parse("z·m·m* − m·z·m*"),
-            A.parse("z·m − m·z")))
-    with pytest.raises(WorkflowError, match="does not factor"):
-        validate_step(CancellabilityStep(
-            "left", A.gen("m"), A.parse("m*·m·z − m*·z·m"),
-            A.parse("m·z − z·m")))
+def test_apply_cancellability_success(cancel_algebra):
+    A = cancel_algebra
+    # right: z·m·m* = 0 gives z·m = 0
+    step = CancellabilityStep("right", A.gen("m"))
+    source, conclusion, cert = apply_cancellability(
+        step, [A.parse("z·m·m*")], [("g", A.parse("z·m"))])
+    assert (source, conclusion) == ("g", A.parse("z·m"))
+    assert cert.claim == A.parse("z·m·m*")
+    # left, with a coefficient on the element: 2·m*·m·z = 0 gives m·z = 0
+    step = CancellabilityStep("left", A.parse("2·m"))
+    source, conclusion, cert = apply_cancellability(
+        step, [A.parse("m*·m·z")], [("g", A.parse("m·z"))])
+    assert (source, conclusion) == ("g", A.parse("m·z"))
+    assert cert.claim == A.parse("2·m*·m·z")
+    # a claim's adjoint: m*·z* does not end with m, its adjoint z·m does
+    step = CancellabilityStep("right", A.gen("m"))
+    source, conclusion, _ = apply_cancellability(
+        step, [A.parse("z·m·m*")], [("g", A.parse("m*·z*"))])
+    assert (source, conclusion) == ("g*", A.parse("z·m"))
 
 
-def test_apply_cancellability_success(cancel_setup):
-    A, step = cancel_setup
-    assumptions = [A.parse("z·m·m*")]
-    conclusion, cert = apply_cancellability(step, assumptions)
-    assert conclusion == A.parse("z·m")
-    assert cert.claim == step.witness
+def test_cancellation_skips_zero_and_partnerless_claims(cancel_algebra):
+    # a zero claim would trivially pass the shape filter and certify; a
+    # claim with the partnerless u is offered without its adjoint
+    A = cancel_algebra
+    step = CancellabilityStep("right", A.gen("m"))
+    claims = [("zero", A.parse("0")), ("h", A.parse("u")),
+              ("g", A.parse("z·m"))]
+    source, _, _ = apply_cancellability(step, [A.parse("z·m·m*")], claims)
+    assert source == "g"
+    with pytest.raises(WorkflowError, match="none has its shape"):
+        apply_cancellability(step, [A.parse("z·m·m*")], claims[:2])
 
 
-def test_apply_cancellability_failure_adds_nothing(cancel_setup):
-    A, step = cancel_setup
+def test_apply_cancellability_failure_adds_nothing(cancel_algebra):
+    A = cancel_algebra
+    step = CancellabilityStep("right", A.gen("m"))
     assumptions = [A.parse("m·m* − m")]
-    with pytest.raises(WorkflowError):
-        apply_cancellability(step, assumptions,
+    with pytest.raises(WorkflowError,
+                       match=r"right .* for m \(candidates tried: g\)"):
+        apply_cancellability(step, assumptions, [("g", A.parse("z·m"))],
                              limits=CompletionLimits(max_degree=6,
                                                      time_budget=5))
     assert assumptions == [A.parse("m·m* − m")]
+    # z·m − m·z has a term without m's word at the end: it is no candidate,
+    # though its would-be witness lies in the ideal
+    assumptions = [A.parse("z·m·m* − m·z·m*")]
+    with pytest.raises(WorkflowError, match="none has its shape"):
+        apply_cancellability(step, assumptions,
+                             [("g", A.parse("z·m − m·z"))])
 
 
 # -- problems and translate ---------------------------------------------------------
@@ -258,6 +268,7 @@ def test_translate_runs_workflow_and_grows_ideal():
     assert len(trans.workflow_reports) == 1
     report = trans.workflow_reports[0]
     assert report.certificate.integral
+    assert report.source == "mp(m,m~).1"
     names = set(trans.assumption_names)
     assert "step1" in names and "step1*" in names
 
@@ -273,6 +284,17 @@ def test_problem_parse_errors_carry_line_numbers():
     with pytest.raises(ProblemFileError) as err2:
         parse_problem("[ops]\na\n[options]\nmax_degree zero\n")
     assert "max_degree" in str(err2.value)
+    # the long form of a workflow line is gone; a step's element is checked
+    # when the line is read
+    for line, message in (
+            ("cancel right m witness m·m* conclude m", "unknown name 'witness'"),
+            ("cancel right m + z", "single monomial"),
+            ("cancel right u", "has no adjoint"),
+            ("cancel m", "workflow lines read")):
+        with pytest.raises(ProblemFileError, match=message) as err:
+            parse_problem(
+                f"[ops]\nm adjoint\nz adjoint\nu\n[workflow]\n{line}\n")
+        assert err.value.line_no == 6
 
 
 @pytest.mark.parametrize("option", [
