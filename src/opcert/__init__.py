@@ -21,11 +21,11 @@ from .quiver import (WILDCARD, Compatibility, LabelledQuiver, ProblemCheck,
                      check_problem, compatible, infer_signatures,
                      path_signature)
 from .statements import (CancellabilityStep, Problem, ProblemFileError,
-                         Translation, WorkflowError, apply_cancellability,
-                         douglas_factorization, ep_condition,
-                         hermitian_condition, identity_axioms, ij_equations,
-                         load_problem, parse_problem, run_problem,
-                         translate)
+                         Translation, WorkflowError, WorkflowLimitError,
+                         apply_cancellability, douglas_factorization,
+                         ep_condition, hermitian_condition, identity_axioms,
+                         ij_equations, load_problem, parse_problem,
+                         run_problem, translate)
 from .matcheck import (RatMatrix, Realization, evaluate, example1_check,
                        example2_check, mp_inverse, penrose_check)
 

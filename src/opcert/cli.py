@@ -8,7 +8,8 @@ fixture files).
 
 Exit codes: 0 success, 1 invalid certificate or incompatible statement,
 2 budget exhausted, 3 input error: ``main`` reports any ``AlgebraError`` or
-``OSError`` as one ``error: ...`` line on stderr.
+``OSError`` as one ``error: ...`` line on stderr, and exits 2 for a workflow
+step whose witnesses did not certify within the completion limits.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from .certify import load_certificate, save_certificate, verify_certificate
 from .freealg import AlgebraError
 from .matcheck import example1_check, example2_check, fixture_penrose_report
 from .rewrite import reduce as nf_reduce
-from .statements import certify_claims, load_problem, translate
+from .statements import (WorkflowLimitError, certify_claims, load_problem,
+                         translate)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -84,7 +86,7 @@ def cmd_certify(args) -> int:
     trans = translate(problem)
     print(f"problem {path.stem}: {len(trans.algebra)} indeterminates, "
           f"{len(trans.assumptions)} assumptions, {len(trans.claims)} claims")
-    if not _quiver_gate(path, trans):
+    if not _quiver_gate(trans):
         return EXIT_INVALID
     for wf in trans.workflow_reports:
         print(f"  workflow {wf.conclusion_name}: conclusion {wf.source}, "
@@ -137,16 +139,13 @@ def cmd_check_cert(args) -> int:
 
 
 def cmd_compat(args) -> int:
-    path, problem = _load(args)
-    return EXIT_OK if _quiver_gate(path, translate(problem)) else EXIT_INVALID
+    _, problem = _load(args)
+    return EXIT_OK if _quiver_gate(translate(problem)) else EXIT_INVALID
 
 
-def _quiver_gate(path: Path, trans) -> bool:
-    """Print the quiver check of ``trans``; True iff a quiver was given or
-    inferred and every statement passed it."""
-    if trans.quiver is None:
-        print(f"{path.stem}: no quiver given and none inferable")
-        return False
+def _quiver_gate(trans) -> bool:
+    """Print the quiver check of ``trans``; True iff every statement passed
+    it."""
     check = trans.quiver_check
     q = trans.quiver
     print(f"  quiver: {len(q.vertices)} vertices, {len(q.edges)} edges; "
@@ -245,7 +244,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except (OSError, AlgebraError) as exc:  # unreadable or malformed input
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return EXIT_BUDGET if isinstance(exc, WorkflowLimitError) \
+            else EXIT_INPUT
 
 
 if __name__ == "__main__":

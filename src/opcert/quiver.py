@@ -152,21 +152,17 @@ class _UnionFind:
             self.parent[ra] = rb
 
 
-def infer_signatures(polys: Sequence[Polynomial], alg: FreeAlgebra,
-                     pinned: Optional[dict] = None) -> Optional[LabelledQuiver]:
+def infer_signatures(polys: Sequence[Polynomial],
+                     alg: FreeAlgebra) -> LabelledQuiver:
     """Most general quiver making all polynomials compatible.
 
     Vertices are the classes of the endpoint slots ``("s", iid)`` and
     ``("t", iid)`` under the chaining and same-source/same-target
     constraints; adjoint partners are constrained to run reversed.  The
     vertices are listed in order of their first slot, letters taken in order
-    of first occurrence, and the k-th is named ``v<k>`` unless a pin names
-    it; a ``v<k>`` that is pinned, or already named, moves on to the next
-    free ``v<k + 1>``, ``v<k + 2>``, ...  ``pinned`` may map iids to
-    (source, target) vertex names, which join the classes as ``("v", name)``
-    slots; the result is None exactly when two distinct pinned vertices are
-    forced to merge (without pins, a quiver always exists, possibly
-    collapsed).
+    of first occurrence, and the k-th is named ``v<k>``.  Such a quiver
+    always exists, since the constraints only merge classes; at worst it
+    collapses to one vertex.
     """
     uf = _UnionFind()
     occurring = dict.fromkeys(x for p in polys for w in p._terms for x in w)
@@ -191,35 +187,13 @@ def infer_signatures(polys: Sequence[Polynomial], alg: FreeAlgebra,
                 uf.union(poly_tgt, ("t", w[0]))
         if poly_src is not None and () in p._terms:
             uf.union(poly_src, poly_tgt)
-    # pinned names: merge the named vertex into the class
-    pinned = pinned or {}
-    for iid, (src, tgt) in pinned.items():
-        uf.union(("s", iid), ("v", src))
-        uf.union(("t", iid), ("v", tgt))
-    # two distinct pinned names in one class -> contradiction
-    names_of_class: dict = {}
-    for src, tgt in pinned.values():
-        for name in (src, tgt):
-            root = uf.find(("v", name))
-            if names_of_class.setdefault(root, name) != name:
-                return None
-    # canonical vertex names, ordered by first slot appearance; a generated
-    # name skips the pinned names and those generated before it
-    taken = set(names_of_class.values())
+    # canonical vertex names, ordered by first slot appearance
     labels: dict = {}
     for x in occurring:
         for s in (("s", x), ("t", x)):
             root = uf.find(s)
-            if root in labels:
-                continue
-            name = names_of_class.get(root)
-            if name is None:
-                k = len(labels) + 1
-                while f"v{k}" in taken:
-                    k += 1
-                name = f"v{k}"
-                taken.add(name)
-            labels[root] = name
+            if root not in labels:
+                labels[root] = f"v{len(labels) + 1}"
     edges = [(x, labels[uf.find(("s", x))], labels[uf.find(("t", x))])
              for x in occurring]
     return LabelledQuiver(alg, list(labels.values()), edges)

@@ -21,7 +21,12 @@ from .rewrite import CompletionLimits
 
 
 class WorkflowError(AlgebraError):
-    """A quasi-identity step is malformed or finds no certified witness."""
+    """A quasi-identity step is malformed or has no candidate conclusion."""
+
+
+class WorkflowLimitError(WorkflowError):
+    """Candidates of a quasi-identity step were tried, and no witness
+    certified within the completion limits."""
 
 
 # ---------------------------------------------------------------------------
@@ -179,28 +184,38 @@ def apply_cancellability(step: CancellabilityStep,
     element's word at the step's end is a conclusion z.e (e.z on the left);
     its witness z.e.e* (e*.e.z) is certified in the current ideal.  Returns
     ``(source_name, conclusion, witness_certificate)`` for the first that
-    certifies; raises WorkflowError when none does (no assumption is added
-    in that case).
+    certifies.  No assumption is added when none does: with no candidate of
+    the step's shape it raises WorkflowError, else WorkflowLimitError naming,
+    per candidate, the limit that stopped its completion or the degree bound
+    that completion ran to.
     """
     (eword,) = step.element._terms
     estar = step.element.adjoint()
+    limits = limits or CompletionLimits()
     right = step.side == "right"
     tried = []
     for name, c in _cancellation_candidates(claims):
         if not all((w[len(w) - len(eword):] if right else w[:len(eword)])
                    == eword for w in c._terms):
             continue
-        res = certify(list(assumptions), [c * estar if right else estar * c],
-                      order, limits, assumption_names=assumption_names,
-                      claim_names=["witness"],
-                      require_zero_constant=require_zero_constant).results[0]
+        report = certify(list(assumptions),
+                         [c * estar if right else estar * c], order, limits,
+                         assumption_names=assumption_names,
+                         claim_names=["witness"],
+                         require_zero_constant=require_zero_constant)
+        res = report.results[0]
         if res.certified:
             return name, c, res.certificate
-        tried.append(name)
-    raise WorkflowError(
-        f"no claim gives a certified {step.side} cancellability witness for "
-        f"{step.element.alg.render(step.element)} "
-        f"(candidates tried: {', '.join(tried) or 'none has its shape'})")
+        tripped = report.stats.tripped_limit
+        tried.append(f"{name}: completion stopped by {tripped}" if tripped
+                     else f"{name}: completion ran to its degree bound, "
+                          f"max_degree {limits.max_degree}")
+    failure = (f"no claim gives a certified {step.side} cancellability "
+               f"witness for {step.element.alg.render(step.element)}")
+    if tried:
+        raise WorkflowLimitError(
+            f"{failure} within the completion limits ({'; '.join(tried)})")
+    raise WorkflowError(f"{failure} (candidates tried: none has its shape)")
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +238,7 @@ class Problem:
     defs: dict
     assumptions: list   # (name, Polynomial)
     claims: list        # (name, Polynomial)
-    quiver: Optional[LabelledQuiver] = None
-    pinned: dict = field(default_factory=dict)  # iid -> (src, tgt)
+    quiver: Optional[LabelledQuiver] = None  # None: inferred by translate
     workflow: list = field(default_factory=list)
     options: ProblemOptions = field(default_factory=ProblemOptions)
 
@@ -251,8 +265,8 @@ class Translation:
     assumptions: list
     claim_names: list
     claims: list
-    quiver: Optional[LabelledQuiver]
-    quiver_check: Optional[ProblemCheck]
+    quiver: LabelledQuiver
+    quiver_check: ProblemCheck
     workflow_reports: list
     order: DegLexOrder
     options: ProblemOptions
@@ -296,11 +310,9 @@ def translate(problem: Problem) -> Translation:
     claim_names = [n for n, _ in problem.claims]
     quiver = problem.quiver
     if quiver is None:
-        quiver = infer_signatures(polys + claims, alg, pinned=problem.pinned)
-    qcheck = None
-    if quiver is not None:
-        qcheck = check_problem(polys, claims, quiver,
-                               assumption_names=names, claim_names=claim_names)
+        quiver = infer_signatures(polys + claims, alg)
+    qcheck = check_problem(polys, claims, quiver,
+                           assumption_names=names, claim_names=claim_names)
     return Translation(alg, names, polys, claim_names, claims, quiver, qcheck,
                        reports, order, opts)
 
@@ -371,9 +383,10 @@ def parse_problem(text: str) -> Problem:
     The line helpers raise ``AlgebraError``; the one handler here turns it
     into a ``ProblemFileError`` naming the line, echoed input cut short.
     Defs, operators and witnesses share one namespace.  A name may be used
-    before the line that declares it, so quiver edges, signature pins
-    (against a ``[quiver]`` section) and the ``order`` option are checked
-    after the last line, each still reported at its own line.
+    before the line that declares it, so quiver edges and the ``order``
+    option are checked after the last line, each still reported at its own
+    line.  A signature is stated only in the ``[quiver]`` section; without
+    one, ``translate`` infers the most general quiver.
     """
     alg = FreeAlgebra()
     problem = Problem(alg, {}, [], [])
@@ -381,7 +394,6 @@ def parse_problem(text: str) -> Problem:
     vertices: list = []
     edges: list = []  # (label, source, target)
     edge_lines: list = []
-    pin_lines: dict = {}  # iid -> line of its [ops] signature pin
     order_line = 0
     saw_quiver = False
     auto_names = {"assume": 0, "claim": 0}
@@ -400,9 +412,7 @@ def parse_problem(text: str) -> Problem:
             if section is None:
                 raise AlgebraError("content before any [section]")
             if section == "ops":
-                iid = _parse_op_line(problem, line)
-                if iid in problem.pinned:
-                    pin_lines[iid] = line_no
+                _parse_op_line(alg, line)
             elif section == "defs":
                 name, _, body = map(str.strip, line.partition("="))
                 if not _is_name(name) or not body:
@@ -435,12 +445,7 @@ def parse_problem(text: str) -> Problem:
             # reported at its own line
             for k, line_no in enumerate(edge_lines, start=1):
                 LabelledQuiver(alg, vertices, edges[:k])
-            problem.quiver = quiver = LabelledQuiver(alg, vertices, edges)
-            for iid, line_no in pin_lines.items():
-                if quiver.edges.get(iid) != problem.pinned[iid]:
-                    raise AlgebraError(
-                        f"declared signature of {alg.by_id(iid).name!r} "
-                        "contradicts the quiver section")
+            problem.quiver = LabelledQuiver(alg, vertices, edges)
         if order_line:
             line_no = order_line
             problem.order()  # every ranked name must be declared
@@ -460,32 +465,21 @@ def _expr(problem: Problem, text: str) -> Polynomial:
     return problem.algebra.parse(text, defs=problem.defs)
 
 
-def _parse_op_line(problem: Problem, line: str) -> int:
-    """Declare the line's operator; returns its iid."""
-    alg = problem.algebra
-    sig = None
-    if ":" in line:
-        head, _, rest = line.partition(":")
-        m = re.match(r"(.+?)->(.+)", rest)
-        if not m:
-            raise AlgebraError("op signatures read: name ... : src -> tgt")
-        sig = (m.group(1).strip(), m.group(2).strip())
-        line = head.strip()
+def _parse_op_line(alg: FreeAlgebra, line: str) -> None:
+    """Declare the line's operator, with its adjoint partner if it has one."""
     words = line.split()
     if len(words) == 1:
-        ind = alg.add(words[0])
+        alg.add(words[0])
     elif len(words) == 2 and words[1] == "selfadjoint":
-        ind = alg.add_self_adjoint(words[0])
+        alg.add_self_adjoint(words[0])
     elif len(words) == 2 and words[1] == "adjoint":
-        ind, _ = alg.add_pair(words[0])
+        alg.add_pair(words[0])
     elif len(words) == 3 and words[1] == "adjoint":
-        ind, _ = alg.add_pair(words[0], words[2])
+        alg.add_pair(words[0], words[2])
     else:
         raise AlgebraError(
-            "ops lines read: name [adjoint [partner] | selfadjoint] [: src -> tgt]")
-    if sig is not None:
-        problem.pinned[ind.iid] = sig
-    return ind.iid
+            "ops lines read: name [adjoint [partner] | selfadjoint]; "
+            "signatures go in the [quiver] section")
 
 
 _MACROS = ("mp", "inv", "id", "douglas", "hermitian", "ep")

@@ -140,6 +140,33 @@ def test_budget_exhausted_names_the_tripped_limit(capsys):
     assert summary.endswith("completion budget_exhausted (max_iterations)")
 
 
+@pytest.mark.parametrize("limit, why", [
+    (["--max-degree", "6"],
+     "completion ran to its degree bound, max_degree 6"),
+    (["--max-iterations", "5"], "completion stopped by max_iterations"),
+], ids=["max_degree", "max_iterations"])
+def test_workflow_step_stopped_by_a_limit_exits_2(capsys, limit, why):
+    assert main(["certify", "thm2_3_v_to_i", *limit]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: no claim gives a certified right cancellability witness for "
+        f"a·b·c within the completion limits (mp(m,m~).1: {why})\n")
+
+
+def test_workflow_step_without_a_candidate_is_an_input_error(tmp_path,
+                                                             capsys):
+    # neither a·b nor its adjoint ends with m = a·b·c: no witness is tried
+    text = (FIXTURES / "thm2_3_v_to_i.prob").read_text(encoding="utf-8")
+    prob = tmp_path / "noshape.prob"
+    prob.write_text(text.replace("[claim]\nmp(m, m~)", "[claim]\ng = a·b"),
+                    encoding="utf-8")
+    assert main(["certify", str(prob)]) == 3
+    assert capsys.readouterr().err == (
+        "error: no claim gives a certified right cancellability witness for "
+        "a·b·c (candidates tried: none has its shape)\n")
+
+
 def test_input_error_exit_code(tmp_path, capsys):
     assert main(["certify", str(tmp_path / "missing.prob")]) == 3
     bad = tmp_path / "broken.prob"
@@ -159,25 +186,6 @@ def test_compat_pass_and_fail(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 1
     assert "f3" in out  # offending polynomial named
-
-
-# f makes a's source u and b's target w one vertex, against the declared
-# signatures, so no quiver can be inferred
-_CONTRADICTORY = ("[ops]\na : u -> v\nb : v -> w\n[assume]\n"
-                  "f = a·b - a·b·a·b\n[claim]\ng = a·b·a·b·a·b - a·b\n")
-
-
-@pytest.mark.parametrize("command", ["compat", "certify"])
-def test_no_inferable_quiver_is_a_failed_check(tmp_path, capsys, command):
-    prob = tmp_path / "contra.prob"
-    prob.write_text(_CONTRADICTORY, encoding="utf-8")
-    extra = ["--output", str(tmp_path / "certs")] if command == "certify" \
-        else []
-    assert main([command, str(prob)] + extra) == 1
-    out = capsys.readouterr().out
-    assert "contra: no quiver given and none inferable\n" in out
-    assert "claim g" not in out  # certify stops before the completion
-    assert not list(tmp_path.rglob("*.cert"))
 
 
 @pytest.mark.parametrize("claim, name", [
@@ -437,8 +445,10 @@ def test_huge_integer_literal_is_an_input_error(tmp_path, capsys, command,
      "line 31: unknown indeterminate 'zz'"),
     (("time_budget 30", "order b a b"),
      "line 31: order ranks 'b' twice"),
+    # a signature is stated in the [quiver] section, never on an [ops] line
     (("[ops]\na\n", "[ops]\na : v1 -> v2\n"),
-     "line 6: declared signature of 'a' contradicts the quiver section"),
+     "line 6: ops lines read: name [adjoint [partner] | selfadjoint]; "
+     "signatures go in the [quiver] section"),
 ], ids=["inv_subset", "order", "order_repeat", "signature_pin"])
 def test_compat_names_the_faulty_problem_line(tmp_path, capsys, edit,
                                               message):

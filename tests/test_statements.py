@@ -5,7 +5,8 @@ import pytest
 from opcert.freealg import AdjointError, AlgebraError, FreeAlgebra
 from opcert.rewrite import CompletionLimits
 from opcert.statements import (CancellabilityStep, ProblemFileError,
-                               WorkflowError, _missing_adjoints,
+                               WorkflowError, WorkflowLimitError,
+                               _missing_adjoints,
                                apply_cancellability, douglas_factorization,
                                ep_condition, hermitian_condition,
                                identity_axioms, ij_equations, parse_problem,
@@ -219,18 +220,30 @@ def test_apply_cancellability_failure_adds_nothing(cancel_algebra):
     A = cancel_algebra
     step = CancellabilityStep("right", A.gen("m"))
     assumptions = [A.parse("m·m* − m")]
-    with pytest.raises(WorkflowError,
-                       match=r"right .* for m \(candidates tried: g\)"):
-        apply_cancellability(step, assumptions, [("g", A.parse("z·m"))],
+    # a tried candidate makes the failure a limit's: each candidate names
+    # the limit that stopped its completion, or the degree bound it reached
+    claims = [("g", A.parse("z·m")), ("h", A.parse("m*·z*"))]
+    with pytest.raises(WorkflowLimitError) as err:
+        apply_cancellability(step, assumptions, claims,
                              limits=CompletionLimits(max_degree=6,
                                                      time_budget=5))
+    assert str(err.value) == (
+        "no claim gives a certified right cancellability witness for m "
+        "within the completion limits (g: completion ran to its degree "
+        "bound, max_degree 6; h*: completion ran to its degree bound, "
+        "max_degree 6)")
     assert assumptions == [A.parse("m·m* − m")]
+    with pytest.raises(WorkflowLimitError, match=r"\(g: completion stopped "
+                                                 r"by max_iterations; h\*: "):
+        apply_cancellability(step, [A.parse("m·m·m − m")], claims,
+                             limits=CompletionLimits(max_iterations=1))
     # z·m − m·z has a term without m's word at the end: it is no candidate,
     # though its would-be witness lies in the ideal
     assumptions = [A.parse("z·m·m* − m·z·m*")]
-    with pytest.raises(WorkflowError, match="none has its shape"):
+    with pytest.raises(WorkflowError, match="none has its shape") as err:
         apply_cancellability(step, assumptions,
                              [("g", A.parse("z·m − m·z"))])
+    assert not isinstance(err.value, WorkflowLimitError)
 
 
 # -- problems and translate ---------------------------------------------------------
@@ -390,27 +403,6 @@ def test_problem_options_and_order():
     order = prob.order()
     a, b = prob.algebra.word("a")[0], prob.algebra.word("b")[0]
     assert order.ranking[a] < order.ranking[b]
-
-
-def test_problem_quiver_section_and_signature_pins():
-    text = ("[ops]\nj selfadjoint\na adjoint : u -> v\n"
-            "[assume]\nf = a*·a − j\n")
-    prob = parse_problem(text)
-    assert prob.pinned
-    trans = translate(prob)
-    assert trans.quiver.signature("a") == ("u", "v")
-    assert trans.quiver.signature("a*") == ("v", "u")
-
-
-def test_signature_pin_contradicting_quiver_rejected():
-    text = ("[ops]\na : u -> u\n[quiver]\nvertices u v\na : u -> v\n"
-            "[assume]\nf = 2·a\n")
-    with pytest.raises(ProblemFileError) as err:
-        parse_problem(text)
-    assert str(err.value) == ("line 2: declared signature of 'a' contradicts "
-                              "the quiver section")
-    agree = text.replace("a : u -> u", "a : u -> v")
-    assert translate(parse_problem(agree)).quiver_check.ok
 
 
 def test_order_naming_an_undeclared_operator_names_its_line():
