@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from opcert.cli import main
+from opcert.statements import load_problem
 from conftest import FIXTURES
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -273,6 +274,35 @@ def test_certify_output_of_every_fixture_is_unchanged(capsys):
                      capsys.readouterr().out)
         got[prob.stem] = hashlib.sha256(out.encode("utf-8")).hexdigest()
     assert got == CERTIFY_SHA256
+
+
+# for eight bundled problems under ``--order`` set to their operators in
+# reversed declaration order: the sha256 of the certificate files that
+# ``opcert certify --output`` writes, of its stdout (``wrote`` lines dropped,
+# elapsed seconds masked) and of what ``opcert reduce`` prints
+RANKED_SHA256 = json.loads((Path(__file__).parent / "ranked_sha256.json")
+                           .read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", sorted(RANKED_SHA256))
+def test_ranked_outputs_are_unchanged(name, tmp_path, capsys):
+    pins = RANKED_SHA256[name]
+    order = ",".join(reversed(
+        load_problem(FIXTURES / f"{name}.prob").algebra.names))
+    assert order == pins["order"]
+    assert main(["certify", name, "--order", order,
+                 "--output", str(tmp_path)]) == 0
+    out = "".join(line for line in capsys.readouterr().out
+                  .splitlines(keepends=True)
+                  if not line.startswith("    wrote "))
+    out = re.sub(r", \d+\.\d\ds, completion ", ", <elapsed>s, completion ",
+                 out)
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == pins["certify"]
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in tmp_path.iterdir()} == pins["certificates"]
+    assert main(["reduce", name, "--order", order]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == pins["reduce"]
 
 
 def test_matcheck_command(capsys):
