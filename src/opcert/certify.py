@@ -265,14 +265,15 @@ def certify(assumptions: Sequence[Polynomial], claims: Sequence[Polynomial],
     start = time.monotonic()
     engine = CompletionEngine(list(enumerate(assumptions)), order, limits)
 
-    pending = [(dict(c._terms), []) for c in claims]
+    pending = [(engine.encode(c._terms), []) for c in claims]
     completion_status = engine.run(pending)
 
     results = []
     for name, claim, (terms, steps) in zip(cnames, claims, pending):
         if terms:
+            remainder = alg.poly(engine.decode(terms))
             results.append(ClaimResult(name, claim, BUDGET_EXHAUSTED,
-                                       remainder=alg.poly(terms)))
+                                       remainder=remainder))
             continue
         summands = _quads_to_summands(alg, engine.expand_steps(steps), order)
         cert = minimize_certificate(

@@ -7,6 +7,16 @@ budgets, and decides the completion status.  Both keep exact bookkeeping
 so that every result can be expanded back into a two-sided combination of
 the inputs.
 
+Engine words: inside this module a word is a ``str`` with one character
+per letter, the letter's rank under the order: ``chr(ranking[iid])``, or
+``chr(iid)`` when the order has no ranking.  So ``(len(w), w)`` sorts words
+as the deglex order does, and a factor test is ``lead in w``.
+``word_codec`` gives the maps between engine words and tuple words.  They
+are applied at four boundaries only: ``CompletionEngine`` encodes its
+generators; ``certify`` encodes its claims and decodes remainders through
+the engine's ``encode``/``decode``; ``expand_steps`` returns tuple words;
+``reduce`` encodes its inputs and decodes its outputs.
+
 Trace conventions:
 
 * ``reduce(p, basis)`` returns ``(value, steps)`` with
@@ -21,13 +31,14 @@ Trace conventions:
   element (negated, since its steps satisfy p = value + sum).
 * every step is a plain ``(c, l, ref, r)`` tuple.  In the engine ``ref``
   is element ``k >= 0`` or generator ``i`` as ``~i``; ``expand_steps``
-  expands such steps top-down into ``(c, l, i, r)`` over the generators.
-  Each pending element, and each generator, maps the ``(l, r)`` word pairs
-  in which it is still to be expanded to their coefficients.  The newest
-  element goes first (a step refers only to older elements, so its
-  contexts are final) and passes its contexts on through its steps; the
-  generators' contexts are the result.  Every sum is one ``add_terms`` call
-  per step, and each element is expanded once, in all its contexts together.
+  expands such steps top-down into ``(c, l, i, r)`` over the generators,
+  with tuple words ``l`` and ``r``.  Each pending element, and each
+  generator, maps the ``(l, r)`` word pairs in which it is still to be
+  expanded to their coefficients.  The newest element goes first (a step
+  refers only to older elements, so its contexts are final) and passes its
+  contexts on through its steps; the generators' contexts are the result.
+  Every sum is one ``add_terms`` call per step, and each element is
+  expanded once, in all its contexts together.
 """
 
 from __future__ import annotations
@@ -42,8 +53,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import _kernel_py
-from .freealg import (AlgebraError, DegLexOrder, Polynomial, Word,
-                      add_terms, normalize_coeff)
+from .freealg import (AlgebraError, DegLexOrder, Polynomial, add_terms,
+                      normalize_coeff)
 
 
 @dataclass(frozen=True)
@@ -74,13 +85,33 @@ def _div(c, lc):
     return normalize_coeff(Fraction(c) / lc)
 
 
+def word_codec(order: DegLexOrder) -> tuple:
+    """``(encode, decode)``: a tuple word to its engine word under ``order``
+    and back.  The characters of an engine word are the letters' ranks."""
+    ranking = order.ranking
+    if ranking is None:
+        return (lambda w: "".join(map(chr, w))), (lambda s: tuple(map(ord, s)))
+    up = [chr(rank) for rank in ranking]
+    down = [0] * len(ranking)
+    for iid, rank in enumerate(ranking):
+        down[rank] = iid
+    return (lambda w: "".join(map(up.__getitem__, w))), \
+        (lambda s: tuple(map(down.__getitem__, map(ord, s))))
+
+
+def _deglex(w: str) -> tuple:
+    """The deglex sort key of an engine word."""
+    return len(w), w
+
+
 # ---------------------------------------------------------------------------
 # Normal forms
 # ---------------------------------------------------------------------------
 
 class _Reducer:
     """Full normal form against a trie of monic leading words, rewriting the
-    largest pending word of a sorted word list at each step.
+    largest pending word of a sorted word list at each step.  Words are
+    engine words, so ``(len(w), w)`` is their order.
 
     ``trie`` is the root node.  Every node is a dict that maps a letter to
     the node of its word extended by that letter; a lead's index sits under
@@ -90,16 +121,17 @@ class _Reducer:
     ``normal_form`` alone reads it.
 
     Tie-break: rewrite the order-largest reducible monomial first; within it,
-    the leftmost occurrence of the order-largest matching leading word; equal
-    leading words resolve to the lowest index.  ``normal_form`` finds that
-    site by walking the trie from each position of the word.
+    the leftmost occurrence of the order-largest matching leading word, the
+    longest one and, among leads of one length, the largest by plain ``str``
+    comparison; equal leading words resolve to the lowest index.
+    ``normal_form`` finds that site by walking the trie from each position
+    of the word.
     """
 
-    def __init__(self, order: DegLexOrder):
-        self.key = order.key
+    def __init__(self):
         self.trie: dict = {}
 
-    def set_entry(self, w: Word, idx: int) -> None:
+    def set_entry(self, w: str, idx: int) -> None:
         """Enter lead ``w`` of ``idx``, unless a lower index holds it."""
         node = self.trie
         for c in w:
@@ -111,7 +143,7 @@ class _Reducer:
         if cur is None or idx < cur:
             node[None] = idx
 
-    def del_entry(self, w: Word) -> None:
+    def del_entry(self, w: str) -> None:
         """Remove lead ``w``, if entered, and prune the nodes left empty."""
         node = self.trie
         path = [node]  # the nodes of w[:0], w[:1], ..., w
@@ -130,12 +162,12 @@ class _Reducer:
     # perfbench's tracer wraps this method on the engine's ``reducer`` and
     # counts the steps appended to its third positional argument; CI asserts
     # those counts, so keep the name and the argument order
-    def normal_form(self, terms: dict, items_of, steps: list,
+    def normal_form(self, terms: dict, tails: Sequence, steps: list,
                     deadline: Optional[float] = None) -> bool:
         """Fully reduce ``terms`` in place; append the added multiples
         (c, l, idx, r), so that after = before + sum(appended steps).
 
-        ``items_of(idx)`` yields the tail items of reducer ``idx``, its
+        ``tails[idx]`` holds the tail items of reducer ``idx``, its
         terms less the lead, scaled so that the lead is monic: a step
         cancels the word ``w`` it reduces exactly, so it deletes ``w`` and
         adds the tail.  Returns False if the deadline struck before the
@@ -144,10 +176,9 @@ class _Reducer:
         root = self.trie
         if not root:
             return True
-        key = self.key
         empty = root.get(None)  # the empty lead, a factor at position 0
-        # (key, word) pairs in ascending order, so ``pop`` gives the largest
-        pending = sorted([(key(w), w) for w in terms])
+        # (length, word) pairs in ascending order, so ``pop`` gives the largest
+        pending = sorted([(len(w), w) for w in terms])
         # words pop in descending order (a step only adds words below the one
         # reduced), so a repeat of the last word is a duplicate entry
         last = None
@@ -176,7 +207,7 @@ class _Reducer:
                     t += 1
                     if None in node:
                         if t - pos > size or t - pos == size and \
-                                key(w[pos:t]) > key(w[at:at + size]):
+                                w[pos:t] > w[at:at + size]:
                             idx, size, at = node[None], t - pos, pos
             if idx is None:
                 continue
@@ -184,8 +215,8 @@ class _Reducer:
             right = w[at + size:]
             c = terms.pop(w)
             steps.append((-c, left, idx, right))
-            for nw in add_terms(terms, items_of(idx), -c, left, right):
-                insort(pending, (key(nw), nw))
+            for nw in add_terms(terms, tails[idx], -c, left, right):
+                insort(pending, (len(nw), nw))
             ticks += 1
             if deadline is not None and ticks % 256 == 0 \
                     and time.monotonic() > deadline:
@@ -202,30 +233,32 @@ def reduce(p: Polynomial, basis: Sequence[Polynomial],
     and ``p = value + sum(c * l . basis[i] . r)`` exactly.  Terminates for
     any input (the order is well-founded).
     """
-    order = order or p.alg.default_order()
-    red = _Reducer(order)
+    encode, decode = word_codec(order or p.alg.default_order())
+    red = _Reducer()
     lcs, tails = [], []
     for idx, g in enumerate(basis):
         if g.is_zero:
             raise AlgebraError("basis elements must be nonzero")
-        lead = g.lead_word(order)
-        lc = g._terms[lead]
+        terms = {encode(w): c for w, c in g._terms.items()}
+        lead = max(terms, key=_deglex)
+        lc = terms[lead]
         lcs.append(lc)
-        tails.append([(w, _div(c, lc)) for w, c in g._terms.items()
+        tails.append([(w, _div(c, lc)) for w, c in terms.items()
                       if w != lead])
         red.set_entry(lead, idx)
-    terms = dict(p._terms)
+    terms = {encode(w): c for w, c in p._terms.items()}
     steps: list = []
-    red.normal_form(terms, tails.__getitem__, steps)
-    return Polynomial._make(p.alg, terms), \
-        tuple((_div(-c, lcs[i]), l, i, r) for c, l, i, r in steps)
+    red.normal_form(terms, tails, steps)
+    return Polynomial._make(p.alg, {decode(w): c for w, c in terms.items()}), \
+        tuple((_div(-c, lcs[i]), decode(l), i, decode(r))
+              for c, l, i, r in steps)
 
 
 # ---------------------------------------------------------------------------
 # Completion engine
 # ---------------------------------------------------------------------------
 
-def _paddings(u: Word, v: Word, a: int, b: int) -> tuple:
+def _paddings(u: str, v: str, a: int, b: int) -> tuple:
     """The words ``(li, ri, lj, rj)`` with ``li.u.ri == lj.v.rj``, the
     overlap word of a queue row, from ``a = len(li)`` and ``b = len(lj)``.
 
@@ -233,8 +266,8 @@ def _paddings(u: Word, v: Word, a: int, b: int) -> tuple:
     the other lead then supplies the padding on both sides.
     """
     if a:
-        return v[:a], v[a + len(u):], (), u[len(v) - a:]
-    return (), v[len(u) - b:], u[:b], u[b + len(v):]
+        return v[:a], v[a + len(u):], "", u[len(v) - a:]
+    return "", v[len(u) - b:], u[:b], u[b + len(v):]
 
 
 # a prefix or suffix list entry is ``len(lead) << _SHIFT | idx``, so that the
@@ -290,8 +323,8 @@ class _Queue:
 
 
 class _Element:
-    # a monic element: its lead word (coefficient 1) and its other terms,
-    # ``tail``, as a tuple of (word, coeff) items
+    # a monic element: its lead engine word (coefficient 1) and its other
+    # terms, ``tail``, as a tuple of (word, coeff) items
     __slots__ = ("lead", "tail", "steps")
 
     def __init__(self, lead, tail, steps):
@@ -337,24 +370,28 @@ class CompletionEngine:
 
     ``queue`` is a ``_Queue`` of rows ``(i, j, len(li), len(lj))``;
     ``_paddings`` rebuilds the padding words from the two leads.
+
+    Words are engine words throughout (see the module docstring); claims
+    reach ``run`` through ``encode`` and leave through ``decode``.
     """
 
     def __init__(self, generators, order: DegLexOrder,
                  limits: CompletionLimits):
         self.order = order
         self.limits = limits
-        self.reducer = _Reducer(order)
-        elements: list[_Element] = []
-        self.elements = elements
-        self._tail_of = lambda idx: elements[idx].tail
+        self.encode_word, self.decode_word = word_codec(order)
+        self.reducer = _Reducer()
+        self.elements: list[_Element] = []
+        self._tails: list = []  # idx -> elements[idx].tail
         self.queue = _Queue()
         self._active: dict = {}   # idx -> lead word (insertion ordered)
         # proper prefix, and proper suffix, of an active lead -> ascending
         # list of entries ``len(lead) << _SHIFT | idx``
         self._prefixes: dict = {}
         self._suffixes: dict = {}
-        # two-letter factor of an active lead -> ascending idx list, each
-        # idx once however often the factor recurs in its lead
+        # two-letter factor of an active lead, as a pair of letters ->
+        # ascending idx list, each idx once however often the factor recurs
+        # in its lead
         self._digrams: dict = {}
         self._requeue: list = []
         self.stats = CompletionStats()
@@ -372,12 +409,22 @@ class CompletionEngine:
             if key in seen_monic:
                 continue  # duplicate generator: alias to first occurrence
             seen_monic.add(key)
-            self._append(monic._terms, ((_div(1, lc), (), ~src_index, ()),),
-                         unreduced=True)
+            self._append(self.encode(monic._terms),
+                         ((_div(1, lc), "", ~src_index, ""),), unreduced=True)
+
+    def encode(self, terms: dict) -> dict:
+        """A term dict over tuple words as one over engine words."""
+        encode = self.encode_word
+        return {encode(w): c for w, c in terms.items()}
+
+    def decode(self, terms: dict) -> dict:
+        """A term dict over engine words as one over tuple words."""
+        decode = self.decode_word
+        return {decode(w): c for w, c in terms.items()}
 
     # -- lead bookkeeping ----------------------------------------------------
 
-    def _activate(self, idx: int, w: Word) -> None:
+    def _activate(self, idx: int, w: str) -> None:
         """Enter ``idx`` with lead ``w`` into the active set, the reducer
         and the lead indexes.  ``idx`` is the newest index, so it goes after
         every lead no longer than ``w`` and the lists keep their order."""
@@ -388,11 +435,25 @@ class CompletionEngine:
         n = len(w)
         entry = n << _SHIFT | idx
         for k in range(1, n):
-            insort(prefixes.setdefault(w[:k], []), entry)
-            insort(suffixes.setdefault(w[n - k:], []), entry)
+            key = w[:k]
+            lst = prefixes.get(key)
+            if lst is None:
+                prefixes[key] = [entry]
+            else:
+                insort(lst, entry)
+            key = w[n - k:]
+            lst = suffixes.get(key)
+            if lst is None:
+                suffixes[key] = [entry]
+            else:
+                insort(lst, entry)
         digrams = self._digrams
-        for key in set(zip(w, w[1:])):  # each w[t:t + 2] once
-            digrams.setdefault(key, []).append(idx)
+        for key in set(zip(w, w[1:])):  # each w[t:t + 2] once, as a pair
+            lst = digrams.get(key)
+            if lst is None:
+                digrams[key] = [idx]
+            else:
+                lst.append(idx)
 
     def _deactivate(self, idx: int) -> None:
         """Drop ``idx`` from the active set and the lead indexes (the
@@ -406,7 +467,7 @@ class CompletionEngine:
             _unlist(prefixes, w[:k], entry)
             _unlist(suffixes, w[n - k:], entry)
         digrams = self._digrams
-        for key in set(zip(w, w[1:])):  # each w[t:t + 2] once
+        for key in set(zip(w, w[1:])):  # each w[t:t + 2] once, as a pair
             _unlist(digrams, key, idx)
 
     def _retire(self, idx: int) -> None:
@@ -422,7 +483,7 @@ class CompletionEngine:
         """Add the element ``terms`` scaled to be monic; retire superseded
         leads.  ``terms`` is a normal form by the active leads unless
         ``unreduced`` (a generator)."""
-        lead = max(terms, key=self.order.key)
+        lead = max(terms, key=_deglex)
         lc = terms[lead]
         tail = [(w, c) for w, c in terms.items() if w != lead]
         if lc != 1:
@@ -431,6 +492,7 @@ class CompletionEngine:
         elem = _Element(lead, tuple(tail), tuple(steps))
         idx = len(self.elements)
         self.elements.append(elem)
+        self._tails.append(elem.tail)
         self.stats.elements_added += 1
         # retire active elements whose lead contains the new lead as a factor
         # (an equal lead included, so active leads stay distinct)
@@ -445,7 +507,7 @@ class CompletionEngine:
         self._activate(idx, lead)
         return idx
 
-    def _retirees(self, lead: Word) -> list:
+    def _retirees(self, lead: str) -> list:
         """Active indices, ascending, whose lead contains ``lead`` as a
         factor.  Such a lead holds every two-letter factor of ``lead``, so
         only the shortest ``_digrams`` list among them needs confirming; a
@@ -458,7 +520,7 @@ class CompletionEngine:
                      key=len)
         return _kernel_py.find_retirees(lead, [(i, active[i]) for i in fewest])
 
-    def _pair_rows(self, v: Word, unreduced: bool) -> list:
+    def _pair_rows(self, v: str, unreduced: bool) -> list:
         """Rows ``(i, len(li), len(lj), degree)`` of the overlaps that
         ``_kernel_py.batch_overlaps(v, active leads)`` would give, in its
         order, less those above ``max_degree``, which are only counted.
@@ -529,7 +591,7 @@ class CompletionEngine:
         mid-reduction, and ``time_budget`` has tripped unless another limit
         tripped before it.
         """
-        if self.reducer.normal_form(terms, self._tail_of, steps,
+        if self.reducer.normal_form(terms, self._tails, steps,
                                     self._deadline):
             return True
         self.tripped_limit = self.tripped_limit or "time_budget"
@@ -539,7 +601,7 @@ class CompletionEngine:
         while self._requeue:
             m = self._requeue.pop()
             terms = self.elements[m].terms
-            steps: list = [(1, (), m, ())]
+            steps: list = [(1, "", m, "")]
             if not self.normal_form(terms, steps):
                 return
             if terms:
@@ -608,7 +670,8 @@ class CompletionEngine:
     # -- trace expansion --------------------------------------------------------------
 
     def expand_steps(self, steps) -> list:
-        """Expand element-level steps into generator-level ``(c, l, i, r)``.
+        """Expand element-level steps into generator-level ``(c, l, i, r)``
+        with tuple words ``l`` and ``r``.
 
         Top-down: each element and each generator maps the ``(left, right)``
         contexts in which it is still to be expanded to their coefficients.
@@ -639,13 +702,17 @@ class CompletionEngine:
                 else:
                     add_terms(acc, contexts.items(), c)
 
-        spread(steps, {((), ()): 1})
+        spread(steps, {("", ""): 1})
         while newest:
             k = -heapq.heappop(newest)
             contexts = pending.pop(k)
             if contexts:
                 spread(elements[k].steps, contexts)
-        return [(c, l, i, r) for i, contexts in out.items()
+        # each distinct word decoded once, so that the quads share them
+        decode = self.decode_word
+        words = {w: decode(w) for contexts in out.values()
+                 for pair in contexts for w in pair}
+        return [(c, words[l], i, words[r]) for i, contexts in out.items()
                 for (l, r), c in contexts.items()]
 
     def interreduce(self) -> None:
@@ -659,7 +726,7 @@ class CompletionEngine:
                 lead = self.elements[k].lead
                 self.reducer.del_entry(lead)  # reduce k by the others
                 terms = self.elements[k].terms
-                steps: list = [(1, (), k, ())]
+                steps: list = [(1, "", k, "")]
                 if not self.normal_form(terms, steps) or len(steps) == 1:
                     # deadline struck or nothing reduced: restore
                     self.reducer.set_entry(lead, k)
@@ -675,7 +742,8 @@ class CompletionEngine:
 
     def run(self, claims) -> str:
         """Complete the basis while reducing each claim, a ``(terms,
-        steps)`` pair, in place; a claim is proven once its terms are empty.
+        steps)`` pair with ``terms`` over engine words (see ``encode``), in
+        place; a claim is proven once its terms are empty.
 
         Returns STOPPED_EARLY when every claim was proven but completion
         did not finish (``status()`` is BUDGET_EXHAUSTED), else ``status()``.

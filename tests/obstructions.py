@@ -105,12 +105,12 @@ class ScanEngine(CompletionEngine):
         rows = _kernel_py.batch_overlaps(v, list(self._active.items()))
         maxdeg = self.limits.max_degree
         for _, li, ri, lj, rj, overlap in rows:
-            if lj == rj == ():
+            if not lj and not rj:
                 # an active lead inside v: v itself, unpadded, on the j side
                 self.events["containment"] += 1
             elif len(overlap) - maxdeg in (0, 1):
                 # a partner at the degree cut (kept) or one letter beyond it
-                index = "suffix" if li == () else "prefix"
+                index = "suffix" if not li else "prefix"
                 fate = "kept" if len(overlap) == maxdeg else "skipped"
                 self.events[f"{index}_cut_{fate}"] += 1
         return [(i, len(li), len(lj), len(overlap))
@@ -162,6 +162,7 @@ def complete(generators: Sequence[Polynomial],
     alg = generators[0].alg
     basis = []
     for k in engine.active_indices():
-        basis.append((Polynomial._make(alg, engine.elements[k].terms),
-                      tuple(engine.expand_steps([(1, (), k, ())]))))
+        terms = engine.decode(engine.elements[k].terms)
+        basis.append((Polynomial._make(alg, terms),
+                      tuple(engine.expand_steps([(1, "", k, "")]))))
     return basis, engine.status()

@@ -1,7 +1,8 @@
 """Certificate assembly against the reference in ``assembly_oracle``.
 
 The top-down ``expand_steps`` must give the same generator-level steps as
-the bottom-up expansion, with the same coefficient types; the term-dict
+the bottom-up expansion, with the same coefficient types; the engine's
+steps are over engine words, which the oracle reads decoded; the term-dict
 ``_quads_to_summands`` and ``minimize_certificate`` must give the same
 summands in the same order, and the same ``integral`` flag, as the
 ``Polynomial``-level path.
@@ -9,6 +10,7 @@ summands in the same order, and the same ``integral`` flag, as the
 
 import collections
 import copy
+import types
 from fractions import Fraction
 
 import pytest
@@ -49,6 +51,26 @@ def typed_summands(summands):
             for s in summands]
 
 
+def decoded_steps(engine, steps):
+    """Element-level ``steps`` with their engine words decoded."""
+    decode = engine.decode_word
+    return [(c, decode(l), ref, decode(r)) for c, l, ref, r in steps]
+
+
+def oracle_view(engine):
+    """The engine's elements as the oracle reads them: their steps over
+    tuple words."""
+    return types.SimpleNamespace(elements=[
+        _Element(None, None, decoded_steps(engine, e.steps))
+        for e in engine.elements])
+
+
+def oracle_expand(engine, steps):
+    """``oracle_expand_steps`` of the engine-word ``steps``."""
+    return oracle_expand_steps(oracle_view(engine),
+                               decoded_steps(engine, steps))
+
+
 @st.composite
 def systems(draw):
     """Generators, claims in their ideal, and extra element-level steps."""
@@ -80,10 +102,11 @@ def run_system(case):
         members.append(member)
     engine = CompletionEngine(list(enumerate(gens)), alg.default_order(),
                               LIMITS)
-    pending = [(dict(m._terms), []) for m in members]
+    pending = [(engine.encode(m._terms), []) for m in members]
     engine.run(pending)
     steps = []
     for c, l, k, r, negated in extra:
+        l, r = engine.encode_word(l), engine.encode_word(r)
         steps.append((c, l, k % len(engine.elements), r))
         if negated:
             steps.append((-c, l, k % len(engine.elements), r))
@@ -107,7 +130,7 @@ class ReadCounter(list):
 def test_expand_steps_matches_bottom_up(case):
     _, _, _, engine, pending, steps = run_system(case)
     cases = [steps] + [claim_steps for _, claim_steps in pending]
-    cases += [[(1, (), k, ())] for k in engine.active_indices()]
+    cases += [[(1, "", k, "")] for k in engine.active_indices()]
     elements = engine.elements
     for given_steps in cases:
         engine.elements = ReadCounter(elements)
@@ -116,7 +139,7 @@ def test_expand_steps_matches_bottom_up(case):
         assert max(engine.elements.reads.values(), default=0) <= 1
         engine.elements = elements
         assert typed_steps(quads) == \
-            typed_steps(oracle_expand_steps(engine, given_steps))
+            typed_steps(oracle_expand(engine, given_steps))
 
 
 @settings(max_examples=60, deadline=None)
@@ -130,7 +153,7 @@ def test_summands_match_polynomial_path(case):
             continue  # not proven within the limits
         new = _quads_to_summands(alg, engine.expand_steps(steps), order)
         old = oracle_quads_to_summands(
-            alg, oracle_expand_steps(engine, steps), order)
+            alg, oracle_expand(engine, steps), order)
         assert typed_summands(new) == typed_summands(old)
         cert = make_certificate(member, gens, names, new)
         small = minimize_certificate(cert)
@@ -176,17 +199,18 @@ def test_contexts_meeting_at_a_shared_element_cancel():
     a, b = (alg.indeterminate(n).iid for n in "ab")
     engine = CompletionEngine([(0, alg.parse("a·b − b"))],
                               alg.default_order(), LIMITS)
+    ea, eb = engine.encode_word((a,)), engine.encode_word((b,))
     # elements 1 and 2 both refer to element 0, the generator itself
-    engine.elements.append(_Element((), (), ((1, (a,), 0, ()),
-                                             (2, (), 0, (b,)))))
-    engine.elements.append(_Element((), (), ((1, (), 0, ()),)))
+    engine.elements.append(_Element("", (), ((1, ea, 0, ""),
+                                             (2, "", 0, eb))))
+    engine.elements.append(_Element("", (), ((1, "", 0, ""),)))
     # element 1 passes a·e0 to element 0, element 2 passes −a·e0: they cancel
-    steps = [(1, (), 1, ()), (-1, (a,), 2, ())]
+    steps = [(1, "", 1, ""), (-1, ea, 2, "")]
     expected = [(2, (), 0, (b,))]
     assert engine.expand_steps(steps) == expected
-    assert oracle_expand_steps(engine, steps) == expected
+    assert oracle_expand(engine, steps) == expected
     # with nothing left over, every context cancels
-    assert engine.expand_steps(steps + [(-1, (), 0, (b,))] * 2) == []
+    assert engine.expand_steps(steps + [(-1, "", 0, eb)] * 2) == []
 
 
 def test_contexts_shifted_onto_one_pair_merge():
@@ -194,17 +218,18 @@ def test_contexts_shifted_onto_one_pair_merge():
     a, b = (alg.indeterminate(n).iid for n in "ab")
     engine = CompletionEngine([(0, alg.parse("a·b − b"))],
                               alg.default_order(), LIMITS)
+    ea, eb = engine.encode_word((a,)), engine.encode_word((b,))
     # elements 1 and 2 refer to element 0 with both sides non-empty
-    engine.elements.append(_Element((), (), ((1, (b,), 0, (a,)),)))
-    engine.elements.append(_Element((), (), ((1, (a, b), 0, (a, b)),)))
+    engine.elements.append(_Element("", (), ((1, eb, 0, ea),)))
+    engine.elements.append(_Element("", (), ((1, ea + eb, 0, ea + eb),)))
     # element 1 in context (a, b) and element 2 in context ((), ()) both
     # pass the pair (a·b, a·b) to element 0
     for c2, expected in ((Fraction(3, 2), [(2, (a, b), 0, (a, b))]),
                          (Fraction(-1, 2), [])):
-        steps = [(Fraction(1, 2), (a,), 1, (b,)), (c2, (), 2, ())]
+        steps = [(Fraction(1, 2), ea, 1, eb), (c2, "", 2, "")]
         quads = engine.expand_steps(steps)
         assert typed_steps(quads) == typed_steps(expected)
-        assert typed_steps(oracle_expand_steps(engine, steps)) == \
+        assert typed_steps(oracle_expand(engine, steps)) == \
             typed_steps(expected)
 
 

@@ -10,7 +10,7 @@ from opcert.certify import (Summand, certificate_from_dict, certificate_to_dict,
                             certify, load_certificate, make_certificate,
                             minimize_certificate, save_certificate,
                             verify_certificate)
-from opcert.freealg import AlgebraError, FreeAlgebra
+from opcert.freealg import AlgebraError, DegLexOrder, FreeAlgebra
 from opcert.rewrite import (BUDGET_EXHAUSTED, COMPLETE, STOPPED_EARLY,
                             CompletionLimits)
 
@@ -206,6 +206,34 @@ def test_completion_status_complete_when_queue_drains():
     report = certify([A.parse("a·b")], [A.parse("b·a")])
     assert not all(r.certified for r in report.results)
     assert report.stats.completion_status == COMPLETE
+
+
+def test_certify_with_ranks_past_one_byte():
+    # 300 letters under a permuted ranking: the engine's words hold
+    # characters past the one-byte range
+    A = FreeAlgebra()
+    for k in range(300):
+        A.add(f"x{k}")
+    ranking = list(range(300))
+    random.Random(7).shuffle(ranking)
+    order = DegLexOrder(tuple(ranking))
+    by_rank = {rank: f"x{iid}" for iid, rank in enumerate(ranking)}
+    p, q, r, t = (by_rank[rank] for rank in (299, 256, 255, 3))
+    gens = [A.parse(f"{p}·{q} − {q}"), A.parse(f"{q}·{p} − {r}·{p}")]
+    member = A.parse(f"{t}·{p}·{q}·{r} − {t}·{q}·{r}") + \
+        A.parse(f"{q}·{p}·{p} − {r}·{p}·{p}")
+    # the overlap p·q·p gives p·r·p − r·p, which neither generator's lead
+    # divides: completion must find it
+    overlap = A.parse(f"{p}·{r}·{p} − {r}·{p}")
+    stranger = A.parse(f"{r}·{t}·{r}")
+    report = certify(gens, [member, overlap, stranger], order,
+                     CompletionLimits(max_degree=6, time_budget=60))
+    first, second, third = report.results
+    for res in (first, second):
+        assert res.certified
+        assert verify_certificate(res.certificate).valid
+    assert third.status == BUDGET_EXHAUSTED
+    assert third.remainder == stranger
 
 
 def test_claims_may_carry_constant_terms(werner_system):

@@ -43,7 +43,7 @@ class IndexedEngine(CompletionEngine):
 def rebuilt_indexes(engine):
     """The lead indexes built afresh: prefix and suffix lists of the entries
     ``len(lead) << 32 | index`` ordered by (lead length, index), digram lists
-    ascending."""
+    ascending and keyed by the pair of the two letters."""
     prefixes, suffixes, digrams = {}, {}, {}
     leads = {k: engine.elements[k].lead for k in engine.active_indices()}
     for k in sorted(leads, key=lambda k: (len(leads[k]), k)):
@@ -54,7 +54,7 @@ def rebuilt_indexes(engine):
             suffixes.setdefault(w[len(w) - n:], []).append(entry)
     for k, w in leads.items():
         for t in range(len(w) - 1):
-            held = digrams.setdefault(w[t:t + 2], [])
+            held = digrams.setdefault(tuple(w[t:t + 2]), [])
             if k not in held:
                 held.append(k)
     return prefixes, suffixes, digrams
@@ -98,7 +98,7 @@ def run_both(alg, gens, max_degree):
     # of elements; equal element-level steps already imply equal expansions
     if len(indexed.elements) <= 16:
         for k in indexed.active_indices():
-            step = [(1, (), k, ())]
+            step = [(1, "", k, "")]
             assert indexed.expand_steps(step) == scan.expand_steps(step)
     return scan.events
 

@@ -1,17 +1,18 @@
 """The reducer's lead trie and the completion queue and its compact rows.
 
 The reduction site that ``_Reducer.normal_form``'s trie walk picks, read
-from one-word normal forms, is checked against a brute-force listing of
-every lead factor, on lead tables that need not be interreduced, after
-entries were deleted again.  After each entry and deletion the trie, whose
+from one-word normal forms of engine words, is checked against a
+brute-force listing of every lead factor of the tuple word under the
+order's key, on lead tables that need not be interreduced, after entries
+were deleted again.  After each entry and deletion the trie, whose
 nodes are plain dicts, must hold each lead's lowest index under key
 ``None`` of its node, nothing but letters and leads, and no node left
-empty.  The queue's padding helper is checked against the kernel's overlap
-scans (a self-overlap size rebuilt into its words), and the queue's pop
-order against a heap keyed by (degree, push order).  A constant lead must
-match the empty word: without that match a completion whose ideal contains
-1 appends its constant element forever, so those tests stop at a small
-element count instead of hanging.
+empty.  The queue's padding helper, on engine words, is checked against the
+kernel's overlap scans of the tuple words (a self-overlap size rebuilt into
+its words), and the queue's pop order against a heap keyed by (degree, push
+order).  A constant lead must match the empty word: without that match a
+completion whose ideal contains 1 appends its constant element forever, so
+those tests stop at a small element count instead of hanging.
 """
 
 import heapq
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 from opcert import _kernel_py
 from opcert.freealg import DegLexOrder, FreeAlgebra
 from opcert.rewrite import (COMPLETE, CompletionEngine, CompletionLimits,
-                            _paddings, _Queue, _Reducer, reduce)
+                            _paddings, _Queue, _Reducer, reduce, word_codec)
 
 from match_oracle import best_match, reduction_site, trie_contents
 
@@ -45,20 +46,21 @@ def lead_tables(draw):
     return ranking, ops, queries
 
 
-def entered(red, ops):
-    """Apply ``ops`` to the reducer ``red``; returns the lead table (lead
-    word -> index, the lowest index kept), which the trie must hold, and
-    hold alone, after each operation."""
+def entered(red, ops, encode):
+    """Apply ``ops`` to the reducer ``red``, each word encoded; returns the
+    lead table (tuple lead word -> index, the lowest index kept), which the
+    trie must hold encoded, and hold alone, after each operation."""
     table = {}
     for idx, w in ops:
         if idx is None:
-            red.del_entry(w)
+            red.del_entry(encode(w))
             table.pop(w, None)
         else:
-            red.set_entry(w, idx)
+            red.set_entry(encode(w), idx)
             if w not in table or idx < table[w]:
                 table[w] = idx
-        assert trie_contents(red.trie) == table
+        assert trie_contents(red.trie) == \
+            {encode(w): idx for w, idx in table.items()}
     return table
 
 
@@ -67,10 +69,12 @@ def entered(red, ops):
 def test_reduction_site_equals_brute_force(case):
     ranking, ops, queries = case
     order = DegLexOrder(ranking)
-    red = _Reducer(order)
-    table = entered(red, ops)
+    encode, _ = word_codec(order)
+    red = _Reducer()
+    table = entered(red, ops, encode)
     for w in queries + [w for _, w in ops]:
-        assert reduction_site(red, w) == best_match(table, w, order.key)
+        assert reduction_site(red, encode(w)) == \
+            best_match(table, w, order.key)
 
 
 @settings(max_examples=300, deadline=None)
@@ -80,9 +84,11 @@ def test_paddings_rebuild_the_overlap_rows(u, v):
     n = len(v)
     rows += [(v, (), v[k:], v[:n - k], (), v + v[k:])
              for k in _kernel_py.self_overlaps(v)]
+    encode, _ = word_codec(DegLexOrder(None))
     for lead, li, ri, lj, rj, overlap in rows:
         assert li + lead + ri == lj + v + rj == overlap
-        assert _paddings(lead, v, len(li), len(lj)) == (li, ri, lj, rj)
+        assert _paddings(encode(lead), encode(v), len(li), len(lj)) == \
+            tuple(map(encode, (li, ri, lj, rj)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -148,9 +154,9 @@ def test_completion_of_an_ideal_holding_one_ends_in_one(texts):
         pass
     assert engine.status() == COMPLETE
     (k,) = engine.active_indices()
-    assert engine.elements[k].terms == {(): 1}
+    assert engine.decode(engine.elements[k].terms) == {(): 1}
     # 1 = a − (a − 1), expanded back to the generators
     total = alg.zero()
-    for c, l, i, r in engine.expand_steps([(1, (), k, ())]):
+    for c, l, i, r in engine.expand_steps([(1, "", k, "")]):
         total = total + alg.monomial(l, c) * gens[i] * alg.monomial(r)
     assert total == alg.one()

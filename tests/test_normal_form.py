@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opcert.freealg import DegLexOrder, FreeAlgebra, normalize_coeff
-from opcert.rewrite import _div, _Reducer, reduce
+from opcert.rewrite import _div, _Reducer, reduce, word_codec
 
 from normal_form_oracle import heap_normal_form
 
@@ -30,21 +30,44 @@ def typed(items):
     return [tuple(x) + (type(x[0]),) for x in items]
 
 
-def both_normal_forms(ranking, basis, terms):
+class TupleWords:
+    """A reducer over engine words seen through tuple words: ``normal_form``
+    encodes the terms, reduces them and decodes the terms and steps.  The
+    tails pass unchanged, so they must be empty, as ``reduction_site``'s
+    are."""
+
+    def __init__(self, reducer, order):
+        self.reducer = reducer
+        self.encode, self.decode = word_codec(order)
+
+    def normal_form(self, terms, tails, steps):
+        encode, decode = self.encode, self.decode
+        coded = {encode(w): c for w, c in terms.items()}
+        coded_steps = []
+        self.reducer.normal_form(coded, tails, coded_steps)
+        terms.clear()
+        terms.update((decode(w), c) for w, c in coded.items())
+        steps += [(c, decode(l), i, decode(r)) for c, l, i, r in coded_steps]
+
+
+def both_normal_forms(ranking, basis, terms, alg=ALG):
     """Reduce ``terms`` (word -> coeff) by ``basis`` (a list of such dicts)
-    both ways; asserts they agree and returns the oracle's event counts."""
+    over ``alg`` both ways; asserts they agree and returns the oracle's
+    event counts."""
     order = DegLexOrder(ranking)
-    red = _Reducer(order)
+    encode, _ = word_codec(order)
+    red = _Reducer()
     full, lcs = [], []
     for idx, poly in enumerate(basis):
         lead = max(poly, key=order.key)
-        red.set_entry(lead, idx)
+        red.set_entry(encode(lead), idx)
         full.append(list(poly.items()))
         lcs.append(poly[lead])
     want, want_steps = dict(terms), []
-    events = heap_normal_form(red, order, want, full.__getitem__, lcs,
-                              want_steps)
-    value, steps = reduce(ALG.poly(terms), [ALG.poly(poly) for poly in basis],
+    # the oracle reads the reducer's sites through tuple words
+    events = heap_normal_form(TupleWords(red, order), order, want,
+                              full.__getitem__, lcs, want_steps)
+    value, steps = reduce(alg.poly(terms), [alg.poly(poly) for poly in basis],
                           order)
     assert typed((c, w) for w, c in value._terms.items()) == \
         typed((c, w) for w, c in want.items())
@@ -113,6 +136,40 @@ def reductions(draw):
 @given(reductions())
 def test_normal_form_matches_the_heap_loop(case):
     both_normal_forms(*case)
+
+
+# 300 letters: ranks past 255 make engine words whose characters are not in
+# the one-byte range, so ``str`` comparison and the trie's character keys
+# meet wide characters
+WIDE = FreeAlgebra()
+for _k in range(300):
+    WIDE.add(f"x{_k}")
+
+
+@st.composite
+def wide_reductions(draw):
+    """A permuted ranking of ``WIDE`` and a reduction over five letters
+    ranked on both sides of 255."""
+    ranking = draw(st.permutations(range(300)).map(tuple))
+    by_rank = {rank: iid for iid, rank in enumerate(ranking)}
+    alphabet = [by_rank[rank] for rank in (0, 254, 255, 256, 299)]
+    word = st.lists(st.sampled_from(alphabet), max_size=4).map(tuple)
+    pool = draw(st.lists(word, min_size=1, max_size=3))
+    basis = []
+    for _ in range(draw(st.integers(1, 4))):
+        poly = draw(st.dictionaries(word, coeffs, max_size=3))
+        poly[draw(st.sampled_from(pool))] = draw(coeffs)
+        basis.append(poly)
+    terms = draw(st.dictionaries(
+        st.lists(st.sampled_from(alphabet), max_size=6).map(tuple), coeffs,
+        max_size=6))
+    return ranking, basis, terms
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_reductions())
+def test_normal_form_past_one_byte_ranks_matches_the_heap_loop(case):
+    both_normal_forms(*case, alg=WIDE)
 
 
 def test_div_fixed_cases():

@@ -290,7 +290,7 @@ def test_a_deadline_after_another_limit_keeps_the_first_tripped():
     assert engine._check_limits() == "max_iterations"
     engine._deadline = time.monotonic() - 1
     # c·a³⁰⁰ takes 300 rewrites, past the reducer's first deadline check
-    terms = dict(A.parse("c·" + "·".join(["a"] * 300))._terms)
+    terms = engine.encode(A.parse("c·" + "·".join(["a"] * 300))._terms)
     assert not engine.normal_form(terms, [])
     assert engine.tripped_limit == "max_iterations"
 
@@ -346,9 +346,10 @@ def test_expand_steps_merges_and_cancels_at_generator_level():
     A.add("b")
     g = A.parse("2·a·b − b")
     engine = CompletionEngine([(0, g)], A.default_order(), CompletionLimits())
-    # element 0 is the monic a·b − 1/2·b = 1/2·g
-    step = (1, (a,), 0, ())
+    # element 0 is the monic a·b − 1/2·b = 1/2·g; a step's words are engine
+    # words, the expansion's tuple words
+    step = (1, engine.encode_word((a,)), 0, "")
     merged = engine.expand_steps([step, step])
     assert merged == [(1, (a,), 0, ())]
     assert type(merged[0][0]) is int
-    assert engine.expand_steps([step, (-1, (a,), 0, ())]) == []
+    assert engine.expand_steps([step, (-1, step[1], 0, "")]) == []
