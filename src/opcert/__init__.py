@@ -25,7 +25,7 @@ from .statements import (CancellabilityStep, Problem, ProblemFileError,
                          apply_cancellability, douglas_factorization,
                          ep_condition, hermitian_condition, identity_axioms,
                          ij_equations, load_problem, parse_problem,
-                         run_problem, translate)
+                         run_problem, search_rankings, translate)
 from .matcheck import (RatMatrix, Realization, evaluate, example1_check,
                        example2_check, mp_inverse, penrose_check)
 

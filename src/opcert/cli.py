@@ -25,7 +25,7 @@ from .freealg import AlgebraError
 from .matcheck import example1_check, example2_check, fixture_penrose_report
 from .rewrite import reduce as nf_reduce
 from .statements import (WorkflowLimitError, certify_claims, load_problem,
-                         translate)
+                         ranking_names, search_rankings, translate)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -52,8 +52,11 @@ def _apply_limit_overrides(problem, args) -> None:
              for name in ("max_degree", "max_iterations", "time_budget")
              if getattr(args, name) is not None}
     problem.options.limits = replace(problem.options.limits, **given)
-    if args.order:
-        problem.options.ranking = [s.strip() for s in args.order.split(",")]
+    if args.order is not None:
+        ranking = [s.strip() for s in args.order.split(",")]
+        if ranking == [""]:
+            raise AlgebraError("--order names no indeterminate")
+        problem.options.ranking = ranking
     if args.no_closure:
         problem.options.closure = False
 
@@ -88,10 +91,13 @@ def cmd_certify(args) -> int:
           f"{len(trans.assumptions)} assumptions, {len(trans.claims)} claims")
     if not _quiver_gate(trans):
         return EXIT_INVALID
+    if args.orders:
+        _, trans, report = search_rankings(problem, args.orders, trans)
+    else:
+        report = certify_claims(trans)
     for wf in trans.workflow_reports:
         print(f"  workflow {wf.conclusion_name}: conclusion {wf.source}, "
               f"witness certified ({wf.certificate.term_count} terms)")
-    report = certify_claims(trans)
     if outdir:
         outdir.mkdir(parents=True, exist_ok=True)
     worst = EXIT_OK
@@ -120,6 +126,8 @@ def cmd_certify(args) -> int:
     tripped = f" ({s.tripped_limit})" if s.tripped_limit else ""
     print(f"  basis {s.basis_size}, obstructions {s.obstructions_processed}, "
           f"{s.elapsed:.2f}s, completion {s.completion_status}{tripped}")
+    if args.orders:
+        print(f"  order: {' '.join(ranking_names(trans))}")
     return worst
 
 
@@ -190,6 +198,13 @@ def cmd_matcheck(args) -> int:
     return EXIT_OK if all(rep.ok for rep in reports) else EXIT_INVALID
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="opcert",
@@ -210,6 +225,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None, help="directory for .cert files")
     p.add_argument("-v", "--verbose", action="store_true",
                    help="print every certificate summand")
+    p.add_argument("--orders", type=_positive_int, default=None, metavar="N",
+                   help="also try N seeded letter rankings; keep the one "
+                        "with the shortest certificates and print it")
     add_limits(p)
     p.set_defaults(func=cmd_certify)
 

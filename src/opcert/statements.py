@@ -9,6 +9,7 @@ problem file format tying them together.
 
 from __future__ import annotations
 
+import random
 import re
 from dataclasses import dataclass, field, replace
 from typing import Container, Iterable, Optional, Sequence
@@ -332,6 +333,65 @@ def run_problem(problem: Problem):
     return trans, certify_claims(trans)
 
 
+def ranking_names(trans: Translation) -> list:
+    """Every letter of ``trans``, lowest rank first: a full ``order``
+    option for the ranking it ran under."""
+    names = trans.algebra.names
+    ranking = trans.order.ranking
+    return names if ranking is None else \
+        [n for _, n in sorted(zip(ranking, names))]
+
+
+def seeded_rankings(problem: Problem, orders: int) -> list:
+    """Candidates 1..orders of ``search_rankings``: candidate k is the
+    declared letters, in declaration order, shuffled by random.Random(k)."""
+    out = []
+    for k in range(1, orders + 1):
+        names = list(problem.algebra.names)
+        random.Random(k).shuffle(names)
+        out.append(names)
+    return out
+
+
+def _term_counts(report) -> dict:
+    return {r.name: r.certificate.term_count
+            for r in report.results if r.certified}
+
+
+def search_rankings(problem: Problem, orders: int,
+                    trans: Optional[Translation] = None):
+    """run_problem under the problem's own ranking (candidate 0, whose
+    translation may be passed in as ``trans``) and the ``orders`` seeded
+    rankings of ``seeded_rankings``; returns ``(k, Translation,
+    CertifyReport)`` of the winner.
+
+    Candidate k qualifies if it certifies every claim that candidate 0
+    certifies, each with no more terms; the fewest terms in total over
+    those claims win, ties going to the lower k.  A seeded candidate under
+    which a workflow step fails is skipped.  Each run keeps the problem's
+    limits.
+    """
+    if trans is None:
+        trans = translate(problem)
+    best = (0, trans, certify_claims(trans))
+    bound = _term_counts(best[2])
+    best_total = sum(bound.values())
+    for k, ranking in enumerate(seeded_rankings(problem, orders), start=1):
+        candidate = replace(problem, options=replace(problem.options,
+                                                     ranking=ranking))
+        try:
+            trans_k, report_k = run_problem(candidate)
+        except WorkflowError:  # WorkflowLimitError included
+            continue
+        counts = _term_counts(report_k)
+        if all(name in counts and counts[name] <= n
+               for name, n in bound.items()):
+            total = sum(counts[name] for name in bound)
+            if total < best_total:
+                best, best_total = (k, trans_k, report_k), total
+    return best
+
+
 # ---------------------------------------------------------------------------
 # Problem files
 # ---------------------------------------------------------------------------
@@ -604,6 +664,8 @@ def _parse_option_line(problem, line):
     opts = problem.options
     key, *rest = line.split()
     if key == "order":
+        if not rest:
+            raise AlgebraError("option 'order' names no indeterminate")
         opts.ranking = rest
     elif key not in _LIMIT_OPTIONS and key not in _SWITCH_OPTIONS:
         raise AlgebraError(f"unknown option {key!r}")

@@ -6,12 +6,14 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from opcert.cli import main
-from opcert.statements import load_problem
+from opcert.statements import (WorkflowLimitError, load_problem,
+                               seeded_rankings, translate)
 from conftest import FIXTURES
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -305,6 +307,79 @@ def test_ranked_outputs_are_unchanged(name, tmp_path, capsys):
     assert hashlib.sha256(out).hexdigest() == pins["reduce"]
 
 
+def _masked(out: str) -> str:
+    """``certify`` stdout with its elapsed seconds masked."""
+    return re.sub(r", \d+\.\d\ds, completion ", ", <elapsed>s, completion ",
+                  out)
+
+
+def test_ranking_search_is_deterministic(tmp_path, capsys):
+    runs = []
+    for out in (tmp_path / "one", tmp_path / "two"):
+        assert main(["certify", "thm2_6_i_to_iv", "--orders", "8",
+                     "--output", str(out)]) == 0
+        stdout = _masked(capsys.readouterr().out).replace(str(out), "OUT")
+        runs.append((stdout, {p.name: p.read_bytes()
+                              for p in out.iterdir()}))
+    assert runs[0] == runs[1]
+    # a seeded ranking won
+    names = load_problem(FIXTURES / "thm2_6_i_to_iv.prob").algebra.names
+    assert f"  order: {' '.join(names)}\n" not in runs[0][0]
+    assert sorted(runs[0][1]) == ["thm2_6_i_to_iv.d1.cert",
+                                  "thm2_6_i_to_iv.d2.cert",
+                                  "thm2_6_i_to_iv.idem.cert"]
+
+
+def _order_line(path: Path):
+    """The names of the ``order`` option of a problem file, or None."""
+    for line in path.read_text(encoding="utf-8").splitlines():
+        words = line.split("#", 1)[0].split()
+        if words[:1] == ["order"]:
+            return " ".join(words[1:])
+    return None
+
+
+RECORDED = sorted(p.stem for p in FIXTURES.glob("*.prob") if _order_line(p))
+
+
+def test_some_fixtures_record_a_ranking():
+    assert RECORDED == ["thm2_8_i_to_ii", "thm2_8_ii_to_i", "thm2_8_iii_to_i"]
+
+
+@pytest.mark.parametrize("name", RECORDED)
+def test_ranking_search_reproduces_the_recorded_order(name, capsys):
+    # the file's ranking ties with its seeded twin, and the lower k wins
+    assert main(["certify", name, "--orders", "32"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == f"  order: {_order_line(FIXTURES / f'{name}.prob')}"
+    assert [line for line in lines if line.startswith("  order:")] == \
+        lines[-1:]
+
+
+def test_ranking_search_skips_a_candidate_whose_workflow_step_fails(capsys):
+    # at 204 obstructions the problem's own ranking certifies the workflow
+    # witness (200 processed) and every seeded one stops short of it
+    argv = ["certify", "thm2_3_v_to_i", "--max-iterations", "204"]
+    assert main(argv) == 2
+    plain = _masked(capsys.readouterr().out)
+    assert main(argv + ["--orders", "3"]) == 2
+    searched = _masked(capsys.readouterr().out)
+    problem = load_problem(FIXTURES / "thm2_3_v_to_i.prob")
+    assert searched == plain + f"  order: {' '.join(problem.algebra.names)}\n"
+    problem.options.limits = replace(problem.options.limits,
+                                     max_iterations=204)
+    for ranking in seeded_rankings(problem, 3):
+        problem.options.ranking = ranking
+        with pytest.raises(WorkflowLimitError):
+            translate(problem)
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "x", ""])
+def test_orders_must_be_a_positive_integer(capsys, value):
+    assert main(["certify", "werner", "--orders", value]) == 3
+    assert "--orders: expected a positive integer" in capsys.readouterr().err
+
+
 def test_matcheck_command(capsys):
     assert main(["matcheck"]) == 0
     out = capsys.readouterr().out
@@ -475,11 +550,14 @@ def test_huge_integer_literal_is_an_input_error(tmp_path, capsys, command,
      "line 31: unknown indeterminate 'zz'"),
     (("time_budget 30", "order b a b"),
      "line 31: order ranks 'b' twice"),
+    (("time_budget 30", "order  # no names"),
+     "line 31: option 'order' names no indeterminate"),
     # a signature is stated in the [quiver] section, never on an [ops] line
     (("[ops]\na\n", "[ops]\na : v1 -> v2\n"),
      "line 6: ops lines read: name [adjoint [partner] | selfadjoint]; "
      "signatures go in the [quiver] section"),
-], ids=["inv_subset", "order", "order_repeat", "signature_pin"])
+], ids=["inv_subset", "order", "order_repeat", "order_empty",
+        "signature_pin"])
 def test_compat_names_the_faulty_problem_line(tmp_path, capsys, edit,
                                               message):
     assert edit[0] in _WERNER_PROBLEM
@@ -493,6 +571,15 @@ def test_order_option_naming_a_name_twice_is_an_input_error(capsys, command):
     # without the check the second ``b`` overwrote the first: a ranked first
     assert _input_error(capsys, [command, "werner", "--order", "b,a,b"]) == \
         "error: order ranks 'b' twice\n"
+
+
+@pytest.mark.parametrize("command", ["certify", "reduce"])
+@pytest.mark.parametrize("order", ["", " "])
+def test_empty_order_flag_is_an_input_error(capsys, command, order):
+    # an empty --order once meant the declaration ranking, a blank one an
+    # unknown indeterminate ''
+    assert _input_error(capsys, [command, "werner", "--order", order]) == \
+        "error: --order names no indeterminate\n"
 
 
 def test_reduce_unknown_claim_is_an_input_error(capsys):

@@ -4,13 +4,15 @@ import pytest
 
 from opcert.freealg import AdjointError, AlgebraError, FreeAlgebra
 from opcert.rewrite import CompletionLimits
+from opcert import statements
 from opcert.statements import (CancellabilityStep, ProblemFileError,
                                WorkflowError, WorkflowLimitError,
                                _missing_adjoints,
-                               apply_cancellability, douglas_factorization,
+                               apply_cancellability, certify_claims,
+                               douglas_factorization,
                                ep_condition, hermitian_condition,
                                identity_axioms, ij_equations, parse_problem,
-                               translate)
+                               run_problem, translate)
 from conftest import FIXTURES
 
 
@@ -421,6 +423,41 @@ def test_order_naming_an_operator_twice_names_its_line():
     assert str(err.value) == "line 7: order ranks 'b' twice"
     order = parse_problem(text.replace(" a b", " a")).order()
     assert order.ranking == (1, 0)  # b ranked first
+
+
+@pytest.mark.parametrize("line", ["order", "order  # no names"])
+def test_order_without_names_names_its_line(line):
+    # a bare ``order`` line once meant the declaration ranking
+    with pytest.raises(ProblemFileError) as err:
+        parse_problem(f"[ops]\na\n[claim]\ng = a\n[options]\n{line}\n")
+    assert str(err.value) == "line 6: option 'order' names no indeterminate"
+
+
+def _term_counts(report):
+    return [r.certificate.term_count for r in report.results]
+
+
+def test_ranking_search_grows_no_claim(monkeypatch):
+    # the first of thm2_5's seeded rankings with the fewest total terms
+    # grows claim 4 from 70 to 72 terms; a later one, with the same total,
+    # grows none and wins
+    runs = []
+
+    def recorded(problem):
+        out = run_problem(problem)
+        runs.append(_term_counts(out[1]))
+        return out
+
+    monkeypatch.setattr(statements, "run_problem", recorded)
+    problem = statements.load_problem(FIXTURES / "thm2_5.prob")
+    k, trans, report = statements.search_rankings(problem, 32)
+    own = _term_counts(certify_claims(translate(problem)))
+    assert own == [18, 101, 74, 70] and len(runs) == 32
+    shortest = runs.index(min(runs, key=sum)) + 1
+    assert runs[shortest - 1] == [16, 86, 68, 72] and shortest < k
+    assert _term_counts(report) == runs[k - 1] == [16, 86, 72, 68]
+    assert statements.ranking_names(trans) == \
+        statements.seeded_rankings(problem, k)[-1]
 
 
 @pytest.mark.parametrize("subset", ["{1,2,3}junk", "{1}{2}"])
