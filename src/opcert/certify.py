@@ -177,6 +177,10 @@ def _merge(blocks: list, side: int) -> list:
 # The solver front door
 # ---------------------------------------------------------------------------
 
+class TermBoundExceeded(Exception):
+    """A claim's trace is longer than ``certify``'s ``term_bounds`` allow."""
+
+
 @dataclass
 class ClaimResult:
     name: str
@@ -225,7 +229,8 @@ def certify(assumptions: Sequence[Polynomial], claims: Sequence[Polynomial],
             limits: Optional[CompletionLimits] = None, *,
             assumption_names: Optional[Sequence[str]] = None,
             claim_names: Optional[Sequence[str]] = None,
-            require_zero_constant: bool = True) -> CertifyReport:
+            require_zero_constant: bool = True,
+            term_bounds: Optional[dict] = None) -> CertifyReport:
     """Prove each claim a member of the two-sided ideal of the assumptions.
 
     Every emitted certificate is minimized (``minimize_certificate``) and
@@ -237,6 +242,8 @@ def certify(assumptions: Sequence[Polynomial], claims: Sequence[Polynomial],
     ``require_zero_constant=False`` for ring-level-only runs, which then must
     not be promoted to statements about such operators; a certificate that
     uses an assumption with a constant term is marked ``ring_level_only``.
+    ``term_bounds`` (claim name -> most terms) stops at the first claim whose
+    expanded trace is longer, with ``TermBoundExceeded``.
     """
     assumptions = list(assumptions)
     claims = list(claims)
@@ -275,7 +282,11 @@ def certify(assumptions: Sequence[Polynomial], claims: Sequence[Polynomial],
             results.append(ClaimResult(name, claim, BUDGET_EXHAUSTED,
                                        remainder=remainder))
             continue
-        summands = _quads_to_summands(alg, engine.expand_steps(steps), order)
+        quads = engine.expand_steps(steps)
+        # a term per quad: merging distinct (l, i, r) triples cancels none
+        if term_bounds and len(quads) > term_bounds.get(name, len(quads)):
+            raise TermBoundExceeded(name)
+        summands = _quads_to_summands(alg, quads, order)
         cert = minimize_certificate(
             make_certificate(claim, assumptions, names, summands))
         if any(assumptions[i].constant_term for i in cert.used_indices):

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, field, replace
 from typing import Container, Iterable, Optional, Sequence
 
-from .certify import Certificate, certify
+from .certify import Certificate, TermBoundExceeded, certify
 from .freealg import (AdjointError, AlgebraError, DegLexOrder, FreeAlgebra,
                       ParseError, Polynomial)
 from .quiver import LabelledQuiver, ProblemCheck, check_problem, infer_signatures
@@ -318,13 +318,14 @@ def translate(problem: Problem) -> Translation:
                        reports, order, opts)
 
 
-def certify_claims(trans: Translation):
-    """Certify the claims of a translation; returns the CertifyReport."""
+def certify_claims(trans: Translation, term_bounds: Optional[dict] = None):
+    """``certify`` the claims of a translation; returns the CertifyReport."""
     opts = trans.options
     return certify(trans.assumptions, trans.claims, trans.order, opts.limits,
                    assumption_names=trans.assumption_names,
                    claim_names=trans.claim_names,
-                   require_zero_constant=not opts.allow_constant_terms)
+                   require_zero_constant=not opts.allow_constant_terms,
+                   term_bounds=term_bounds)
 
 
 def run_problem(problem: Problem):
@@ -368,8 +369,9 @@ def search_rankings(problem: Problem, orders: int,
     Candidate k qualifies if it certifies every claim that candidate 0
     certifies, each with no more terms; the fewest terms in total over
     those claims win, ties going to the lower k.  A seeded candidate under
-    which a workflow step fails is skipped.  Each run keeps the problem's
-    limits.
+    which a workflow step fails is skipped, and so is one whose trace of a
+    claim is longer than candidate 0's certificate of it.  Each run keeps
+    the problem's limits.
     """
     if trans is None:
         trans = translate(problem)
@@ -380,8 +382,9 @@ def search_rankings(problem: Problem, orders: int,
         candidate = replace(problem, options=replace(problem.options,
                                                      ranking=ranking))
         try:
-            trans_k, report_k = run_problem(candidate)
-        except WorkflowError:  # WorkflowLimitError included
+            trans_k = translate(candidate)
+            report_k = certify_claims(trans_k, bound)
+        except (WorkflowError, TermBoundExceeded):  # WorkflowLimitError too
             continue
         counts = _term_counts(report_k)
         if all(name in counts and counts[name] <= n

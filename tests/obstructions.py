@@ -1,7 +1,7 @@
 """Reference obstruction enumeration, S-polynomials and a completion helper.
 
-A pairwise scan over the basis leads on the kernel's ``batch_overlaps`` and
-``self_overlaps``.  ``test_rewrite`` checks it against a brute-force
+A pairwise scan over the basis leads on ``rewrite``'s ``batch_overlaps``
+and ``self_overlaps``.  ``test_rewrite`` checks it against a brute-force
 placement enumeration and uses it to check that a completed basis resolves
 every S-polynomial; the completion engine itself finds overlaps through its
 lead indexes.  ``ScanEngine`` is the engine on that pairwise scan, and
@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from opcert import _kernel_py
 from opcert.freealg import (AlgebraError, DegLexOrder, Polynomial, Word,
                             normalize_coeff)
-from opcert.rewrite import COMPLETE, CompletionEngine, CompletionLimits
+from opcert.rewrite import (COMPLETE, CompletionEngine, CompletionLimits,
+                            batch_overlaps, find_retirees, self_overlaps)
 
 
 @dataclass(frozen=True)
@@ -47,9 +47,9 @@ def _pair_obstructions(i: int, u: Word, j: int, v: Word):
     if i == j:
         n = len(u)
         return [Obstruction(i, i, (), u[k:], u[:n - k], (), u + u[k:])
-                for k in _kernel_py.self_overlaps(u)]
+                for k in self_overlaps(u)]
     return [Obstruction(row[0], j, *row[1:])
-            for row in _kernel_py.batch_overlaps(v, [(i, u)])]
+            for row in batch_overlaps(v, [(i, u)])]
 
 
 def find_obstructions(basis: Sequence[Polynomial],
@@ -102,7 +102,7 @@ class ScanEngine(CompletionEngine):
         super().__init__(*args, **kwargs)
 
     def _pair_rows(self, v, unreduced):
-        rows = _kernel_py.batch_overlaps(v, list(self._active.items()))
+        rows = batch_overlaps(v, list(self._active.items()))
         maxdeg = self.limits.max_degree
         for _, li, ri, lj, rj, overlap in rows:
             if not lj and not rj:
@@ -117,7 +117,7 @@ class ScanEngine(CompletionEngine):
                 for i, li, _, lj, _, overlap in rows]
 
     def _retirees(self, lead):
-        retirees = _kernel_py.find_retirees(lead, self._active.items())
+        retirees = find_retirees(lead, self._active.items())
         digrams = [lead[t:t + 2] for t in range(len(lead) - 1)]
         held = {w[t:t + 2] for w in self._active.values()
                 for t in range(len(w) - 1)}

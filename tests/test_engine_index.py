@@ -1,17 +1,18 @@
 """The completion engine's indexed overlap enumeration and retirement
 against full scans.
 
-``ScanEngine`` (in ``obstructions``) finds overlap partners the way the
-kernel's reference scan does: ``batch_overlaps`` of the new lead against every active lead, its rows
-cut to the queue's ``(i, len(li), len(lj), degree)`` and filtered at
-``max_degree`` by ``_push_rows``.  It scans for active leads inside every
-new lead, where the indexed engine looks for them only in the generators'
-leads, so the lockstep run also shows that a reduced lead holds none.  It
-finds the leads a new lead retires by ``find_retirees`` over every active
-lead, where the indexed engine checks only the candidates of its two-letter
-factor index.  Both engines must build the same queue in the same order
-and retire the same leads in the same order, so everything downstream
-(counters, basis, traces) is identical too.
+``ScanEngine`` (in ``obstructions``) finds overlap partners by the
+reference scan ``rewrite.batch_overlaps`` of the new lead against every
+active lead, its rows cut to the queue's ``(i, len(li), len(lj), degree)``
+and filtered at ``max_degree`` by ``_push_rows``.  It scans for active
+leads inside every new lead, where the indexed engine looks for them only
+in the generators' leads, so the lockstep run also shows that a reduced
+lead holds none.  It finds the leads a new lead retires by
+``rewrite.find_retirees`` over every active lead, where the indexed engine
+checks only the candidates of its two-letter factor index.  Both engines
+must build the same queue in the same order and retire the same leads in
+the same order, so everything downstream (counters, basis, traces) is
+identical too.
 """
 
 import dataclasses

@@ -1,5 +1,6 @@
 """Every shipped problem fixture runs end to end."""
 
+import importlib
 import random
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from opcert.certify import verify_certificate
 from opcert.matcheck import RatMatrix, Realization, evaluate, mp_inverse
 from opcert.quiver import LabelledQuiver
-from opcert.rewrite import BUDGET_EXHAUSTED
+from opcert.rewrite import BUDGET_EXHAUSTED, CompletionEngine
 from opcert.statements import ij_equations, load_problem, run_problem
 from opcert.freealg import FreeAlgebra
 
@@ -41,6 +42,28 @@ def test_fixture_certifies(name, tmp_path):
         assert res.certificate.integral, f"{name}/{res.name}"
         assert_certificate_file_unchanged(
             res.certificate, f"{name}.{res.name}.cert", tmp_path)
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.prob")),
+                         ids=lambda p: p.stem)
+def test_certificate_terms_are_the_expanded_trace(path, monkeypatch):
+    # a certificate has one term per quad of its claim's expanded trace, as
+    # the ranking search's term bounds assume: the quads are distinct
+    # (l, i, r) triples, so no merge of summands cancels a term
+    lengths = []
+
+    class Recording(CompletionEngine):
+        def expand_steps(self, steps):
+            quads = super().expand_steps(steps)
+            lengths.append(len(quads))
+            return quads
+
+    monkeypatch.setattr(importlib.import_module("opcert.certify"),
+                        "CompletionEngine", Recording)
+    trans, report = run_problem(load_problem(path))
+    certs = [wf.certificate for wf in trans.workflow_reports] + \
+        [res.certificate for res in report.results if res.certified]
+    assert [cert.term_count for cert in certs] == lengths
 
 
 def test_nonmember_fixture_budget_exhausts():

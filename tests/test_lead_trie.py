@@ -7,12 +7,13 @@ order's key, on lead tables that need not be interreduced, after entries
 were deleted again.  After each entry and deletion the trie, whose
 nodes are plain dicts, must hold each lead's lowest index under key
 ``None`` of its node, nothing but letters and leads, and no node left
-empty.  The queue's padding helper, on engine words, is checked against the
-kernel's overlap scans of the tuple words (a self-overlap size rebuilt into
-its words), and the queue's pop order against a heap keyed by (degree, push
-order).  A constant lead must match the empty word: without that match a
-completion whose ideal contains 1 appends its constant element forever, so
-those tests stop at a small element count instead of hanging.
+empty.  The queue's padding helper, on engine words, is checked against
+``rewrite``'s overlap scans of the tuple words (a self-overlap size rebuilt
+into its words), and the queue's pop order against a heap keyed by
+(degree, push order).  A constant lead must match the empty word: without
+that match a completion whose ideal contains 1 appends its constant
+element forever, so those tests stop at a small element count instead of
+hanging.
 """
 
 import heapq
@@ -21,10 +22,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opcert import _kernel_py
 from opcert.freealg import DegLexOrder, FreeAlgebra
 from opcert.rewrite import (COMPLETE, CompletionEngine, CompletionLimits,
-                            _paddings, _Queue, _Reducer, reduce, word_codec)
+                            _paddings, _Queue, _Reducer, batch_overlaps,
+                            reduce, self_overlaps, word_codec)
 
 from match_oracle import best_match, reduction_site, trie_contents
 
@@ -80,10 +81,10 @@ def test_reduction_site_equals_brute_force(case):
 @settings(max_examples=300, deadline=None)
 @given(words(3, 6), words(3, 6))
 def test_paddings_rebuild_the_overlap_rows(u, v):
-    rows = [(u,) + row[1:] for row in _kernel_py.batch_overlaps(v, [(0, u)])]
+    rows = [(u,) + row[1:] for row in batch_overlaps(v, [(0, u)])]
     n = len(v)
     rows += [(v, (), v[k:], v[:n - k], (), v + v[k:])
-             for k in _kernel_py.self_overlaps(v)]
+             for k in self_overlaps(v)]
     encode, _ = word_codec(DegLexOrder(None))
     for lead, li, ri, lj, rj, overlap in rows:
         assert li + lead + ri == lj + v + rj == overlap

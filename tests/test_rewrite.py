@@ -6,15 +6,19 @@ hand expansions, and every trace against exact re-expansion through plain
 ring arithmetic.
 """
 
+import collections
 import random
 import time
 
 import pytest
 
+from opcert import rewrite
 from opcert.freealg import AlgebraError, FreeAlgebra
 from opcert.rewrite import (BUDGET_EXHAUSTED, COMPLETE, CompletionEngine,
                             CompletionLimits, reduce)
+from opcert.statements import certify_claims, load_problem, translate
 
+from conftest import FIXTURES
 from obstructions import (Obstruction, complete, find_obstructions,
                           s_polynomial)
 
@@ -353,3 +357,23 @@ def test_expand_steps_merges_and_cancels_at_generator_level():
     assert merged == [(1, (a,), 0, ())]
     assert type(merged[0][0]) is int
     assert engine.expand_steps([step, (-1, step[1], 0, "")]) == []
+
+
+def test_tracer_patch_points_reach_the_engine(monkeypatch, recorded_engines):
+    # perfbench's tracer patches the lead-word scans in ``vars(KERNEL)`` and
+    # counts the calls the engine makes through those names
+    kernel = rewrite.KERNEL
+    assert {"self_overlaps", "find_retirees", "batch_overlaps"} <= \
+        vars(kernel).keys()
+    calls = collections.Counter()
+    for name in ("self_overlaps", "find_retirees"):
+        def counting(*args, _scan=vars(kernel)[name], _name=name):
+            calls[_name] += 1
+            return _scan(*args)
+        monkeypatch.setattr(kernel, name, counting)
+    trans = translate(load_problem(FIXTURES / "thm2_3_i_to_v.prob"))
+    assert all(res.certified for res in certify_claims(trans).results)
+    (engine,) = recorded_engines
+    added = engine.stats.elements_added
+    assert added > len(trans.assumptions)  # completion ran
+    assert calls == {"self_overlaps": added, "find_retirees": added}

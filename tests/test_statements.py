@@ -2,6 +2,7 @@
 
 import pytest
 
+from opcert.certify import TermBoundExceeded
 from opcert.freealg import AdjointError, AlgebraError, FreeAlgebra
 from opcert.rewrite import CompletionLimits
 from opcert import statements
@@ -12,7 +13,7 @@ from opcert.statements import (CancellabilityStep, ProblemFileError,
                                douglas_factorization,
                                ep_condition, hermitian_condition,
                                identity_axioms, ij_equations, parse_problem,
-                               run_problem, translate)
+                               translate)
 from conftest import FIXTURES
 
 
@@ -437,27 +438,61 @@ def _term_counts(report):
     return [r.certificate.term_count for r in report.results]
 
 
+def _unbounded_search(monkeypatch, problem):
+    """``search_rankings`` with every candidate certified in full (no term
+    bounds); returns its result and each candidate's term counts, in
+    order."""
+    runs = []
+
+    def recorded(trans, term_bounds=None):
+        report = certify_claims(trans)
+        runs.append(_term_counts(report))
+        return report
+
+    with monkeypatch.context() as m:
+        m.setattr(statements, "certify_claims", recorded)
+        return statements.search_rankings(problem, 32), runs
+
+
 def test_ranking_search_grows_no_claim(monkeypatch):
     # the first of thm2_5's seeded rankings with the fewest total terms
     # grows claim 4 from 70 to 72 terms; a later one, with the same total,
     # grows none and wins
-    runs = []
-
-    def recorded(problem):
-        out = run_problem(problem)
-        runs.append(_term_counts(out[1]))
-        return out
-
-    monkeypatch.setattr(statements, "run_problem", recorded)
     problem = statements.load_problem(FIXTURES / "thm2_5.prob")
-    k, trans, report = statements.search_rankings(problem, 32)
-    own = _term_counts(certify_claims(translate(problem)))
+    (k, trans, report), (own, *runs) = _unbounded_search(monkeypatch, problem)
     assert own == [18, 101, 74, 70] and len(runs) == 32
     shortest = runs.index(min(runs, key=sum)) + 1
     assert runs[shortest - 1] == [16, 86, 68, 72] and shortest < k
     assert _term_counts(report) == runs[k - 1] == [16, 86, 72, 68]
     assert statements.ranking_names(trans) == \
         statements.seeded_rankings(problem, k)[-1]
+
+
+def test_ranking_search_stops_a_candidate_at_its_bound(monkeypatch):
+    # under term bounds, the candidate that grows thm2_5's claim 4 stops
+    # after its trace expansion, and the same candidate wins as without
+    problem = statements.load_problem(FIXTURES / "thm2_5.prob")
+    (k0, _, report0), (_, *runs) = _unbounded_search(monkeypatch, problem)
+    stopped = []
+
+    def recorded(trans, term_bounds=None):
+        try:
+            return certify_claims(trans, term_bounds)
+        except TermBoundExceeded as exc:
+            stopped.append((statements.ranking_names(trans), exc.args[0]))
+            raise
+
+    monkeypatch.setattr(statements, "certify_claims", recorded)
+    k, _, report = statements.search_rankings(problem, 32)
+    assert (k, _term_counts(report)) == (k0, _term_counts(report0))
+    shortest = runs.index(min(runs, key=sum)) + 1
+    rankings = statements.seeded_rankings(problem, 32)
+    assert (rankings[shortest - 1], "mp(m,m~).4") in stopped
+    # only candidates that cannot qualify stop: each has a claim over its
+    # bound in the unbounded run
+    assert len(stopped) == sum(
+        any(n > m for n, m in zip(counts, [18, 101, 74, 70]))
+        for counts in runs)
 
 
 @pytest.mark.parametrize("subset", ["{1,2,3}junk", "{1}{2}"])
