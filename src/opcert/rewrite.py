@@ -3,9 +3,12 @@
 ``reduce`` computes full normal forms with cofactor tracking.
 ``CompletionEngine.run`` reduces claims while an obstruction-driven
 completion (noncommutative Buchberger) grows the basis under explicit
-budgets, and decides the completion status.  Both keep exact bookkeeping
-so that every result can be expanded back into a two-sided combination of
-the inputs.
+budgets, and decides the completion status.  The completion processes the
+lowest overlap degree first and builds a degree's obstructions only when it
+reaches that degree (the engine's frontier), so it needs no degree bound;
+``CompletionLimits.max_degree`` is an optional cap for experiments.  Both
+keep exact bookkeeping so that every result can be expanded back into a
+two-sided combination of the inputs.
 
 Engine words: inside this module a word is a ``str`` with one character
 per letter, the letter's rank under the order: ``chr(ranking[iid])``, or
@@ -62,15 +65,20 @@ from .freealg import (AlgebraError, DegLexOrder, Polynomial, add_terms,
 
 @dataclass(frozen=True)
 class CompletionLimits:
-    """Budgets for the (generally non-terminating) completion loop."""
+    """Budgets for the (generally non-terminating) completion loop.
 
-    max_degree: int = 12
+    ``max_degree`` is an experiment's cap on the overlap degree of the
+    obstructions built; None, the default, builds every degree, and the
+    other budgets stop a completion that does not terminate."""
+
+    max_degree: Optional[int] = None
     max_iterations: int = 50_000
     max_basis_size: int = 10_000
     time_budget: float = 300.0
 
     def __post_init__(self):
-        if min(self.max_degree, self.max_iterations, self.max_basis_size) <= 0 \
+        if min(self.max_iterations, self.max_basis_size) <= 0 \
+                or self.max_degree is not None and self.max_degree <= 0 \
                 or not self.time_budget > 0:  # NaN would disable the deadline
             raise AlgebraError("completion limits must be positive")
 
@@ -332,12 +340,11 @@ _IDX = (1 << _SHIFT) - 1
 
 def _unlist(table: dict, key, entry: int) -> None:
     """Remove ``entry`` from the ascending list ``table[key]``; drop the key
-    with its last entry."""
+    with its last entry (the list, emptied, may still be referenced)."""
     lst = table[key]
-    if len(lst) == 1:
+    del lst[bisect_left(lst, entry)]
+    if not lst:
         del table[key]
-    else:
-        del lst[bisect_left(lst, entry)]
 
 
 class _Queue:
@@ -396,6 +403,10 @@ class _Element:
 
 @dataclass
 class CompletionStats:
+    """Work counters.  ``obstructions_skipped_degree`` counts the rows
+    above an explicit ``max_degree``, each when its newer element is added,
+    and is 0 without a cap."""
+
     obstructions_processed: int = 0
     obstructions_skipped_degree: int = 0
     elements_added: int = 0
@@ -410,8 +421,17 @@ class CompletionEngine:
     so the active lead set stays interreduced: each active lead word belongs
     to exactly one element, and the reducer holds exactly the active leads.
     A new lead finds its overlap partners through the lead indexes
-    ``_prefixes`` and ``_suffixes`` (``_pair_rows``), and the leads it
-    retires through ``_digrams`` (``_retirees``).
+    ``_prefixes`` and ``_suffixes``, and keeps the index lists it found in
+    ``_partners`` for the degrees built later (``_pair_rows``); it finds the
+    leads it retires through ``_digrams`` (``_retirees``).
+
+    Rows are built on demand.  ``_frontier`` is the highest degree whose
+    rows are all built: a new element queues its rows up to it, and when the
+    queue runs dry ``_advance`` raises it to the next degree that has rows
+    and builds that degree for every active element.  Nothing is built
+    before the first ``process``, which comes after ``interreduce``; from
+    then on no active lead is a factor of another, so every row is a proper
+    overlap.  The last degree with rows is ``_degree_limit()``.
 
     ``queue`` is a ``_Queue`` of rows ``(i, j, len(li), len(lj))``;
     ``_paddings`` rebuilds the padding words from the two leads.  Words are
@@ -432,11 +452,16 @@ class CompletionEngine:
         # list of entries ``len(lead) << _SHIFT | idx``
         self._prefixes: dict = {}
         self._suffixes: dict = {}
+        # active idx -> its partner lists, ``(k, suffix list of lead[:k],
+        # prefix list of lead[-k:])`` for each k with one; fixed when idx is
+        # added, as every older partner is active by then
+        self._partners: dict = {}
         # two-letter factor of an active lead, as a pair of letters ->
         # ascending idx list, each idx once however often the factor recurs
         # in its lead
         self._digrams: dict = {}
         self._requeue: list = []
+        self._frontier = 0
         self.stats = CompletionStats()
         self._deadline = time.monotonic() + limits.time_budget
         # the first limit found tripped: "max_iterations", "max_basis_size"
@@ -453,7 +478,7 @@ class CompletionEngine:
                 continue  # duplicate generator: alias to first occurrence
             seen_monic.add(key)
             self._append(self.encode(monic._terms),
-                         ((_div(1, lc), "", ~src_index, ""),), unreduced=True)
+                         ((_div(1, lc), "", ~src_index, ""),))
 
     def encode(self, terms: dict) -> dict:
         """A term dict over tuple words as one over engine words."""
@@ -512,6 +537,7 @@ class CompletionEngine:
         digrams = self._digrams
         for key in set(zip(w, w[1:])):  # each w[t:t + 2] once, as a pair
             _unlist(digrams, key, idx)
+        del self._partners[idx]
 
     def _retire(self, idx: int) -> None:
         self._deactivate(idx)
@@ -522,10 +548,9 @@ class CompletionEngine:
 
     # -- element creation ------------------------------------------------------
 
-    def _append(self, terms: dict, steps, unreduced: bool = False) -> int:
+    def _append(self, terms: dict, steps) -> int:
         """Add the element ``terms`` scaled to be monic; retire superseded
-        leads.  ``terms`` is a normal form by the active leads unless
-        ``unreduced`` (a generator)."""
+        leads and queue the element's rows up to the frontier."""
         lead = max(terms, key=_deglex)
         lc = terms[lead]
         tail = [(w, c) for w, c in terms.items() if w != lead]
@@ -543,10 +568,26 @@ class CompletionEngine:
             self._retire(m)
             self._requeue.append(m)
         # queue obstructions against the still-active leads, then self
-        self._push_rows(idx, self._pair_rows(lead, unreduced))
         n = len(lead)
-        self._push_rows(idx, [(idx, 0, n - k, 2 * n - k)
-                              for k in self_overlaps(lead)])
+        prefixes = self._prefixes
+        suffixes = self._suffixes
+        partners = []
+        for k in range(1, n):
+            suf = suffixes.get(lead[:k])
+            pre = prefixes.get(lead[n - k:])
+            if suf or pre:
+                partners.append((k, suf, pre))
+        self._partners[idx] = partners
+        frontier = self._frontier
+        cap = self.limits.max_degree
+        self._push_rows(idx, self._pair_rows(idx, 0, frontier, cap))
+        push = self.queue.push
+        for k in self_overlaps(lead):
+            deg = 2 * n - k
+            if deg <= frontier:
+                push(deg, (idx, idx, 0, n - k))
+            elif cap is not None and deg > cap:
+                self.stats.obstructions_skipped_degree += 1
         self._activate(idx, lead)
         return idx
 
@@ -563,65 +604,79 @@ class CompletionEngine:
                      key=len)
         return find_retirees(lead, [(i, active[i]) for i in fewest])
 
-    def _pair_rows(self, v: str, unreduced: bool) -> list:
-        """Rows ``(i, len(li), len(lj), degree)`` of the overlaps that
-        ``batch_overlaps(v, active leads)`` would give, in its order, less
-        those above ``max_degree``, which are only counted.
+    def _pair_rows(self, j: int, lo: int, hi: int,
+                   cap: Optional[int] = None) -> list:
+        """Rows ``(i, len(li), len(lj), degree)`` of the overlaps of the
+        lead of element ``j`` with the active leads of older partners
+        ``i < j``, of degree ``lo < degree <= hi``, in the order of
+        ``batch_overlaps``: by partner, then by overlap length, the suffix
+        match first.  With a ``cap``, the partners whose overlap lies above
+        it are counted in ``obstructions_skipped_degree``.
 
-        A partner ``u`` overlapping ``v`` in ``k`` letters fits iff
-        ``len(u) <= max_degree - len(v) + k``; the prefix and suffix lists
-        are ordered by lead length, so one ``bisect_left`` splits each into
-        the partners that fit and the tail that is counted.  No active lead
-        contains ``v`` (those were just retired), so the containments left
-        are active leads that are factors of ``v``, an empty lead at each
-        position; a normal form has none, so they are scanned for directly,
-        by position, only if ``v`` is ``unreduced`` (a generator's lead).
-        Rows are made in the scan's order for each partner, so a stable
+        A partner ``u`` overlapping the lead ``v`` in ``k`` letters has
+        degree ``len(u) + len(v) - k``.  The partner lists of ``j``
+        (``_partners``) hold every older partner still active, ordered by
+        (lead length, index), so one ``bisect`` range per ``k`` holds the
+        partners of the window, and one ``bisect`` splits off those above
+        the cap.  Only entries of the window's longest partners are checked
+        against ``j``: the window is one degree, or ``j`` is the newest
+        element.  Rows are made in ``k`` order for each partner, so a stable
         sort by partner finishes them.
         """
-        nv = len(v)
-        maxdeg = self.limits.max_degree
-        room = maxdeg - nv
-        prefixes = self._prefixes
-        suffixes = self._suffixes
+        nv = len(self.elements[j].lead)
         skipped = 0
         rows = []
-        for k in range(1, nv):
-            # the first entry of a lead longer than ``room + k``
-            above = (room + k + 1) << _SHIFT
-            lst = suffixes.get(v[:k])
-            if lst:
-                cut = bisect_left(lst, above)
-                skipped += len(lst) - cut
-                for e in lst[:cut]:
+        for k, suf, pre in self._partners[j]:
+            # partner lengths lo - nv + k < len(u) <= hi - nv + k, the
+            # longest of them only below index j
+            first = (lo - nv + k + 1) << _SHIFT
+            last = (hi - nv + k) << _SHIFT | j
+            if suf:
+                for e in suf[bisect_left(suf, first):bisect_left(suf, last)]:
                     nu = e >> _SHIFT
                     rows.append((e & _IDX, 0, nu - k, nu + nv - k))
-            lst = prefixes.get(v[nv - k:])
-            if lst:
-                cut = bisect_left(lst, above)
-                skipped += len(lst) - cut
-                for e in lst[:cut]:
+                if cap is not None:
+                    skipped += len(suf) - bisect_left(
+                        suf, (cap - nv + k + 1) << _SHIFT)
+            if pre:
+                for e in pre[bisect_left(pre, first):bisect_left(pre, last)]:
                     rows.append((e & _IDX, nv - k, 0, nv + (e >> _SHIFT) - k))
-        if unreduced:
-            hits = [(i, pos, 0, nv) for i, u in self._active.items()
-                    for pos in range(nv - len(u) + 1)
-                    if v[pos:pos + len(u)] == u]
-            if nv > maxdeg:
-                skipped += len(hits)
-            else:  # after every overlap row of a partner: nv > any k
-                rows += hits
+                if cap is not None:
+                    skipped += len(pre) - bisect_left(
+                        pre, (cap - nv + k + 1) << _SHIFT)
         self.stats.obstructions_skipped_degree += skipped
         rows.sort(key=operator.itemgetter(0))
         return rows
 
     def _push_rows(self, j: int, rows) -> None:
-        maxdeg = self.limits.max_degree
         push = self.queue.push
         for i, a, b, deg in rows:
-            if deg > maxdeg:
-                self.stats.obstructions_skipped_degree += 1
-                continue
             push(deg, (i, j, a, b))
+
+    def _degree_limit(self) -> int:
+        """The highest degree that can have rows: the cap, or below it
+        ``2 * (longest active lead) - 1``, the longest proper overlap."""
+        limit = 2 * max(map(len, self._active.values()), default=0) - 1
+        cap = self.limits.max_degree
+        return limit if cap is None or limit < cap else cap
+
+    def _advance(self) -> bool:
+        """Raise the frontier to the next degree that has rows and queue
+        them: each active element's rows of that degree against its older
+        active partners, then its self-overlap row.  False when no degree
+        up to ``_degree_limit()`` has any."""
+        queue = self.queue
+        limit = self._degree_limit()
+        while not queue and self._frontier < limit:
+            d = self._frontier = self._frontier + 1
+            for j, v in self._active.items():
+                n = len(v)
+                if n < d:  # a longer or equal lead overlaps in no degree d
+                    self._push_rows(j, self._pair_rows(j, d - 1, d))
+                    k = 2 * n - d
+                    if k > 0 and v[n - k:] == v[:k]:
+                        queue.push(d, (j, j, 0, n - k))
+        return bool(queue)
 
     # -- normal forms ----------------------------------------------------------
 
@@ -666,9 +721,11 @@ class CompletionEngine:
         return self.tripped_limit
 
     def status(self) -> str:
-        """COMPLETE if every obstruction within ``max_degree`` was resolved
-        within budget, else BUDGET_EXHAUSTED."""
-        if self.queue or self._requeue or self.tripped_limit:
+        """COMPLETE if every obstruction up to ``_degree_limit()`` was built
+        and resolved within budget, else BUDGET_EXHAUSTED.  Without a cap,
+        COMPLETE means the queue drained with no degree left unbuilt."""
+        if self.queue or self._requeue or self.tripped_limit \
+                or self._frontier < self._degree_limit():
             return BUDGET_EXHAUSTED
         return COMPLETE
 
@@ -686,7 +743,7 @@ class CompletionEngine:
         while True:
             if self._requeue:
                 self._process_requeue()
-            if not queue or self._check_limits():
+            if not queue and not self._advance() or self._check_limits():
                 return False
             i, j, a, b = queue.pop()
             # a retired partner cannot survive into the final basis, so its

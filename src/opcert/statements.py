@@ -187,8 +187,9 @@ def apply_cancellability(step: CancellabilityStep,
     ``(source_name, conclusion, witness_certificate)`` for the first that
     certifies.  No assumption is added when none does: with no candidate of
     the step's shape it raises WorkflowError, else WorkflowLimitError naming,
-    per candidate, the limit that stopped its completion or the degree bound
-    that completion ran to.
+    per candidate, the limit that stopped its completion, the explicit
+    ``max_degree`` that completion ran to, or, without one, that the
+    completion drained.
     """
     (eword,) = step.element._terms
     estar = step.element.adjoint()
@@ -208,9 +209,14 @@ def apply_cancellability(step: CancellabilityStep,
         if res.certified:
             return name, c, res.certificate
         tripped = report.stats.tripped_limit
-        tried.append(f"{name}: completion stopped by {tripped}" if tripped
-                     else f"{name}: completion ran to its degree bound, "
-                          f"max_degree {limits.max_degree}")
+        if tripped:
+            why = f"completion stopped by {tripped}"
+        elif limits.max_degree is None:
+            why = "completion drained without certifying it"
+        else:
+            why = ("completion ran to its degree bound, "
+                   f"max_degree {limits.max_degree}")
+        tried.append(f"{name}: {why}")
     failure = (f"no claim gives a certified {step.side} cancellability "
                f"witness for {step.element.alg.render(step.element)}")
     if tried:
@@ -656,8 +662,8 @@ def _parse_workflow_line(problem, line):
 
 
 # ``CompletionLimits`` field -> type of its problem-file value
-_LIMIT_OPTIONS = {"max_degree": int, "max_iterations": int,
-                  "max_basis_size": int, "time_budget": float}
+_LIMIT_OPTIONS = {"max_iterations": int, "max_basis_size": int,
+                  "time_budget": float}
 _SWITCH_OPTIONS = ("closure", "allow_constant_terms")
 _ON_OFF = {"on": True, "true": True, "yes": True, "1": True,
            "off": False, "false": False, "no": False, "0": False}

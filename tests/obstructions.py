@@ -95,26 +95,56 @@ def s_polynomial(o: Obstruction, basis: Sequence[Polynomial],
 
 
 class ScanEngine(CompletionEngine):
-    """Pairwise-scan enumeration; counts the events the tests must cover."""
+    """Pairwise-scan enumeration; counts the events the tests must cover.
+
+    Rows come from ``batch_overlaps`` of an element's lead against every
+    older active lead, when the element is added and at each frontier step;
+    a frontier step takes its self-overlap rows from ``self_overlaps``.
+    Before a degree is built, no active lead may be a factor of another."""
 
     def __init__(self, *args, **kwargs):
         self.events = collections.Counter()
         super().__init__(*args, **kwargs)
 
-    def _pair_rows(self, v, unreduced):
-        rows = batch_overlaps(v, list(self._active.items()))
-        maxdeg = self.limits.max_degree
-        for _, li, ri, lj, rj, overlap in rows:
-            if not lj and not rj:
-                # an active lead inside v: v itself, unpadded, on the j side
+    def _pair_rows(self, j, lo, hi, cap=None):
+        older = [(i, u) for i, u in self._active.items() if i < j]
+        rows = []
+        for i, li, ri, lj, rj, overlap in batch_overlaps(
+                self.elements[j].lead, older):
+            deg = len(overlap)
+            if not (li or ri) or not (lj or rj):
+                # one lead inside the other: only a generator's lead holds
+                # one, and ``interreduce`` removes it before the first row
+                assert self._frontier == 0
                 self.events["containment"] += 1
-            elif len(overlap) - maxdeg in (0, 1):
-                # a partner at the degree cut (kept) or one letter beyond it
-                index = "suffix" if not li else "prefix"
-                fate = "kept" if len(overlap) == maxdeg else "skipped"
-                self.events[f"{index}_cut_{fate}"] += 1
-        return [(i, len(li), len(lj), len(overlap))
-                for i, li, _, lj, _, overlap in rows]
+                continue
+            index = "suffix" if not li else "prefix"
+            if cap is not None and deg > cap:
+                self.stats.obstructions_skipped_degree += 1
+                if deg == cap + 1:  # one letter beyond the cut
+                    self.events[f"{index}_cut_skipped"] += 1
+            if lo < deg <= hi:
+                if deg == self.limits.max_degree:  # at the cut, built
+                    self.events[f"{index}_cut_kept"] += 1
+                rows.append((i, len(li), len(lj), deg))
+        return rows
+
+    def _advance(self):
+        active = self._active
+        for i, u in active.items():
+            assert not find_retirees(
+                u, [(m, w) for m, w in active.items() if m != i])
+        self.events["lead_factors_checked"] += 1
+        limit = self._degree_limit()
+        while not self.queue and self._frontier < limit:
+            d = self._frontier = self._frontier + 1
+            for j, v in active.items():
+                self._push_rows(j, self._pair_rows(j, d - 1, d))
+                n = len(v)
+                for k in self_overlaps(v):
+                    if 2 * n - k == d:
+                        self.queue.push(d, (j, j, 0, n - k))
+        return bool(self.queue)
 
     def _retirees(self, lead):
         retirees = find_retirees(lead, self._active.items())
@@ -148,7 +178,8 @@ def complete(generators: Sequence[Polynomial],
     Returns ``(basis, status)`` where each basis element is a pair
     ``(value, steps)`` whose steps express it exactly in the original
     generators (``value = sum(steps)``), and status is ``"complete"`` when
-    every obstruction within ``max_degree`` reduced to zero within budget.
+    every obstruction (up to an explicit ``max_degree``) was built and
+    reduced to zero within budget.
     """
     generators = list(generators)
     if not generators:

@@ -547,17 +547,20 @@ def test_huge_integer_literal_is_an_input_error(tmp_path, capsys, command,
     (("f1 = a·a⁻·a − a", "inv(a, a⁻, {1,2,3}junk)"),
      "line 21: inv subset reads {1,3}"),
     (("time_budget 30", "order a zz"),
-     "line 31: unknown indeterminate 'zz'"),
+     "line 30: unknown indeterminate 'zz'"),
     (("time_budget 30", "order b a b"),
-     "line 31: order ranks 'b' twice"),
+     "line 30: order ranks 'b' twice"),
     (("time_budget 30", "order  # no names"),
-     "line 31: option 'order' names no indeterminate"),
+     "line 30: option 'order' names no indeterminate"),
+    # the degree cap is an experiment's flag, not a problem option
+    (("time_budget 30", "time_budget 30\nmax_degree 10"),
+     "line 31: unknown option 'max_degree'"),
     # a signature is stated in the [quiver] section, never on an [ops] line
     (("[ops]\na\n", "[ops]\na : v1 -> v2\n"),
      "line 6: ops lines read: name [adjoint [partner] | selfadjoint]; "
      "signatures go in the [quiver] section"),
 ], ids=["inv_subset", "order", "order_repeat", "order_empty",
-        "signature_pin"])
+        "max_degree", "signature_pin"])
 def test_compat_names_the_faulty_problem_line(tmp_path, capsys, edit,
                                               message):
     assert edit[0] in _WERNER_PROBLEM

@@ -2,12 +2,14 @@
 against full scans.
 
 ``ScanEngine`` (in ``obstructions``) finds overlap partners by the
-reference scan ``rewrite.batch_overlaps`` of the new lead against every
-active lead, its rows cut to the queue's ``(i, len(li), len(lj), degree)``
-and filtered at ``max_degree`` by ``_push_rows``.  It scans for active
-leads inside every new lead, where the indexed engine looks for them only
-in the generators' leads, so the lockstep run also shows that a reduced
-lead holds none.  It finds the leads a new lead retires by
+reference scan ``rewrite.batch_overlaps`` of an element's lead against
+every older active lead, its rows cut to the queue's ``(i, len(li), len(lj),
+degree)`` and to the degrees being built: up to the frontier when the
+element is added, one degree at each frontier step.  The scan sees
+containments too; the indexed engine never looks for them, and the
+lockstep run shows why: only generators' leads hold an active lead, and
+``interreduce`` removes each such containment before the first row is
+built.  It finds the leads a new lead retires by
 ``rewrite.find_retirees`` over every active lead, where the indexed engine
 checks only the candidates of its two-letter factor index.  Both engines
 must build the same queue in the same order and retire the same leads in
@@ -32,12 +34,12 @@ from obstructions import ScanEngine
 
 
 class IndexedEngine(CompletionEngine):
-    """The engine under test; its partners beyond ``max_degree`` are counted
-    in ``_pair_rows`` and never reach ``_push_rows``."""
+    """The engine under test; ``_pair_rows`` builds only the rows of its
+    window of degrees, and counts those beyond ``max_degree``."""
 
-    def _pair_rows(self, v, unreduced):
-        rows = super()._pair_rows(v, unreduced)
-        assert all(deg <= self.limits.max_degree for *_, deg in rows)
+    def _pair_rows(self, j, lo, hi, cap=None):
+        rows = super()._pair_rows(j, lo, hi, cap)
+        assert all(lo < deg <= hi for *_, deg in rows)
         return rows
 
 
@@ -180,6 +182,9 @@ def test_indexed_enumeration_covers(name, event):
     alg = _algebra(letters)
     events = run_both(alg, [alg.poly(t) for t in gens], max_degree)
     assert events[event] > 0
+    if event == "containment":
+        # no lead was inside another when the first degree was built
+        assert events["lead_factors_checked"] > 0
     if name == "interreduce":
         assert events["deactivated"] > events["retired"]
 
@@ -209,7 +214,9 @@ def test_hartwig_degree_12_counters(recorded_engines):
     assert report.stats.basis_size == 2_008
     assert engine.stats.obstructions_processed == 11_265
     assert engine.stats.elements_added == 2_214
-    assert engine.stats.obstructions_skipped_degree == 361_198
+    # rows above the cap; a generator lead that holds another lead is not
+    # scanned for the rows of that containment
+    assert engine.stats.obstructions_skipped_degree == 361_181
     assert len(engine.active_indices()) == 2_008
     assert len(engine.queue) == 0
     assert engine.retired == 190

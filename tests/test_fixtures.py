@@ -1,5 +1,6 @@
 """Every shipped problem fixture runs end to end."""
 
+import dataclasses
 import importlib
 import random
 
@@ -64,6 +65,23 @@ def test_certificate_terms_are_the_expanded_trace(path, monkeypatch):
     certs = [wf.certificate for wf in trans.workflow_reports] + \
         [res.certificate for res in report.results if res.certified]
     assert [cert.term_count for cert in certs] == lengths
+
+
+@pytest.mark.parametrize("cap", [None, 16, 20, 24])
+def test_degree_cap_changes_no_work(cap, tmp_path, recorded_engines):
+    # the queue pops the lowest degree first and builds a degree's rows only
+    # when it reaches them, so a cap above the degrees that thm2_5 reaches
+    # changes neither its work, nor its certificates, nor its queue
+    prob = load_problem(FIXTURES / "thm2_5.prob")
+    prob.options.limits = dataclasses.replace(prob.options.limits,
+                                              max_degree=cap)
+    _, report = run_problem(prob)
+    (engine,) = recorded_engines
+    assert engine.stats.obstructions_processed == 931
+    assert len(engine.queue) == 452
+    for res in report.results:
+        assert_certificate_file_unchanged(
+            res.certificate, f"thm2_5.{res.name}.cert", tmp_path)
 
 
 def test_nonmember_fixture_budget_exhausts():

@@ -134,9 +134,9 @@ class CappedEngine(CompletionEngine):
     """Fails at the 20th element: a constant element that no lead matches
     would be retired, requeued and appended again without end."""
 
-    def _append(self, terms, steps, unreduced=False):
+    def _append(self, terms, steps):
         assert len(self.elements) < 20
-        return super()._append(terms, steps, unreduced)
+        return super()._append(terms, steps)
 
 
 @pytest.mark.parametrize("texts", [

@@ -300,6 +300,7 @@ def test_a_deadline_after_another_limit_keeps_the_first_tripped():
 
 
 def test_limits_must_be_positive():
+    assert CompletionLimits().max_degree is None  # no cap unless one is set
     with pytest.raises(ValueError):
         CompletionLimits(max_degree=0)
     with pytest.raises(ValueError):

@@ -236,6 +236,13 @@ def test_apply_cancellability_failure_adds_nothing(cancel_algebra):
         "bound, max_degree 6; h*: completion ran to its degree bound, "
         "max_degree 6)")
     assert assumptions == [A.parse("m·m* − m")]
+    # without a cap, a completion that no limit stopped has drained
+    with pytest.raises(WorkflowLimitError) as err:
+        apply_cancellability(step, assumptions, claims,
+                             limits=CompletionLimits(time_budget=5))
+    assert str(err.value).endswith(
+        "(g: completion drained without certifying it; h*: completion "
+        "drained without certifying it)")
     with pytest.raises(WorkflowLimitError, match=r"\(g: completion stopped "
                                                  r"by max_iterations; h\*: "):
         apply_cancellability(step, [A.parse("m·m·m − m")], claims,
@@ -298,8 +305,8 @@ def test_problem_parse_errors_carry_line_numbers():
     with pytest.raises(ProblemFileError):
         parse_problem("x = 3\n")  # content before any section
     with pytest.raises(ProblemFileError) as err2:
-        parse_problem("[ops]\na\n[options]\nmax_degree zero\n")
-    assert "max_degree" in str(err2.value)
+        parse_problem("[ops]\na\n[options]\nmax_iterations zero\n")
+    assert "max_iterations" in str(err2.value)
     # the long form of a workflow line is gone; a step's element is checked
     # when the line is read
     for line, message in (
@@ -314,13 +321,19 @@ def test_problem_parse_errors_carry_line_numbers():
 
 
 @pytest.mark.parametrize("option", [
-    "max_degree 0", "max_iterations -1", "time_budget nan", "max_degree"])
+    "max_iterations 0", "max_iterations -1", "time_budget nan",
+    "max_basis_size",
+    # the degree cap is no problem option: ``--max-degree`` sets one for an
+    # experiment
+    "max_degree 0", "max_degree", "max_degree 16"])
 def test_bad_option_value_names_its_line(option):
     with pytest.raises(ProblemFileError) as err:
         parse_problem(f"[ops]\na\n[options]\nclosure off\n{option}\n")
     assert err.value.line_no == 5
     assert str(err.value).startswith("line 5: ")
     assert option.split()[0] in str(err.value)
+    if option.startswith("max_degree"):
+        assert "unknown option 'max_degree'" in str(err.value)
 
 
 def test_problem_duplicate_and_clashing_names():
@@ -400,8 +413,9 @@ def test_echoed_expression_is_cut_short():
 def test_problem_options_and_order():
     prob = parse_problem(
         "[ops]\nb\na\n[assume]\nf = a·b − b·a\n[claim]\ng = a·b\n"
-        "[options]\nmax_degree 7\ntime_budget 9\norder a b\n")
-    assert prob.options.limits.max_degree == 7
+        "[options]\nmax_iterations 7\ntime_budget 9\norder a b\n")
+    assert prob.options.limits.max_iterations == 7
+    assert prob.options.limits.max_degree is None
     assert prob.options.limits.time_budget == 9
     order = prob.order()
     a, b = prob.algebra.word("a")[0], prob.algebra.word("b")[0]
