@@ -35,16 +35,15 @@ EXIT_INPUT = 3
 _FIXDIR = Path(__file__).parent / "fixtures"
 
 
-def fixture_path(name: str) -> Path:
-    """Resolve a path or the name of a bundled fixture."""
+def fixture_path(name: str, suffix: str) -> Path:
+    """Resolve a path, or the name of a bundled fixture of kind ``suffix``."""
     p = Path(name)
     if p.exists():
         return p
-    for suffix in ("", ".prob", ".cert", ".mat"):
-        candidate = _FIXDIR / (name + suffix)
-        if candidate.exists():
-            return candidate
-    raise FileNotFoundError(f"no such file or bundled fixture: {name}")
+    candidate = _FIXDIR / (name if name.endswith(suffix) else name + suffix)
+    if candidate.exists():
+        return candidate
+    raise FileNotFoundError(f"no such file or {suffix} fixture: {name}")
 
 
 def _apply_limit_overrides(problem, args) -> None:
@@ -57,12 +56,10 @@ def _apply_limit_overrides(problem, args) -> None:
         if ranking == [""]:
             raise AlgebraError("--order names no indeterminate")
         problem.options.ranking = ranking
-    if args.no_closure:
-        problem.options.closure = False
 
 
 def _load(args):
-    path = fixture_path(args.problem)
+    path = fixture_path(args.problem, ".prob")
     return path, load_problem(path)
 
 
@@ -134,7 +131,7 @@ def cmd_certify(args) -> int:
 def cmd_check_cert(args) -> int:
     worst = EXIT_OK
     for name in args.certificate:
-        cert = load_certificate(fixture_path(name))
+        cert = load_certificate(fixture_path(name, ".cert"))
         result = verify_certificate(cert)
         if result.valid:
             scope = " | ring-level only" if cert.ring_level_only else ""
@@ -168,9 +165,9 @@ def _quiver_gate(trans) -> bool:
 def cmd_reduce(args) -> int:
     path, problem = _load(args)
     _apply_limit_overrides(problem, args)
-    trans = translate(problem)
-    if args.claim and args.claim not in trans.claim_names:
+    if args.claim and args.claim not in (n for n, _ in problem.claims):
         raise AlgebraError(f"{path.stem} has no claim {args.claim!r}")
+    trans = translate(problem)
     alg = trans.algebra
     # a zero assumption (hermitian(a·a*) expands to 0) is no basis element
     kept = [k for k, g in enumerate(trans.assumptions) if not g.is_zero]
@@ -188,7 +185,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_matcheck(args) -> int:
-    reports = [fixture_penrose_report(fixture_path(name))
+    reports = [fixture_penrose_report(fixture_path(name, ".mat"))
                for name in args.fixture] if args.fixture \
         else [example1_check(), example2_check()]
     for rep in reports:
@@ -218,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--time-budget", type=float, default=None)
         p.add_argument("--order", default=None,
                        help="comma-separated variable ranking")
-        p.add_argument("--no-closure", action="store_true")
 
     p = sub.add_parser("certify", help="solve a problem file, emit certificates")
     p.add_argument("problem")

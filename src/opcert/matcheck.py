@@ -10,6 +10,7 @@ all assumptions of a certified claim must zero the claim as well.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
@@ -19,10 +20,12 @@ from .quiver import WILDCARD, LabelledQuiver, compatible
 
 
 def _entry(x) -> Fraction:
-    if isinstance(x, (int, Fraction, str)) and not isinstance(x, bool):
+    # a string is "n" or "p/q": Fraction("1e3000000") has 10 million bits
+    if (re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", x) if isinstance(x, str)
+            else isinstance(x, (int, Fraction)) and not isinstance(x, bool)):
         try:
             return Fraction(x)
-        except (ValueError, ZeroDivisionError):  # strings such as "x", "1/0"
+        except (ValueError, ZeroDivisionError):  # "1/0", too many digits
             pass
     raise AlgebraError(f"matrix entries must be exact rationals, got {x!r}")
 

@@ -120,14 +120,17 @@ def fresh_name(alg: FreeAlgebra, taken: Container[str] = ()) -> str:
 
 def _missing_adjoints(present: Sequence[Polynomial],
                       new: Sequence[Polynomial], order: DegLexOrder) -> list:
-    """``(k, new[k].adjoint())`` for each adjoint not in ``present`` nor
-    met earlier, up to sign and scalar multiple."""
+    """``(k, new[k].adjoint())`` for each adjoint not in ``present`` nor met
+    earlier, up to sign and scalar multiple; none for a partnerless letter."""
     seen = {frozenset(p.monic(order)._terms.items()) for p in present if p}
     out = []
     for k, p in enumerate(new):
         if p.is_zero:
             continue
-        q = p.adjoint()
+        try:
+            q = p.adjoint()
+        except AdjointError:
+            continue
         key = frozenset(q.monic(order)._terms.items())
         if key not in seen:
             seen.add(key)
@@ -232,7 +235,6 @@ def apply_cancellability(step: CancellabilityStep,
 @dataclass
 class ProblemOptions:
     limits: CompletionLimits = field(default_factory=CompletionLimits)
-    closure: bool = False
     ranking: Optional[list] = None  # list of names for the order
     allow_constant_terms: bool = False
 
@@ -282,10 +284,10 @@ class Translation:
 def translate(problem: Problem) -> Translation:
     """Expand a problem into assumption/claim polynomials plus the quiver.
 
-    Applies the involution closure when declared, runs workflow steps in
-    order (each step adjoins a claim whose witness is certified against the
-    current assumption set, monotonically enlarging the ideal), and infers
-    or validates the quiver.
+    Applies the involution closure, runs workflow steps in order (each step
+    adjoins a claim whose witness is certified against the current
+    assumption set, monotonically enlarging the ideal), and infers or
+    validates the quiver.
     """
     alg = problem.algebra
     order = problem.order()
@@ -299,8 +301,7 @@ def translate(problem: Problem) -> Translation:
             names.append(names[first + k] + "*")
             polys.append(q)
 
-    if opts.closure:
-        close_from(0)
+    close_from(0)
     reports = []
     for k, step in enumerate(problem.workflow, start=1):
         source, conclusion, cert = apply_cancellability(
@@ -310,8 +311,7 @@ def translate(problem: Problem) -> Translation:
         base = f"step{k}"
         names.append(base)
         polys.append(conclusion)
-        if opts.closure:
-            close_from(len(polys) - 1)
+        close_from(len(polys) - 1)
         reports.append(WorkflowReport(step, base, cert, source))
     claims = [p for _, p in problem.claims]
     claim_names = [n for n, _ in problem.claims]
@@ -489,15 +489,15 @@ def parse_problem(text: str) -> Problem:
                 if name in alg._by_name or name in problem.defs:
                     raise AlgebraError(f"name {name!r} already taken")
                 problem.defs[name] = _expr(problem, body)
+            elif section == "quiver" and (  # a label may begin "vertices"
+                    m := re.match(r"(.+?):(.+?)->(.+)", line)):
+                edges.append(tuple(g.strip() for g in m.groups()))
+                edge_lines.append(line_no)
             elif section == "quiver" and line.startswith("vertices"):
                 vertices.extend(line.split()[1:])
             elif section == "quiver":
-                m = re.match(r"(.+?):(.+?)->(.+)", line)
-                if not m:
-                    raise AlgebraError(
-                        "quiver edges read: label : source -> target")
-                edges.append(tuple(g.strip() for g in m.groups()))
-                edge_lines.append(line_no)
+                raise AlgebraError(
+                    "quiver edges read: label : source -> target")
             elif section in ("assume", "claim"):
                 _parse_statement_line(problem, section, line, auto_names)
             elif section == "workflow":
@@ -664,7 +664,7 @@ def _parse_workflow_line(problem, line):
 # ``CompletionLimits`` field -> type of its problem-file value
 _LIMIT_OPTIONS = {"max_iterations": int, "max_basis_size": int,
                   "time_budget": float}
-_SWITCH_OPTIONS = ("closure", "allow_constant_terms")
+_SWITCH_OPTIONS = ("allow_constant_terms",)
 _ON_OFF = {"on": True, "true": True, "yes": True, "1": True,
            "off": False, "false": False, "no": False, "0": False}
 

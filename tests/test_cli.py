@@ -13,7 +13,7 @@ import pytest
 
 from opcert.cli import main
 from opcert.statements import (WorkflowLimitError, load_problem,
-                               seeded_rankings, translate)
+                               run_problem, seeded_rankings, translate)
 from conftest import FIXTURES
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -30,6 +30,26 @@ def test_certify_werner_writes_certificate(tmp_path, capsys):
     assert data["integral"] is True
     # round trip: every emitted certificate is accepted by check-cert
     assert main(["check-cert", str(cert_file)]) == 0
+
+
+def test_certify_verbose_prints_every_summand(capsys):
+    assert main(["certify", "thm2_3_i_to_v", "-v"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    _, report = run_problem(load_problem(FIXTURES / "thm2_3_i_to_v.prob"))
+    assert len(report.results) == 2
+    for res in report.results:
+        cert = res.certificate
+        alg = cert.claim.alg
+        k = next(k for k, line in enumerate(lines)
+                 if line.startswith(f"  claim {res.name}: certified | "))
+        printed = lines[k + 1:k + 1 + len(cert.summands)]
+        assert printed == [
+            f"      ({alg.render(s.left)}) . "
+            f"{cert.assumption_names[s.index]} . ({alg.render(s.right)})"
+            for s in cert.summands]
+        # one line per summand, and no more
+        assert not re.fullmatch(r" +\(.*\) \. \S+ \. \(.*\)",
+                                lines[k + 1 + len(cert.summands)])
 
 
 def test_check_cert_bundled_hand_certificate(capsys):
@@ -220,6 +240,19 @@ def test_output_onto_a_file_stops_certify_first(tmp_path, capsys):
         assert captured.err == f"error: --output {outdir} is not a directory\n"
         assert captured.out == ""  # nothing translated or certified
         assert target.read_text(encoding="utf-8") == "keep\n"
+
+
+def test_compat_reads_an_edge_whose_label_begins_with_vertices(tmp_path,
+                                                              capsys):
+    # a line of the edge form is an edge, not a vertices line listing
+    # ``:``, ``v1``, ``->`` and ``v2``
+    prob = tmp_path / "label.prob"
+    prob.write_text("[ops]\nverticesx\n[quiver]\nvertices v1 v2\n"
+                    "verticesx : v1 -> v2\n[assume]\nf = verticesx\n",
+                    encoding="utf-8")
+    assert main(["compat", str(prob)]) == 0
+    assert capsys.readouterr().out == \
+        "  quiver: 2 vertices, 1 edges; compatibility passed\n"
 
 
 def test_reduce_prints_remainder_and_trace(capsys):
@@ -462,6 +495,8 @@ _MALFORMED = {
     "float.mat": _matrices({"A": [[0.5]]}),
     "list.mat": _matrices([1]),
     "number.mat": _matrices({"A": 3}),
+    # Fraction("1e3000000") builds a 10-million-bit integer
+    "exponent.mat": _matrices({"A": [["1e3000000"]]}),
     "not_utf8.prob": _NOT_UTF8_PROBLEM,
 }
 
@@ -470,7 +505,8 @@ _MALFORMED = {
     ("check-cert", "ops_names.cert"), ("check-cert", "ops_object.cert"),
     ("check-cert", "claim_number.cert"), ("check-cert", "integral_string.cert"),
     ("matcheck", "float.mat"), ("matcheck", "list.mat"),
-    ("matcheck", "number.mat"), ("certify", "not_utf8.prob"),
+    ("matcheck", "number.mat"), ("matcheck", "exponent.mat"),
+    ("certify", "not_utf8.prob"),
     ("compat", "not_utf8.prob"), ("reduce", "not_utf8.prob")])
 def test_malformed_file_is_an_input_error(tmp_path, capsys, command, filename):
     bad = tmp_path / filename
@@ -555,12 +591,15 @@ def test_huge_integer_literal_is_an_input_error(tmp_path, capsys, command,
     # the degree cap is an experiment's flag, not a problem option
     (("time_budget 30", "time_budget 30\nmax_degree 10"),
      "line 31: unknown option 'max_degree'"),
+    # the involution closure is always applied
+    (("time_budget 30", "time_budget 30\nclosure on"),
+     "line 31: unknown option 'closure'"),
     # a signature is stated in the [quiver] section, never on an [ops] line
     (("[ops]\na\n", "[ops]\na : v1 -> v2\n"),
      "line 6: ops lines read: name [adjoint [partner] | selfadjoint]; "
      "signatures go in the [quiver] section"),
 ], ids=["inv_subset", "order", "order_repeat", "order_empty",
-        "max_degree", "signature_pin"])
+        "max_degree", "closure", "signature_pin"])
 def test_compat_names_the_faulty_problem_line(tmp_path, capsys, edit,
                                               message):
     assert edit[0] in _WERNER_PROBLEM
@@ -590,6 +629,38 @@ def test_reduce_unknown_claim_is_an_input_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: werner has no claim 'nope'\n"
+
+
+def test_reduce_checks_the_claim_name_before_the_workflow(capsys):
+    # the workflow step of thm2_3_v_to_i does not certify at degree 6
+    assert _input_error(capsys, ["reduce", "thm2_3_v_to_i", "--claim", "nope",
+                                 "--max-degree", "6"]) == \
+        "error: thm2_3_v_to_i has no claim 'nope'\n"
+
+
+@pytest.mark.parametrize("command", ["certify", "reduce"])
+def test_no_closure_flag_is_a_usage_error(capsys, command):
+    assert main([command, "werner", "--no-closure"]) == 3
+    assert "unrecognized arguments: --no-closure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, name, suffix", [
+    ("certify", "example2_1", ".prob"), ("compat", "example2_1", ".prob"),
+    ("reduce", "werner_paper", ".prob"), ("check-cert", "werner", ".cert"),
+    ("matcheck", "werner", ".mat")])
+def test_bundled_name_resolves_to_the_commands_own_suffix(capsys, command,
+                                                          name, suffix):
+    # each name is a bundled fixture of another kind of file
+    assert _input_error(capsys, [command, name]) == \
+        f"error: no such file or {suffix} fixture: {name}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["compat", "werner.prob"], ["check-cert", "werner_paper.cert"],
+    ["matcheck", "example2_1.mat"]])
+def test_bundled_name_may_carry_its_suffix(capsys, argv):
+    assert main(argv) == 0
+    capsys.readouterr()
 
 
 def _ops_cert(ops) -> str:

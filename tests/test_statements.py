@@ -296,6 +296,25 @@ def test_translate_runs_workflow_and_grows_ideal():
     assert "step1" in names and "step1*" in names
 
 
+def test_translate_always_closes_under_the_involution():
+    # no [options]: an assumption whose letters all have partners gains its
+    # adjoint, one with the partnerless u gains none and raises nothing, a
+    # self-adjoint one is not repeated, and a workflow conclusion gains its
+    # adjoint too
+    trans = translate(parse_problem(
+        "[ops]\nm adjoint\nz adjoint\nu\n"
+        "[assume]\nf = m·m* − m\nh = u·m − m\nk = z·m·m*\n"
+        "s = m·m* − m*·m\n"
+        "[workflow]\ncancel right m\n[claim]\ng = z·m\n"))
+    A = trans.algebra
+    assert trans.assumption_names == \
+        ["f", "h", "k", "s", "f*", "k*", "step1", "step1*"]
+    assert trans.assumptions[4:] == [
+        A.parse("m·m* − m*"), A.parse("m·m*·z*"), A.parse("z·m"),
+        A.parse("m*·z*")]
+    assert [r.source for r in trans.workflow_reports] == ["g"]
+
+
 def test_problem_parse_errors_carry_line_numbers():
     with pytest.raises(ProblemFileError) as err:
         parse_problem("[ops]\na\n[assume]\nf = a·nope\n")
@@ -325,15 +344,19 @@ def test_problem_parse_errors_carry_line_numbers():
     "max_basis_size",
     # the degree cap is no problem option: ``--max-degree`` sets one for an
     # experiment
-    "max_degree 0", "max_degree", "max_degree 16"])
+    "max_degree 0", "max_degree", "max_degree 16",
+    # nor is the involution closure: ``translate`` always applies it
+    "closure on", "closure off"])
 def test_bad_option_value_names_its_line(option):
     with pytest.raises(ProblemFileError) as err:
-        parse_problem(f"[ops]\na\n[options]\nclosure off\n{option}\n")
+        parse_problem(
+            f"[ops]\na\n[options]\nallow_constant_terms off\n{option}\n")
     assert err.value.line_no == 5
     assert str(err.value).startswith("line 5: ")
-    assert option.split()[0] in str(err.value)
-    if option.startswith("max_degree"):
-        assert "unknown option 'max_degree'" in str(err.value)
+    key = option.split()[0]
+    assert key in str(err.value)
+    if key in ("max_degree", "closure"):
+        assert f"unknown option '{key}'" in str(err.value)
 
 
 def test_problem_duplicate_and_clashing_names():
