@@ -27,6 +27,12 @@ class AlgebraError(ValueError):
     """Invalid algebraic input (bad names, unpaired adjoints, ...)."""
 
 
+def clip(text: str, limit: int = 60) -> str:
+    """``text`` cut to ``limit`` characters, the last one ``…``: how an
+    error message echoes input."""
+    return text if len(text) <= limit else text[:limit - 1] + "…"
+
+
 class AdjointError(AlgebraError):
     """Adjoint requested for an indeterminate without a declared partner."""
 

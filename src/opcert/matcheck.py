@@ -13,9 +13,12 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .freealg import AlgebraError, Polynomial
+from .freealg import AlgebraError, Polynomial, clip
 from .quiver import WILDCARD, LabelledQuiver, compatible
 
 
@@ -27,68 +30,108 @@ def _entry(x) -> Fraction:
             return Fraction(x)
         except (ValueError, ZeroDivisionError):  # "1/0", too many digits
             pass
-    raise AlgebraError(f"matrix entries must be exact rationals, got {x!r}")
+    raise AlgebraError(
+        f"matrix entries must be exact rationals, got {clip(repr(x))}")
 
 
 class RatMatrix:
-    """Dense immutable matrix over the exact rationals."""
+    """Dense immutable matrix over the exact rationals.
 
-    __slots__ = ("rows", "cols", "data")
+    The matrix is ``num / den``: a tuple of int rows ``num`` over one
+    positive int ``den``, in lowest terms (the gcd of ``den`` and every
+    entry is 1).  That form is canonical, so ``==`` and ``hash`` compare
+    ints, and products, sums and row reduction use only ints.  ``data``
+    and ``m[i, j]`` give the entries as ``Fraction``.  Entries are checked
+    only here, in the public constructor; ``RatMatrix._of`` builds the
+    results of the operations.
+    """
+
+    __slots__ = ("rows", "cols", "num", "den")
 
     def __init__(self, rows_data: Iterable[Iterable]):
-        data = tuple(tuple(_entry(x) for x in row) for row in rows_data)
+        data = [[_entry(x) for x in row] for row in rows_data]
         if not data or not data[0]:
             raise AlgebraError("matrices must have positive dimensions")
         if any(len(r) != len(data[0]) for r in data):
             raise AlgebraError("ragged matrix rows")
-        self.data = data
-        self.rows = len(data)
-        self.cols = len(data[0])
+        den = lcm(*(x.denominator for row in data for x in row))
+        self._fill([[x.numerator * (den // x.denominator) for x in row]
+                    for row in data], den)
+
+    def _fill(self, num, den: int) -> "RatMatrix":
+        if den != 1:
+            g = gcd(den, *chain.from_iterable(num))
+            if g != 1:
+                den //= g
+                num = [[x // g for x in row] for row in num]
+        self.num = tuple(map(tuple, num))
+        self.den = den
+        self.rows = len(self.num)
+        self.cols = len(self.num[0])
+        return self
+
+    @classmethod
+    def _of(cls, num, den: int = 1) -> "RatMatrix":
+        """The matrix ``num / den`` for int rows ``num`` and an int
+        ``den > 0``, brought to lowest terms; entries go unchecked."""
+        return cls.__new__(cls)._fill(num, den)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RatMatrix":
-        return cls([[0] * cols for _ in range(rows)])
+        return cls._of([[0] * cols for _ in range(rows)])
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._of([[int(i == j) for j in range(n)] for i in range(n)])
 
     @property
     def shape(self):
         return (self.rows, self.cols)
 
+    @property
+    def data(self):
+        """The entries: a tuple of rows of ``Fraction``."""
+        den = self.den
+        return tuple(tuple(Fraction(x, den) for x in row) for row in self.num)
+
     def __getitem__(self, ij):
-        return self.data[ij[0]][ij[1]]
+        return Fraction(self.num[ij[0]][ij[1]], self.den)
 
     def __eq__(self, other):
-        return isinstance(other, RatMatrix) and self.data == other.data
+        return (isinstance(other, RatMatrix) and self.den == other.den
+                and self.num == other.num)
 
     def __hash__(self):
-        return hash(self.data)
+        return hash((self.num, self.den))
 
     @property
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.data for x in row)
+        return not any(chain.from_iterable(self.num))
+
+    def _plus(self, other, sign: int) -> "RatMatrix":
+        self._same_shape(other)
+        den = lcm(self.den, other.den)
+        f, g = den // self.den, sign * (den // other.den)
+        return RatMatrix._of([[a * f + b * g for a, b in zip(r1, r2)]
+                              for r1, r2 in zip(self.num, other.num)], den)
 
     def __add__(self, other):
-        self._same_shape(other)
-        return RatMatrix([[a + b for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.data, other.data)])
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        self._same_shape(other)
-        return RatMatrix([[a - b for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.data, other.data)])
+        return self._plus(other, -1)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return RatMatrix([[x * other for x in row] for row in self.data])
+            c = other.numerator
+            return RatMatrix._of([[x * c for x in row] for row in self.num],
+                                 self.den * other.denominator)
         if self.cols != other.rows:
             raise AlgebraError(
                 f"shape mismatch: {self.shape} times {other.shape}")
-        bt = list(zip(*other.data))
-        return RatMatrix([[sum(a * b for a, b in zip(row, col)) for col in bt]
-                          for row in self.data])
+        bt = list(zip(*other.num))
+        return RatMatrix._of([[sum(map(mul, row, col)) for col in bt]
+                              for row in self.num], self.den * other.den)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -99,7 +142,7 @@ class RatMatrix:
         return self * -1
 
     def transpose(self) -> "RatMatrix":
-        return RatMatrix(list(zip(*self.data)))
+        return RatMatrix._of(list(zip(*self.num)), self.den)
 
     @property
     def T(self) -> "RatMatrix":
@@ -108,10 +151,14 @@ class RatMatrix:
     def hstack(self, other: "RatMatrix") -> "RatMatrix":
         if self.rows != other.rows:
             raise AlgebraError("hstack needs equal row counts")
-        return RatMatrix([r1 + r2 for r1, r2 in zip(self.data, other.data)])
+        den = lcm(self.den, other.den)
+        f, g = den // self.den, den // other.den
+        return RatMatrix._of([[a * f for a in r1] + [b * g for b in r2]
+                              for r1, r2 in zip(self.num, other.num)], den)
 
     def select_columns(self, cols: Sequence[int]) -> "RatMatrix":
-        return RatMatrix([[row[j] for j in cols] for row in self.data])
+        return RatMatrix._of([[row[j] for j in cols] for row in self.num],
+                             self.den)
 
     def _same_shape(self, other):
         if self.shape != other.shape:
@@ -119,41 +166,76 @@ class RatMatrix:
 
     def rref(self):
         """Reduced row echelon form; returns (RatMatrix, pivot column list)."""
-        m = [list(row) for row in self.data]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            pivot = next((i for i in range(r, self.rows) if m[i][c] != 0), None)
-            if pivot is None:
-                continue
-            m[r], m[pivot] = m[pivot], m[r]
-            scale = m[r][c]
-            m[r] = [x / scale for x in m[r]]
-            for i in range(self.rows):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        return RatMatrix(m), pivots
+        m = [list(row) for row in self.num]
+        pivots = _eliminate(m, self.cols)
+        return _over_pivots(m, pivots), pivots
 
     @property
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(_eliminate([list(row) for row in self.num], self.cols))
 
     def inverse(self) -> "RatMatrix":
         if self.rows != self.cols:
             raise AlgebraError("only square matrices invert")
-        aug, pivots = self.hstack(RatMatrix.identity(self.rows)).rref()
-        if len(pivots) < self.rows or pivots[: self.rows] != list(range(self.rows)):
+        n = self.rows
+        m = [list(row) + [int(i == j) for j in range(n)]
+             for i, row in enumerate(self.num)]
+        pivots = _eliminate(m, n)
+        if len(pivots) < n:
             raise AlgebraError("matrix is singular")
-        return RatMatrix([row[self.rows:] for row in aug.data])
+        # (num / den)^-1 = den · num^-1
+        return _over_pivots(m, pivots, self.den, first_col=n)
 
     def __repr__(self):
         return "RatMatrix(" + "; ".join(
             " ".join(str(x) for x in row) for row in self.data) + ")"
+
+
+def _eliminate(m: list, ncols: int) -> list:
+    """Fraction-free Gauss-Jordan reduction of the int rows ``m``, in
+    place, over their first ``ncols`` columns; returns the pivot columns.
+
+    At the pivot ``p`` of row r, every other row i with ``f`` in the pivot
+    column becomes ``p·row_i − f·row_r`` (both factors divided by their
+    gcd) and is then divided by the gcd of its entries, which keeps the
+    entries small.  Row k ends as a multiple of row k of the reduced row
+    echelon form, its pivot ``m[k][pivots[k]]``.
+    """
+    nrows = len(m)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        row_r = m[r]
+        p = row_r[c]
+        for i in range(nrows):
+            f = m[i][c]
+            if f and i != r:
+                g = gcd(p, f)
+                row = [a * (p // g) - b * (f // g) for a, b in zip(m[i], row_r)]
+                g = gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return pivots
+
+
+def _over_pivots(m: list, pivots: list, scale: int = 1,
+                 first_col: int = 0) -> RatMatrix:
+    """``scale`` times the matrix ``m`` from column ``first_col`` on, with
+    each row k < len(pivots) divided by its pivot ``m[k][pivots[k]]``."""
+    divisors = [m[k][c] for k, c in enumerate(pivots)]
+    den = lcm(*divisors)
+    rows = [row[first_col:] for row in m]
+    for k, d in enumerate(divisors):
+        f = den // d * scale
+        rows[k] = [x * f for x in rows[k]]
+    return RatMatrix._of(rows, den)
 
 
 def column_space_contains(outer: RatMatrix, inner: RatMatrix) -> bool:
@@ -177,7 +259,8 @@ def mp_inverse(m: RatMatrix) -> RatMatrix:
     """The unique Moore-Penrose inverse, via exact rank factorization.
 
     m = F G with F of full column rank and G of full row rank, then
-    pinv = G^T (G G^T)^-1 (F^T F)^-1 F^T.  The result is validated against
+    pinv = G^T (G G^T)^-1 (F^T F)^-1 F^T = G^T (F^T m G^T)^-1 F^T, one
+    inverse of an invertible r x r matrix.  The result is validated against
     all four Penrose equations before being returned.
     """
     R, pivots = m.rref()
@@ -185,9 +268,10 @@ def mp_inverse(m: RatMatrix) -> RatMatrix:
     if r == 0:
         return RatMatrix.zeros(m.cols, m.rows)
     F = m.select_columns(pivots)
-    G = RatMatrix(R.data[:r])
+    G = RatMatrix._of(R.num[:r], R.den)
     assert F * G == m, "rank factorization failed"
-    pinv = G.T * (G * G.T).inverse() * (F.T * F).inverse() * F.T
+    Gt, Ft = G.T, F.T
+    pinv = Gt * (Ft * m * Gt).inverse() * Ft
     checks = penrose_check(m, pinv)
     assert all(checks), f"Penrose residuals nonzero: {checks}"
     return pinv

@@ -16,7 +16,7 @@ from typing import Container, Iterable, Optional, Sequence
 
 from .certify import Certificate, TermBoundExceeded, certify
 from .freealg import (AdjointError, AlgebraError, DegLexOrder, FreeAlgebra,
-                      ParseError, Polynomial)
+                      ParseError, Polynomial, clip)
 from .quiver import LabelledQuiver, ProblemCheck, check_problem, infer_signatures
 from .rewrite import CompletionLimits
 
@@ -431,10 +431,6 @@ def _split_top_level(text: str) -> list:
     return [p.strip() for p in parts]
 
 
-def _clip(text: str, limit: int = 60) -> str:
-    return text if len(text) <= limit else text[:limit - 1] + "…"
-
-
 def load_problem(path) -> Problem:
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -493,11 +489,11 @@ def parse_problem(text: str) -> Problem:
                     m := re.match(r"(.+?):(.+?)->(.+)", line)):
                 edges.append(tuple(g.strip() for g in m.groups()))
                 edge_lines.append(line_no)
-            elif section == "quiver" and line.startswith("vertices"):
+            elif section == "quiver" and line.split()[0] == "vertices":
                 vertices.extend(line.split()[1:])
             elif section == "quiver":
-                raise AlgebraError(
-                    "quiver edges read: label : source -> target")
+                raise AlgebraError("quiver edges read: label : source -> "
+                                   "target; vertices lines: vertices NAME ...")
             elif section in ("assume", "claim"):
                 _parse_statement_line(problem, section, line, auto_names)
             elif section == "workflow":
@@ -519,9 +515,9 @@ def parse_problem(text: str) -> Problem:
             line_no = order_line
             problem.order()  # every ranked name must be declared
     except AlgebraError as exc:
-        message = _clip(str(exc), 120)
+        message = clip(str(exc), 120)
         if isinstance(exc, ParseError) and exc.text:
-            message += f" in {_clip(exc.text)!r}"
+            message += f" in {clip(exc.text)!r}"
         raise ProblemFileError(message, line_no) from None
     return problem
 

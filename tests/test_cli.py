@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import opcert.cli
 from opcert.cli import main
 from opcert.statements import (WorkflowLimitError, load_problem,
                                run_problem, seeded_rankings, translate)
@@ -292,6 +293,23 @@ def test_reduce_output_of_every_fixture_is_unchanged(capsys):
         out = capsys.readouterr().out.encode("utf-8")
         got[prob.stem] = hashlib.sha256(out).hexdigest()
     assert got == REDUCE_SHA256
+
+
+# sha256 of what ``opcert matcheck`` prints for each command line here, with
+# the bundled fixture directory masked as ``<fixtures>/``
+MATCHECK_SHA256 = json.loads((Path(__file__).parent / "matcheck_sha256.json")
+                             .read_text(encoding="utf-8"))
+
+
+def test_matcheck_output_is_unchanged(capsys):
+    fixdir = Path(opcert.cli.__file__).parent / "fixtures"
+    got = {}
+    for argv in MATCHECK_SHA256:
+        assert main(argv.split()) == 0
+        out = capsys.readouterr().out.replace(f"{fixdir}{os.sep}",
+                                              "<fixtures>/")
+        got[argv] = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert got == MATCHECK_SHA256
 
 
 # sha256 of what ``opcert certify <fixture>`` prints for each bundled problem,
@@ -577,6 +595,14 @@ def test_huge_integer_literal_is_an_input_error(tmp_path, capsys, command,
     err = _input_error(capsys, [command, str(bad)])
     assert err.startswith("error: line 21: ")
     assert len(err.encode("utf-8")) < 200  # the echoed expression is cut
+
+
+def test_huge_matrix_entry_is_cut_short_in_the_error(tmp_path, capsys):
+    bad = tmp_path / "huge.mat"
+    bad.write_bytes(_matrices({"A": [[_HUGE]]}))
+    assert _input_error(capsys, ["matcheck", str(bad)]) == (
+        f"error: {bad}: matrix entries must be exact rationals, "
+        f"got '{'9' * 58}…\n")
 
 
 @pytest.mark.parametrize("edit, message", [

@@ -412,6 +412,17 @@ def test_quiver_errors_name_the_edge_line(edit, line_no, message):
     assert message in str(err.value)
 
 
+def test_vertices_keyword_is_a_whole_word():
+    with pytest.raises(ProblemFileError) as err:
+        parse_problem("[ops]\na\n[quiver]\nverticesfoo v1 v2\n"
+                      "a : v1 -> v2\n")
+    assert str(err.value).startswith("line 4: quiver edges read: ")
+    quiver = parse_problem("[ops]\nverticesx\n[quiver]\nvertices v1 v2\n"
+                           "verticesx : v1 -> v2\n").quiver
+    assert quiver.vertices == ("v1", "v2")
+    assert quiver.signature("verticesx") == ("v1", "v2")
+
+
 def test_quiver_may_precede_the_ops_it_labels():
     quiver = parse_problem(_QUIVER_TEXT).quiver
     assert quiver.signature("a") == ("v1", "v2")
