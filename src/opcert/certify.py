@@ -299,7 +299,7 @@ def certify(assumptions: Sequence[Polynomial], claims: Sequence[Polynomial],
         results.append(ClaimResult(name, claim, CERTIFIED, certificate=cert))
 
     stats = CertifyStats(
-        basis_size=len(engine.active_indices()),
+        basis_size=engine.basis_size(),
         obstructions_processed=engine.stats.obstructions_processed,
         elapsed=time.monotonic() - start,
         completion_status=completion_status,

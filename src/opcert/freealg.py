@@ -404,12 +404,6 @@ class Polynomial:
         return Polynomial._make(
             self.alg, {w: normalize_coeff(v * c) for w, v in self._terms.items()})
 
-    def monic(self, order: "DegLexOrder") -> "Polynomial":
-        lc = self.lead_coeff(order)
-        if lc == 1:
-            return self
-        return self.scaled(Fraction(1, 1) / lc)
-
     # -- involution and substitution ----------------------------------------
 
     def adjoint(self) -> "Polynomial":

@@ -158,11 +158,13 @@ def infer_signatures(polys: Sequence[Polynomial],
 
     Vertices are the classes of the endpoint slots ``("s", iid)`` and
     ``("t", iid)`` under the chaining and same-source/same-target
-    constraints; adjoint partners are constrained to run reversed.  The
-    vertices are listed in order of their first slot, letters taken in order
-    of first occurrence, and the k-th is named ``v<k>``.  Such a quiver
-    always exists, since the constraints only merge classes; at worst it
-    collapses to one vertex.
+    constraints; adjoint partners are constrained to run reversed.  Each
+    constraint is stated once: a union per distinct chained letter pair,
+    and per polynomial one per distinct (last, first) letter pair of its
+    words.  The vertices are listed in order of their first slot, letters
+    taken in order of first occurrence, and the k-th is named ``v<k>``.
+    Such a quiver always exists, since the constraints only merge classes;
+    at worst it collapses to one vertex.
     """
     uf = _UnionFind()
     occurring = dict.fromkeys(x for p in polys for w in p._terms for x in w)
@@ -172,21 +174,23 @@ def infer_signatures(polys: Sequence[Polynomial],
         if partner is not None and partner in occurring:
             uf.union(("s", x), ("t", partner))
             uf.union(("t", x), ("s", partner))
+    # chain inner endpoints (rightmost letter applies first): each distinct
+    # letter pair once, a left of b meaning source(a) = target(b)
+    for a, b in dict.fromkeys(pair for p in polys for w in p._terms
+                              for pair in zip(w, w[1:])):
+        uf.union(("s", a), ("t", b))
+    # one source and one target per polynomial: each distinct (last, first)
+    # letter pair of its words once
     for p in polys:
-        poly_src = poly_tgt = None
-        for w in p._terms:
-            if not w:
-                continue
-            # chain inner endpoints (rightmost letter applies first)
-            for a, b in zip(w, w[1:]):  # a left of b: source(a) = target(b)
-                uf.union(("s", a), ("t", b))
-            if poly_src is None:
-                poly_src, poly_tgt = ("s", w[-1]), ("t", w[0])
-            else:
-                uf.union(poly_src, ("s", w[-1]))
-                uf.union(poly_tgt, ("t", w[0]))
-        if poly_src is not None and () in p._terms:
-            uf.union(poly_src, poly_tgt)
+        ends = list(dict.fromkeys((w[-1], w[0]) for w in p._terms if w))
+        if not ends:
+            continue
+        src, tgt = ("s", ends[0][0]), ("t", ends[0][1])
+        for last, first in ends[1:]:
+            uf.union(src, ("s", last))
+            uf.union(tgt, ("t", first))
+        if () in p._terms:
+            uf.union(src, tgt)
     # canonical vertex names, ordered by first slot appearance
     labels: dict = {}
     for x in occurring:

@@ -471,14 +471,15 @@ class CompletionEngine:
         for src_index, g in generators:
             if g.is_zero:
                 continue
-            lc = g.lead_coeff(order)
-            monic = g.monic(order)
-            key = frozenset(monic._terms.items())
+            terms = self.encode(g._terms)
+            lc = terms[max(terms, key=_deglex)]
+            if lc != 1:
+                terms = {w: _div(c, lc) for w, c in terms.items()}
+            key = frozenset(terms.items())
             if key in seen_monic:
                 continue  # duplicate generator: alias to first occurrence
             seen_monic.add(key)
-            self._append(self.encode(monic._terms),
-                         ((_div(1, lc), "", ~src_index, ""),))
+            self._append(terms, ((_div(1, lc), "", ~src_index, ""),))
 
     def encode(self, terms: dict) -> dict:
         """A term dict over tuple words as one over engine words."""
@@ -546,6 +547,10 @@ class CompletionEngine:
     def active_indices(self) -> list:
         return sorted(self._active)
 
+    def basis_size(self) -> int:
+        """The number of active elements."""
+        return len(self._active)
+
     # -- element creation ------------------------------------------------------
 
     def _append(self, terms: dict, steps) -> int:
@@ -580,7 +585,8 @@ class CompletionEngine:
         self._partners[idx] = partners
         frontier = self._frontier
         cap = self.limits.max_degree
-        self._push_rows(idx, self._pair_rows(idx, 0, frontier, cap))
+        if frontier or cap is not None:  # else no row is built or skipped
+            self._push_rows(idx, self._pair_rows(idx, 0, frontier, cap))
         push = self.queue.push
         for k in self_overlaps(lead):
             deg = 2 * n - k
@@ -816,29 +822,59 @@ class CompletionEngine:
                 for (l, r), c in contexts.items()]
 
     def interreduce(self) -> None:
-        """Reduce every active element against the others until stable."""
-        changed = True
-        guard = 0
-        while changed and guard < 10_000 and not self.tripped_limit:
-            changed = False
-            guard += 1
-            for k in self.active_indices():
-                lead = self.elements[k].lead
-                self.reducer.del_entry(lead)  # reduce k by the others
-                terms = self.elements[k].terms
-                steps: list = [(1, "", k, "")]
-                if not self.normal_form(terms, steps) or len(steps) == 1:
-                    # deadline struck or nothing reduced: restore
-                    self.reducer.set_entry(lead, k)
-                    if self.tripped_limit:
-                        return
+        """Reduce every active element against the others until stable.
+
+        A worklist (Mora's interreduction): a min-heap holds the active
+        indices not yet known to be irreducible, and the lowest is tried
+        first.  A change pushes the elements it adds, and each element found
+        irreducible before one of whose words contains a lead it adds;
+        removing a lead never makes an element reducible.  So each change
+        reduces the lowest active index that the other leads reduce, as a
+        sweep from the lowest index restarted after every change would.
+        """
+        elements = self.elements
+        active = self._active
+        reducer = self.reducer
+        todo = list(active)
+        heapq.heapify(todo)
+        irreducible: list = []
+        changes = 0
+        while todo and changes < 10_000 and not self.tripped_limit:
+            k = heapq.heappop(todo)
+            if k not in active:
+                continue
+            lead = elements[k].lead
+            reducer.del_entry(lead)  # reduce k by the others
+            terms = elements[k].terms
+            steps: list = [(1, "", k, "")]
+            if not self.normal_form(terms, steps) or len(steps) == 1:
+                # deadline struck or nothing reduced: restore
+                reducer.set_entry(lead, k)
+                if self.tripped_limit:
+                    return
+                irreducible.append(k)
+                continue
+            first = len(elements)
+            self._deactivate(k)
+            if terms:
+                self._append(terms, steps)
+            self._process_requeue()
+            changes += 1
+            added = [m for m in range(first, len(elements)) if m in active]
+            leads = [elements[m].lead for m in added]
+            # an active element holds no added lead in its own lead (that
+            # would have retired it), so only its tail words are searched
+            kept = []
+            for m in irreducible:
+                if m not in active:
                     continue
-                self._deactivate(k)
-                if terms:
-                    self._append(terms, steps)
-                self._process_requeue()
-                changed = True
-                break
+                if any(v in w for w, _ in elements[m].tail for v in leads):
+                    heapq.heappush(todo, m)
+                else:
+                    kept.append(m)
+            irreducible = kept
+            for m in added:
+                heapq.heappush(todo, m)
 
     def run(self, claims) -> str:
         """Complete the basis while reducing each claim, a ``(terms,

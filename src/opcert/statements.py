@@ -12,11 +12,12 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from typing import Container, Iterable, Optional, Sequence
 
 from .certify import Certificate, TermBoundExceeded, certify
 from .freealg import (AdjointError, AlgebraError, DegLexOrder, FreeAlgebra,
-                      ParseError, Polynomial, clip)
+                      ParseError, Polynomial, clip, normalize_coeff)
 from .quiver import LabelledQuiver, ProblemCheck, check_problem, infer_signatures
 from .rewrite import CompletionLimits
 
@@ -118,11 +119,25 @@ def fresh_name(alg: FreeAlgebra, taken: Container[str] = ()) -> str:
     return f"w{k}"
 
 
-def _missing_adjoints(present: Sequence[Polynomial],
-                      new: Sequence[Polynomial], order: DegLexOrder) -> list:
-    """``(k, new[k].adjoint())`` for each adjoint not in ``present`` nor met
-    earlier, up to sign and scalar multiple; none for a partnerless letter."""
-    seen = {frozenset(p.monic(order)._terms.items()) for p in present if p}
+def _scalar_class(p: Polynomial) -> frozenset:
+    """The terms of ``p`` divided by the coefficient of its largest word in
+    plain tuple order: one key for all nonzero multiples of ``p``."""
+    terms = p._terms
+    lc = terms[max(terms)]
+    if lc == 1:
+        return frozenset(terms.items())
+    if lc == -1:
+        return frozenset((w, -c) for w, c in terms.items())
+    return frozenset((w, normalize_coeff(Fraction(c) / lc))
+                     for w, c in terms.items())
+
+
+def _missing_adjoints(seen: set, new: Sequence[Polynomial]) -> list:
+    """``(k, new[k].adjoint())`` for each adjoint that is no scalar multiple
+    of a polynomial in ``seen`` or ``new`` nor of one met earlier; none for
+    a partnerless letter.  ``seen`` holds ``_scalar_class`` keys, and those
+    of ``new`` and of the adjoints returned are added to it."""
+    seen.update(_scalar_class(p) for p in new if p)
     out = []
     for k, p in enumerate(new):
         if p.is_zero:
@@ -131,7 +146,7 @@ def _missing_adjoints(present: Sequence[Polynomial],
             q = p.adjoint()
         except AdjointError:
             continue
-        key = frozenset(q.monic(order)._terms.items())
+        key = _scalar_class(q)
         if key not in seen:
             seen.add(key)
             out.append((k, q))
@@ -295,9 +310,11 @@ def translate(problem: Problem) -> Translation:
     names = [n for n, _ in problem.assumptions]
     polys = [p for _, p in problem.assumptions]
 
+    seen: set = set()  # the scalar classes of polys
+
     def close_from(first):
         # append the adjoints of polys[first:] not yet present
-        for k, q in _missing_adjoints(polys, polys[first:], order):
+        for k, q in _missing_adjoints(seen, polys[first:]):
             names.append(names[first + k] + "*")
             polys.append(q)
 

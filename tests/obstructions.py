@@ -6,7 +6,9 @@ placement enumeration and uses it to check that a completed basis resolves
 every S-polynomial; the completion engine itself finds overlaps through its
 lead indexes.  ``ScanEngine`` is the engine on that pairwise scan, and
 ``complete`` drains an engine without claims and expands every basis
-element back to the generators.
+element back to the generators.  ``restart_interreduce`` is the reference
+for the engine's worklist ``interreduce``: a sweep from the lowest active
+index, restarted after every change.
 """
 
 import collections
@@ -197,3 +199,31 @@ def complete(generators: Sequence[Polynomial],
         basis.append((Polynomial._make(alg, terms),
                       tuple(engine.expand_steps([(1, "", k, "")]))))
     return basis, engine.status()
+
+
+def restart_interreduce(engine: CompletionEngine) -> None:
+    """Reduce every active element of ``engine`` against the others until
+    stable, by sweeps from the lowest active index; each change restarts
+    the sweep, so the element reduced is the lowest one the others reduce."""
+    changed = True
+    guard = 0
+    while changed and guard < 10_000 and not engine.tripped_limit:
+        changed = False
+        guard += 1
+        for k in engine.active_indices():
+            lead = engine.elements[k].lead
+            engine.reducer.del_entry(lead)  # reduce k by the others
+            terms = engine.elements[k].terms
+            steps: list = [(1, "", k, "")]
+            if not engine.normal_form(terms, steps) or len(steps) == 1:
+                # deadline struck or nothing reduced: restore
+                engine.reducer.set_entry(lead, k)
+                if engine.tripped_limit:
+                    return
+                continue
+            engine._deactivate(k)
+            if terms:
+                engine._append(terms, steps)
+            engine._process_requeue()
+            changed = True
+            break

@@ -13,6 +13,7 @@ from opcert.quiver import (WILDCARD, LabelledQuiver, check_problem, compatible,
                            infer_signatures, path_signature)
 from opcert.statements import load_problem, translate
 from conftest import FIXTURES
+from quiver_oracle import per_word_signatures
 
 
 @pytest.fixture
@@ -161,6 +162,17 @@ def test_inferred_quiver_fits_every_statement(case):
     q = infer_signatures(polys, alg)
     assert isinstance(q, LabelledQuiver)
     assert check_problem(polys, [], q).ok
+
+
+@settings(max_examples=200, deadline=None)
+@given(algebras_and_polynomials())
+def test_inferred_quiver_matches_per_word_unions(case):
+    # each distinct constraint stated once gives the classes that stating it
+    # for every word gives, so the same vertex names and edges
+    alg, polys = case
+    q = infer_signatures(polys, alg)
+    ref = per_word_signatures(polys, alg)
+    assert (q.vertices, q.edges) == (ref.vertices, ref.edges)
 
 
 # sha256 of each bundled problem's translated quiver (its repr: vertex names
