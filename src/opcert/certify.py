@@ -130,23 +130,27 @@ def minimize_certificate(cert: Certificate) -> Certificate:
     """
     alg = cert.claim.alg
     key = alg.default_order().key
-    blocks = [(s.left._terms, s.index, s.right._terms)
+    # a block is [left, index, right, left key, right key]: the keys are the
+    # cofactors' frozensets, None until a merge needs them, and a merge that
+    # changes a cofactor clears its key, so a pass keys only what changed.
+    # Sign-normalize the right cofactors so mergeable blocks line up; only
+    # the sign moves (anything else could break integrality).  A merge sums
+    # right cofactors whose leads are positive, so the sum's lead is too,
+    # and the blocks stay normalized
+    blocks = [[{w: -c for w, c in s.left._terms.items()}, s.index,
+               {w: -c for w, c in s.right._terms.items()}, None, None]
+              if s.right._terms[max(s.right._terms, key=key)] < 0 else
+              [s.left._terms, s.index, s.right._terms, None, None]
               for s in cert.summands if s.left and s.right]
     while True:
         before = len(blocks)
-        # sign-normalize the right cofactors so mergeable blocks line up;
-        # only the sign moves (anything else could break integrality)
-        blocks = [({w: -c for w, c in left.items()}, i,
-                   {w: -c for w, c in right.items()})
-                  if right[max(right, key=key)] < 0 else (left, i, right)
-                  for left, i, right in blocks]
         blocks = _merge(blocks, 0)
         blocks = _merge(blocks, 2)
         if len(blocks) == before:
             break
-    summands = [Summand(Polynomial._make(alg, left), i,
-                        Polynomial._make(alg, right))
-                for left, i, right in blocks]
+    summands = [Summand(Polynomial._make(alg, b[0]), b[1],
+                        Polynomial._make(alg, b[2]))
+                for b in blocks]
     # merging only sums and negates coefficients: integral stays integral
     return replace(cert, summands=tuple(summands),
                    integral=cert.integral or scan_integral(summands))
@@ -155,22 +159,26 @@ def minimize_certificate(cert: Certificate) -> Certificate:
 def _merge(blocks: list, side: int) -> list:
     """Sum the other cofactors of the blocks with equal index and equal
     ``side`` cofactor (0 left, 2 right), in order of first occurrence, and
-    drop the blocks whose sum is zero.  A block is kept as it is until a
-    second one merges into it; only then are it and its ``other`` dict
-    copied, so the input dicts stay untouched."""
+    drop the blocks whose sum is zero.  The first block of a group takes
+    the sum; its ``other`` dict is copied before the first addition, so the
+    input dicts stay untouched, and its key of ``other`` is cleared."""
     other = 2 - side
+    slot = 3 + side // 2  # the block's key of its ``side`` cofactor
     merged: dict = {}
+    grown = set()  # ids of the blocks that hold a sum of this call
     for block in blocks:
-        key = (block[1], frozenset(block[side].items()))
-        acc = merged.get(key)
-        if acc is None:
-            merged[key] = block
+        cofactor_key = block[slot]
+        if cofactor_key is None:
+            cofactor_key = block[slot] = frozenset(block[side].items())
+        acc = merged.setdefault((block[1], cofactor_key), block)
+        if acc is block:
             continue
-        if type(acc) is tuple:
-            acc = merged[key] = list(acc)
+        if id(acc) not in grown:
+            grown.add(id(acc))
             acc[other] = dict(acc[other])
+            acc[3 + other // 2] = None
         add_terms(acc[other], block[other].items())
-    return [tuple(b) for b in merged.values() if b[other]]
+    return [b for b in merged.values() if b[other]]
 
 
 # ---------------------------------------------------------------------------

@@ -351,14 +351,6 @@ class Polynomial:
     def coefficient(self, word: Iterable[int]) -> Coeff:
         return self._terms.get(tuple(word), 0)
 
-    def lead_word(self, order: "DegLexOrder") -> Word:
-        if not self._terms:
-            raise AlgebraError("zero polynomial has no leading word")
-        return max(self._terms, key=order.key)
-
-    def lead_coeff(self, order: "DegLexOrder") -> Coeff:
-        return self._terms[self.lead_word(order)]
-
     # -- ring operations ---------------------------------------------------
 
     def _require_same(self, other: "Polynomial") -> None:

@@ -420,18 +420,25 @@ class CompletionEngine:
     by a newer lead are retired and their normal forms re-enter the basis,
     so the active lead set stays interreduced: each active lead word belongs
     to exactly one element, and the reducer holds exactly the active leads.
-    A new lead finds its overlap partners through the lead indexes
-    ``_prefixes`` and ``_suffixes``, and keeps the index lists it found in
-    ``_partners`` for the degrees built later (``_pair_rows``); it finds the
-    leads it retires through ``_digrams`` (``_retirees``).
+    A new lead finds the leads it retires through ``_digrams``
+    (``_retirees``), and its overlap partners through the lead indexes
+    ``_prefixes`` and ``_suffixes``; it keeps the index lists it found in
+    ``_partners`` for the degrees built later (``_pair_rows``).
 
     Rows are built on demand.  ``_frontier`` is the highest degree whose
     rows are all built: a new element queues its rows up to it, and when the
     queue runs dry ``_advance`` raises it to the next degree that has rows
-    and builds that degree for every active element.  Nothing is built
+    and builds that degree for every active element.  No row is built
     before the first ``process``, which comes after ``interreduce``; from
     then on no active lead is a factor of another, so every row is a proper
     overlap.  The last degree with rows is ``_degree_limit()``.
+
+    Only ``_pair_rows`` reads the prefix and suffix indexes, so without a
+    cap they are built when the frontier first rises (``_index_leads``):
+    intake and ``interreduce`` keep only the reducer and ``_digrams``, and
+    ``_partners`` is None until then.  With a cap they are kept from the
+    start, as ``obstructions_skipped_degree`` counts the partners above the
+    cap of each element when it is added.
 
     ``queue`` is a ``_Queue`` of rows ``(i, j, len(li), len(lj))``;
     ``_paddings`` rebuilds the padding words from the two leads.  Words are
@@ -454,8 +461,10 @@ class CompletionEngine:
         self._suffixes: dict = {}
         # active idx -> its partner lists, ``(k, suffix list of lead[:k],
         # prefix list of lead[-k:])`` for each k with one; fixed when idx is
-        # added, as every older partner is active by then
-        self._partners: dict = {}
+        # added or the indexes are built, as every older partner is active by
+        # then.  None while the prefix and suffix indexes are not built
+        self._partners: Optional[dict] = \
+            None if limits.max_degree is None else {}
         # two-letter factor of an active lead, as a pair of letters ->
         # ascending idx list, each idx once however often the factor recurs
         # in its lead
@@ -499,10 +508,21 @@ class CompletionEngine:
         every lead no longer than ``w`` and the lists keep their order."""
         self._active[idx] = w
         self.reducer.set_entry(w, idx)
+        if self._partners is not None:
+            self._index_lead(w, len(w) << _SHIFT | idx)
+        digrams = self._digrams
+        for key in set(zip(w, w[1:])):  # each w[t:t + 2] once, as a pair
+            lst = digrams.get(key)
+            if lst is None:
+                digrams[key] = [idx]
+            else:
+                lst.append(idx)
+
+    def _index_lead(self, w: str, entry: int) -> None:
+        """Enter ``entry`` under each proper prefix and suffix of ``w``."""
         prefixes = self._prefixes
         suffixes = self._suffixes
         n = len(w)
-        entry = n << _SHIFT | idx
         for k in range(1, n):
             key = w[:k]
             lst = prefixes.get(key)
@@ -516,29 +536,23 @@ class CompletionEngine:
                 suffixes[key] = [entry]
             else:
                 insort(lst, entry)
-        digrams = self._digrams
-        for key in set(zip(w, w[1:])):  # each w[t:t + 2] once, as a pair
-            lst = digrams.get(key)
-            if lst is None:
-                digrams[key] = [idx]
-            else:
-                lst.append(idx)
 
     def _deactivate(self, idx: int) -> None:
         """Drop ``idx`` from the active set and the lead indexes (the
         reducer entry is the caller's business)."""
         w = self._active.pop(idx)
-        prefixes = self._prefixes
-        suffixes = self._suffixes
-        n = len(w)
-        entry = n << _SHIFT | idx
-        for k in range(1, n):
-            _unlist(prefixes, w[:k], entry)
-            _unlist(suffixes, w[n - k:], entry)
+        if self._partners is not None:
+            prefixes = self._prefixes
+            suffixes = self._suffixes
+            n = len(w)
+            entry = n << _SHIFT | idx
+            for k in range(1, n):
+                _unlist(prefixes, w[:k], entry)
+                _unlist(suffixes, w[n - k:], entry)
+            del self._partners[idx]
         digrams = self._digrams
         for key in set(zip(w, w[1:])):  # each w[t:t + 2] once, as a pair
             _unlist(digrams, key, idx)
-        del self._partners[idx]
 
     def _retire(self, idx: int) -> None:
         self._deactivate(idx)
@@ -574,18 +588,10 @@ class CompletionEngine:
             self._requeue.append(m)
         # queue obstructions against the still-active leads, then self
         n = len(lead)
-        prefixes = self._prefixes
-        suffixes = self._suffixes
-        partners = []
-        for k in range(1, n):
-            suf = suffixes.get(lead[:k])
-            pre = prefixes.get(lead[n - k:])
-            if suf or pre:
-                partners.append((k, suf, pre))
-        self._partners[idx] = partners
         frontier = self._frontier
         cap = self.limits.max_degree
-        if frontier or cap is not None:  # else no row is built or skipped
+        if self._partners is not None:  # else no row is built or skipped
+            self._partners[idx] = self._partner_lists(lead)
             self._push_rows(idx, self._pair_rows(idx, 0, frontier, cap))
         push = self.queue.push
         for k in self_overlaps(lead):
@@ -596,6 +602,32 @@ class CompletionEngine:
                 self.stats.obstructions_skipped_degree += 1
         self._activate(idx, lead)
         return idx
+
+    def _partner_lists(self, lead: str) -> list:
+        """``(k, suffix list of lead[:k], prefix list of lead[-k:])`` for
+        each ``0 < k < len(lead)`` with an active lead in either list."""
+        prefixes = self._prefixes
+        suffixes = self._suffixes
+        n = len(lead)
+        partners = []
+        for k in range(1, n):
+            suf = suffixes.get(lead[:k])
+            pre = prefixes.get(lead[n - k:])
+            if suf or pre:
+                partners.append((k, suf, pre))
+        return partners
+
+    def _index_leads(self) -> None:
+        """Build the prefix and suffix indexes of the active leads in one
+        pass, in (length, index) order, then each active element's partner
+        lists.  Its partner lists hold newer leads too, which ``_pair_rows``
+        leaves out of the single-degree windows it builds from then on."""
+        active = self._active
+        for entry in sorted([len(w) << _SHIFT | idx
+                             for idx, w in active.items()]):
+            self._index_lead(active[entry & _IDX], entry)
+        self._partners = {idx: self._partner_lists(w)
+                          for idx, w in active.items()}
 
     def _retirees(self, lead: str) -> list:
         """Active indices, ascending, whose lead contains ``lead`` as a
@@ -674,6 +706,8 @@ class CompletionEngine:
         queue = self.queue
         limit = self._degree_limit()
         while not queue and self._frontier < limit:
+            if self._partners is None:
+                self._index_leads()
             d = self._frontier = self._frontier + 1
             for j, v in self._active.items():
                 n = len(v)
@@ -891,17 +925,29 @@ class CompletionEngine:
         if pending:
             self.interreduce()
             pending = self._reduce_claims(pending)
+            elements = self.elements
+            active = self._active
+            first = len(elements)
             while pending and self.process():
-                pending = self._reduce_claims(pending)
-            # final pass against the last basis state
+                # a claim is irreducible by the leads of the last pass, and
+                # retiring a lead makes no word reducible, so only a claim
+                # holding a lead added since can reduce
+                leads = [elements[m].lead
+                         for m in range(first, len(elements)) if m in active]
+                first = len(elements)
+                pending = self._reduce_claims(pending, leads)
+            # final pass against the last basis state; a full one, since a
+            # deadline may have stopped a reduction halfway
             pending = self._reduce_claims(pending)
         status = self.status()
         if status == BUDGET_EXHAUSTED and not pending:
             return STOPPED_EARLY
         return status
 
-    def _reduce_claims(self, claims) -> list:
-        """Reduce each claim by the current basis; returns those left."""
+    def _reduce_claims(self, claims, leads=None) -> list:
+        """Reduce each claim by the current basis, or only the claims with
+        one of ``leads`` in a word; returns those left."""
         for terms, steps in claims:
-            self.normal_form(terms, steps)
+            if leads is None or any(v in w for w in terms for v in leads):
+                self.normal_form(terms, steps)
         return [claim for claim in claims if claim[0]]

@@ -17,7 +17,8 @@ from typing import Container, Iterable, Optional, Sequence
 
 from .certify import Certificate, TermBoundExceeded, certify
 from .freealg import (AdjointError, AlgebraError, DegLexOrder, FreeAlgebra,
-                      ParseError, Polynomial, clip, normalize_coeff)
+                      ParseError, Polynomial, _adjoint_terms, _times,
+                      add_terms, clip, normalize_coeff)
 from .quiver import LabelledQuiver, ProblemCheck, check_problem, infer_signatures
 from .rewrite import CompletionLimits
 
@@ -36,16 +37,21 @@ class WorkflowLimitError(WorkflowError):
 # ---------------------------------------------------------------------------
 
 def penrose_equation(x: Polynomial, y: Polynomial, k: int) -> Polynomial:
-    """k-th Penrose equation as a polynomial (k in 1..4)."""
-    if k == 1:
-        return x * y * x - x
-    if k == 2:
-        return y * x * y - y
-    if k == 3:
-        return (x * y).adjoint() - x * y
-    if k == 4:
-        return (y * x).adjoint() - y * x
-    raise ValueError("Penrose equations are numbered 1..4")
+    """k-th Penrose equation as a polynomial (k in 1..4): x·y·x − x,
+    y·x·y − y, (x·y)* − x·y or (y·x)* − y·x, built on term dicts with the
+    terms in the order the operator expressions give them."""
+    if k not in (1, 2, 3, 4):
+        raise ValueError("Penrose equations are numbered 1..4")
+    x._require_same(y)
+    a, b = (x._terms, y._terms) if k in (1, 3) else (y._terms, x._terms)
+    ab = _times(a, b)
+    if k < 3:  # a·b·a − a
+        terms = _times(ab, a)
+        add_terms(terms, a.items(), -1)
+    else:      # (a·b)* − a·b
+        terms = _adjoint_terms(x.alg, ab)
+        add_terms(terms, ab.items(), -1)
+    return Polynomial._make(x.alg, terms)
 
 
 def ij_equations(x: Polynomial, y: Polynomial, subset: Iterable[int]) -> list:
@@ -479,6 +485,7 @@ def parse_problem(text: str) -> Problem:
     order_line = 0
     saw_quiver = False
     auto_names = {"assume": 0, "claim": 0}
+    taken: set = set()  # the statement names so far, assumptions and claims
     line_no = 0
     try:
         for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -512,7 +519,8 @@ def parse_problem(text: str) -> Problem:
                 raise AlgebraError("quiver edges read: label : source -> "
                                    "target; vertices lines: vertices NAME ...")
             elif section in ("assume", "claim"):
-                _parse_statement_line(problem, section, line, auto_names)
+                _parse_statement_line(problem, section, line, auto_names,
+                                      taken)
             elif section == "workflow":
                 _parse_workflow_line(problem, line)
             elif section == "options":
@@ -567,7 +575,9 @@ def _parse_op_line(alg: FreeAlgebra, line: str) -> None:
 _MACROS = ("mp", "inv", "id", "douglas", "hermitian", "ep")
 
 
-def _parse_statement_line(problem, section, line, auto_names):
+def _parse_statement_line(problem, section, line, auto_names, taken):
+    """Append the line's statements to its section's list.  ``taken``
+    holds the names of the statements before it; theirs are added."""
     name = None
     body = line
     eq = line.find("=")
@@ -589,7 +599,6 @@ def _parse_statement_line(problem, section, line, auto_names):
             name = f"{prefix}{auto_names[section]}"
         produced = [(name, _expr(problem, body))]
     target = problem.assumptions if section == "assume" else problem.claims
-    taken = {n for n, _ in problem.assumptions} | {n for n, _ in problem.claims}
     for n, p in produced:
         if n in taken:
             raise AlgebraError(f"duplicate statement name {n!r}")

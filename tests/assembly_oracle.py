@@ -12,6 +12,8 @@ reference, groups quads through ``FreeAlgebra.monomial`` and
 from opcert.certify import Certificate, Summand, scan_integral
 from opcert.freealg import add_terms
 
+from obstructions import lead_coeff
+
 
 def oracle_expand_steps(engine, steps) -> list:
     """``engine.expand_steps(steps)`` as the bottom-up expansion computes it."""
@@ -62,7 +64,7 @@ def oracle_minimize_certificate(cert: Certificate) -> Certificate:
         before = len(summands)
         order = cert.claim.alg.default_order()
         summands = [Summand(-1 * s.left, s.index, -1 * s.right)
-                    if s.right.lead_coeff(order) < 0 else s
+                    if lead_coeff(s.right, order) < 0 else s
                     for s in summands]
         by_left: dict = {}
         for s in summands:

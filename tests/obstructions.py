@@ -6,9 +6,13 @@ placement enumeration and uses it to check that a completed basis resolves
 every S-polynomial; the completion engine itself finds overlaps through its
 lead indexes.  ``ScanEngine`` is the engine on that pairwise scan, and
 ``complete`` drains an engine without claims and expands every basis
-element back to the generators.  ``restart_interreduce`` is the reference
-for the engine's worklist ``interreduce``: a sweep from the lowest active
-index, restarted after every change.
+element back to the generators.  ``lead_word`` and ``lead_coeff`` read a
+``Polynomial``'s leading term, which the engine finds on engine words.
+``restart_interreduce`` is the reference for the engine's worklist
+``interreduce``: a sweep from the lowest active index, restarted after
+every change.  ``full_pass_run`` is the reference for
+``CompletionEngine.run``: it reduces every pending claim after every
+``process`` call.
 """
 
 import collections
@@ -18,8 +22,21 @@ from typing import Optional, Sequence
 
 from opcert.freealg import (AlgebraError, DegLexOrder, Polynomial, Word,
                             normalize_coeff)
-from opcert.rewrite import (COMPLETE, CompletionEngine, CompletionLimits,
+from opcert.rewrite import (BUDGET_EXHAUSTED, COMPLETE, STOPPED_EARLY,
+                            CompletionEngine, CompletionLimits,
                             batch_overlaps, find_retirees, self_overlaps)
+
+
+def lead_word(p: Polynomial, order: DegLexOrder) -> Word:
+    """The order-largest word of the nonzero polynomial ``p``."""
+    if p.is_zero:
+        raise AlgebraError("zero polynomial has no leading word")
+    return max(p._terms, key=order.key)
+
+
+def lead_coeff(p: Polynomial, order: DegLexOrder):
+    """The coefficient of ``lead_word(p, order)``."""
+    return p._terms[lead_word(p, order)]
 
 
 @dataclass(frozen=True)
@@ -64,7 +81,7 @@ def find_obstructions(basis: Sequence[Polynomial],
     for g in basis:
         if g.is_zero:
             raise AlgebraError("basis elements must be nonzero")
-        leads.append(g.lead_word(order))
+        leads.append(lead_word(g, order))
     seen = set()
     out = []
     for j in range(len(basis)):
@@ -86,8 +103,8 @@ def s_polynomial(o: Obstruction, basis: Sequence[Polynomial],
     order = order or basis[0].alg.default_order()
     gi, gj = basis[o.i], basis[o.j]
     alg = gi.alg
-    ci = normalize_coeff(Fraction(1) / gi.lead_coeff(order))
-    cj = normalize_coeff(Fraction(1) / gj.lead_coeff(order))
+    ci = normalize_coeff(Fraction(1) / lead_coeff(gi, order))
+    cj = normalize_coeff(Fraction(1) / lead_coeff(gj, order))
     left_i = alg.monomial(o.left_i, ci)
     left_j = alg.monomial(o.left_j, cj)
     value = left_i * gi * alg.monomial(o.right_i) \
@@ -139,6 +156,8 @@ class ScanEngine(CompletionEngine):
         self.events["lead_factors_checked"] += 1
         limit = self._degree_limit()
         while not self.queue and self._frontier < limit:
+            if self._partners is None:
+                self._index_leads()  # unread here, but ``_append`` keys on it
             d = self._frontier = self._frontier + 1
             for j, v in active.items():
                 self._push_rows(j, self._pair_rows(j, d - 1, d))
@@ -227,3 +246,24 @@ def restart_interreduce(engine: CompletionEngine) -> None:
             engine._process_requeue()
             changed = True
             break
+
+
+def full_pass_run(engine: CompletionEngine, claims) -> str:
+    """``engine.run(claims)`` with every pending claim reduced after every
+    ``process`` call, whichever leads it added."""
+    def reduce_all(claims):
+        for terms, steps in claims:
+            engine.normal_form(terms, steps)
+        return [claim for claim in claims if claim[0]]
+
+    pending = reduce_all(claims)
+    if pending:
+        engine.interreduce()
+        pending = reduce_all(pending)
+        while pending and engine.process():
+            pending = reduce_all(pending)
+        pending = reduce_all(pending)
+    status = engine.status()
+    if status == BUDGET_EXHAUSTED and not pending:
+        return STOPPED_EARLY
+    return status

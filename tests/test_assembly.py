@@ -236,17 +236,43 @@ def test_contexts_shifted_onto_one_pair_merge():
 @pytest.mark.parametrize("side", [0, 2])
 def test_merge_copies_a_block_only_when_another_joins_it(side):
     def block(shared, index, summed):
+        # [left, index, right, left key, right key], keyed as after a pass
         b = [None, index, None]
         b[side], b[2 - side] = shared, summed
-        return tuple(b)
+        return b + [frozenset(b[0].items()), frozenset(b[2].items())]
 
     first = block({(0,): 1}, 0, {(1,): 1})
     alone = block({(1,): 1}, 1, {(0,): 1})
     second = block({(0,): 1}, 0, {(1,): 2, (0,): 1})
     blocks = [first, alone, second]
-    before = copy.deepcopy(blocks)
+    cofactors = [(b[0], b[2]) for b in blocks]
+    before = copy.deepcopy(cofactors)
     merged, kept = _merge(blocks, side)
-    assert merged == block({(0,): 1}, 0, {(1,): 3, (0,): 1})
-    assert all(merged[2 - side] is not b[2 - side] for b in blocks)
-    assert blocks == before
+    assert merged is first
+    assert merged[:3] == block({(0,): 1}, 0, {(1,): 3, (0,): 1})[:3]
+    assert all(merged[2 - side] is not pair[1 - side // 2]
+               for pair in cofactors)
+    assert cofactors == before
     assert kept is alone
+    # the shared side keeps its key, and the summed side's key is cleared
+    assert merged[3 + side // 2] == frozenset({(0,): 1}.items())
+    assert merged[3 + (2 - side) // 2] is None
+    assert kept[3:] == block({(1,): 1}, 1, {(0,): 1})[3:]
+
+
+def test_minimize_keys_a_cofactor_again_after_it_changes():
+    """Pass 1 merges a·R and b·R by their right into (a + b)·R; pass 2
+    merges that by its new left with (a + b)·S, and the sum by its new right
+    with a·b·(R + S); pass 3 merges nothing.  A key kept from before a
+    cofactor changed would miss both merges of pass 2."""
+    alg = _algebra(2)
+    a, b, ab, r, s = (alg.parse(t) for t in ("a", "b", "a·b", "b", "a"))
+    summands = [Summand(a, 0, r), Summand(b, 0, r), Summand(a + b, 0, s),
+                Summand(ab, 0, r + s)]
+    cert = make_certificate(alg.parse("a"), [alg.parse("a·b − b")], ["F1"],
+                            summands)
+    small = minimize_certificate(cert)
+    assert typed_summands(small.summands) == \
+        typed_summands([Summand(a + b + ab, 0, r + s)])
+    assert typed_summands(small.summands) == \
+        typed_summands(oracle_minimize_certificate(cert).summands)

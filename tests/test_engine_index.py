@@ -15,6 +15,10 @@ checks only the candidates of its two-letter factor index.  Both engines
 must build the same queue in the same order and retire the same leads in
 the same order, so everything downstream (counters, basis, traces) is
 identical too.
+
+Without ``max_degree`` the indexed engine builds its prefix and suffix
+indexes only when the frontier first rises: the lockstep checks that they
+are empty before that and equal to indexes built afresh from then on.
 """
 
 import dataclasses
@@ -68,18 +72,25 @@ def assert_same_state(indexed, scan):
     assert len(indexed.queue) == len(scan.queue)
     assert indexed.stats == scan.stats
     assert indexed.active_indices() == scan.active_indices()
-    assert (indexed._prefixes, indexed._suffixes, indexed._digrams) == \
-        rebuilt_indexes(indexed)
+    prefixes, suffixes, digrams = rebuilt_indexes(indexed)
+    assert indexed._digrams == digrams
+    if indexed._frontier or indexed.limits.max_degree is not None:
+        assert (indexed._prefixes, indexed._suffixes) == (prefixes, suffixes)
+        assert sorted(indexed._partners) == indexed.active_indices()
+    else:  # no row is built before the first rise, so no index either
+        assert indexed._prefixes == indexed._suffixes == {}
+        assert indexed._partners is None
     # the reducer's trie holds exactly the active leads, one each
     for e in (indexed, scan):
         assert trie_contents(e.reducer.trie) == \
             {e.elements[k].lead: k for k in e.active_indices()}
 
 
-def run_both(alg, gens, max_degree):
-    """Drive both engines in lockstep as ``certify`` does; returns the
-    scan engine's event counts."""
-    order = alg.default_order()
+def run_both(alg, gens, max_degree, order=None):
+    """Drive both engines in lockstep as ``certify`` does, under ``order``
+    or the declaration order; returns the indexed engine and the scan
+    engine."""
+    order = order or alg.default_order()
     limits = CompletionLimits(max_degree=max_degree, max_iterations=300,
                               max_basis_size=80, time_budget=600)
     engines = [cls(list(enumerate(gens)), order, limits)
@@ -103,7 +114,7 @@ def run_both(alg, gens, max_degree):
         for k in indexed.active_indices():
             step = [(1, "", k, "")]
             assert indexed.expand_steps(step) == scan.expand_steps(step)
-    return scan.events
+    return indexed, scan
 
 
 def _algebra(letters):
@@ -180,7 +191,8 @@ CASES = {
 def test_indexed_enumeration_covers(name, event):
     letters, gens, max_degree = CASES[name]
     alg = _algebra(letters)
-    events = run_both(alg, [alg.poly(t) for t in gens], max_degree)
+    _, scan = run_both(alg, [alg.poly(t) for t in gens], max_degree)
+    events = scan.events
     assert events[event] > 0
     if event == "containment":
         # no lead was inside another when the first degree was built
@@ -195,6 +207,24 @@ def test_indexed_enumeration_matches_scan(case):
     letters, gens, max_degree = case
     alg = _algebra(letters)
     run_both(alg, [alg.poly(t) for t in gens], max_degree)
+
+
+# a constant lead retires every other lead, and no degree has a row
+@pytest.mark.parametrize("name", sorted(set(CASES) - {"constant"}))
+def test_uncapped_lockstep_through_the_first_rise(name):
+    letters, gens, _ = CASES[name]
+    alg = _algebra(letters)
+    indexed, _ = run_both(alg, [alg.poly(t) for t in gens], None)
+    assert indexed._frontier > 0
+
+
+@pytest.mark.parametrize("name", sorted(p.stem
+                                         for p in FIXTURES.glob("*.prob")))
+def test_uncapped_lockstep_on_fixtures(name):
+    trans = translate(load_problem(FIXTURES / f"{name}.prob"))
+    indexed, _ = run_both(trans.algebra, trans.assumptions, None,
+                          order=trans.order)
+    assert indexed._frontier > 0
 
 
 def test_hartwig_degree_12_counters(recorded_engines):

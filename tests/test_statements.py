@@ -64,6 +64,36 @@ def test_mp_equations_self_adjoint_slot():
     assert eqs[2] == A.parse("y*·x − x·y")
 
 
+def test_penrose_equation_matches_operator_form():
+    """The term-dict construction gives the polynomial, terms in the same
+    order, of the operator expressions it replaces, cancellation included;
+    only equations 3 and 4 need adjoints."""
+    A = FreeAlgebra()
+    A.add_pair("a")
+    A.add_pair("b")
+    A.add("u")
+    operator_forms = {1: lambda x, y: x * y * x - x,
+                      2: lambda x, y: y * x * y - y,
+                      3: lambda x, y: (x * y).adjoint() - x * y,
+                      4: lambda x, y: (y * x).adjoint() - y * x}
+    pairs = [("a·b + 2·a − 1/2", "b* − a*·a + 3"), ("a", "a*"),
+             ("1", "1"), ("a·a* + a*·a", "b − b*")]
+    for xs, ys in pairs:
+        x, y = A.parse(xs), A.parse(ys)
+        for k, form in operator_forms.items():
+            got, want = statements.penrose_equation(x, y, k), form(x, y)
+            assert list(got._terms.items()) == list(want._terms.items())
+    x, y = A.parse("a·u"), A.parse("b")
+    assert statements.penrose_equation(x, y, 1) == x * y * x - x
+    for k in (3, 4):
+        with pytest.raises(AdjointError):
+            statements.penrose_equation(x, y, k)
+    with pytest.raises(ValueError):
+        statements.penrose_equation(x, y, 5)
+    with pytest.raises(AlgebraError):
+        statements.penrose_equation(x, FreeAlgebra().one(), 1)
+
+
 def test_ij_equations_subsets(mp_algebra):
     A = mp_algebra
     a, g = A.gen("a"), A.gen("a†")
