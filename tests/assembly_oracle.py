@@ -81,5 +81,4 @@ def oracle_minimize_certificate(cert: Certificate) -> Certificate:
         if len(summands) == before:
             break
     return Certificate(cert.claim, cert.assumptions, cert.assumption_names,
-                       tuple(summands), scan_integral(summands),
-                       cert.ring_level_only)
+                       tuple(summands), scan_integral(summands))

@@ -163,7 +163,7 @@ class _Parser:
             return self.alg.monomial(EMPTY_WORD, num)
         if kind == _T_NAME:
             if value in self.alg._by_name:
-                return self.alg.gen(value)
+                return self.alg.monomial(self.alg.word(value))
             if value in self.defs:
                 return self.defs[value]
             raise ParseError(f"unknown name {value!r}", self.text, at)

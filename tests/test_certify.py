@@ -12,7 +12,7 @@ from opcert.certify import (Summand, certificate_from_dict, certificate_to_dict,
                             verify_certificate)
 from opcert.freealg import AlgebraError, DegLexOrder, FreeAlgebra
 from opcert.rewrite import (BUDGET_EXHAUSTED, COMPLETE, STOPPED_EARLY,
-                            CompletionLimits)
+                            CompletionEngine, CompletionLimits)
 
 
 FNAMES = [f"f{k}" for k in range(1, 9)]
@@ -31,12 +31,12 @@ def test_werner_certify_minimal_set(werner_system):
 
 def test_transcribed_hand_certificate_verbatim(werner_system):
     A, F, f = werner_system
-    one, a, b = A.one(), A.gen("a"), A.gen("b")
+    one, a, b = A.one(), A.parse("a"), A.parse("b")
     cert = make_certificate(f, F, FNAMES, [
         Summand(one, 0, b),
         Summand(a, 1, one),
         Summand(-1 * a, 2, b),
-        Summand(a * b * A.gen("b⁻") - a, 5, one),
+        Summand(a * b * A.parse("b⁻") - a, 5, one),
     ])
     assert verify_certificate(cert).valid
     assert cert.integral
@@ -44,12 +44,12 @@ def test_transcribed_hand_certificate_verbatim(werner_system):
 
 def test_sign_flip_reports_discrepancy(werner_system):
     A, F, f = werner_system
-    one, a, b = A.one(), A.gen("a"), A.gen("b")
+    one, a, b = A.one(), A.parse("a"), A.parse("b")
     cert = make_certificate(f, F, FNAMES, [
         Summand(one, 0, b),
         Summand(a, 1, one),
         Summand(a, 2, b),  # flipped sign
-        Summand(a * b * A.gen("b⁻") - a, 5, one),
+        Summand(a * b * A.parse("b⁻") - a, 5, one),
     ])
     result = verify_certificate(cert)
     assert not result.valid
@@ -82,13 +82,13 @@ def test_integral_flag_checked(werner_system):
 
 def test_minimize_drops_zero_and_merges(werner_system):
     A, F, f = werner_system
-    one, a, b = A.one(), A.gen("a"), A.gen("b")
+    one, a, b = A.one(), A.parse("a"), A.parse("b")
     cert = make_certificate(f, F, FNAMES, [
         Summand(A.zero(), 4, one),              # zero summand goes away
         Summand(one, 0, b),
         Summand(a, 1, one),
         Summand(-1 * a, 2, b),
-        Summand(a * b * A.gen("b⁻"), 5, one),   # merges with the next
+        Summand(a * b * A.parse("b⁻"), 5, one),  # merges with the next
         Summand(a, 5, -1 * one),
     ])
     assert verify_certificate(cert).valid
@@ -131,28 +131,36 @@ def test_constant_term_assumption_rejected(werner_algebra):
 
 
 def test_constant_assumption_after_nonconstant_one():
-    # ring level: the constant lead retires the earlier lead a·b
+    # ``certify`` refuses a constant generator, the engine takes one: its
+    # empty lead retires the earlier lead a·b and reduces the claim b to 0
     A = FreeAlgebra()
     A.add("a")
     A.add("b")
-    report = certify([A.parse("a·b − a"), A.parse("1")], [A.parse("b")],
-                     require_zero_constant=False)
-    res = report.results[0]
-    assert res.certified
-    assert verify_certificate(res.certificate).valid
+    F = [A.parse("a·b − a"), A.parse("1")]
+    engine = CompletionEngine(list(enumerate(F)), A.default_order(),
+                              CompletionLimits())
+    assert engine.basis_size() == 1
+    claim = A.parse("b")
+    pending = [(engine.encode(claim._terms), [])]
+    engine.run(pending)
+    terms, steps = pending[0]
+    assert not terms
+    # 0 = claim + sum(steps)
+    assert claim + sum((A.monomial(l, c) * F[i] * A.monomial(r)
+                        for c, l, i, r in engine.expand_steps(steps)),
+                       A.zero()) == A.zero()
 
 
 def test_negative_control_budget_exhausted():
     A = FreeAlgebra()
     A.add("a")
     A.add("b")
-    report = certify([A.parse("a·b − 1")], [A.parse("b·a − 1")],
-                     limits=CompletionLimits(max_degree=6, time_budget=5),
-                     require_zero_constant=False)
+    report = certify([A.parse("a·b")], [A.parse("b·a")],
+                     limits=CompletionLimits(max_degree=6, time_budget=5))
     res = report.results[0]
     assert res.status == BUDGET_EXHAUSTED
     assert res.certificate is None
-    assert res.remainder == A.parse("b·a − 1")
+    assert res.remainder == A.parse("b·a")
 
 
 @pytest.mark.parametrize("claim, status", [
@@ -182,8 +190,7 @@ def test_stats_name_the_tripped_limit(limit):
     assert report.stats.completion_status == BUDGET_EXHAUSTED
     assert report.stats.tripped_limit == limit
     # the queue drains: the claim fails with no limit tripped
-    drained = certify([A.parse("a·b − 1")], [A.parse("b·a − 1")],
-                      require_zero_constant=False)
+    drained = certify([A.parse("a·b")], [A.parse("b·a")])
     assert drained.stats.completion_status == COMPLETE
     assert drained.stats.tripped_limit is None
 
@@ -258,7 +265,7 @@ def test_randomized_members_always_certify(werner_algebra):
         for _ in range(terms):
             d[rand_word()] = rng.choice([-2, -1, 1, 2])
         p = A.poly(d)
-        return p if p else A.gen("a")
+        return p if p else A.parse("a")
 
     for trial in range(40):
         gens = []
@@ -345,37 +352,15 @@ def test_verify_rejects_used_constant_term_assumption():
     cert = _constant_term_certificate()
     result = verify_certificate(cert)
     assert not result.valid
-    assert "F1 has a nonzero constant term" in result.reason
-    # the same sum is valid as a ring-level-only statement
-    assert verify_certificate(replace(cert, ring_level_only=True)).valid
-
-
-def test_certify_marks_ring_level_only_certificates():
-    A = FreeAlgebra()
-    A.add("a")
-    A.add("b")
-    F = [A.parse("a·b − a"), A.parse("1")]
-    constant = certify(F, [A.parse("b")], require_zero_constant=False) \
-        .results[0].certificate
-    assert constant.used_indices == {1} and constant.ring_level_only
-    # a certificate without a constant-term assumption stays transferable
-    plain = certify(F[:1], [A.parse("a·b·b − a")],
-                    require_zero_constant=False).results[0].certificate
-    assert plain.used_indices == {0} and not plain.ring_level_only
-    assert "ring_level_only" not in certificate_to_dict(plain)
-    data = certificate_to_dict(constant)
-    assert data["ring_level_only"] is True
-    loaded = certificate_from_dict(data)
-    assert loaded.ring_level_only and verify_certificate(loaded).valid
-    data.pop("ring_level_only")
-    assert not verify_certificate(certificate_from_dict(data)).valid
+    assert result.reason == "assumption F1 has a nonzero constant term"
 
 
 @pytest.mark.parametrize("value", ["true", 1, None])
-def test_ring_level_only_must_be_a_boolean(werner_system, value):
+def test_ring_level_only_key_is_ignored(werner_system, value):
+    # the key that once exempted constant-term assumptions is an unknown key
+    # now, of any type: the verdict follows from the assumptions alone
     A, F, f = werner_system
     report = certify(F, [f], assumption_names=FNAMES)
     data = certificate_to_dict(report.results[0].certificate)
     data["ring_level_only"] = value
-    with pytest.raises(AlgebraError, match="ring_level_only"):
-        certificate_from_dict(data)
+    assert verify_certificate(certificate_from_dict(data)).valid

@@ -122,14 +122,18 @@ def test_check_cert_rejects_a_constant_term_assumption(capsys):
 
 
 def test_check_cert_says_ring_level_only(tmp_path, capsys):
+    # a ``ring_level_only`` key, which once exempted a constant-term
+    # certificate, is ignored like any other unknown key: the file is still
+    # INVALID and no "ring-level only" verdict is printed
     data = json.loads((DATA / "constant_term.cert").read_text("utf-8"))
     data["ring_level_only"] = True
     cert = tmp_path / "ring.cert"
     cert.write_text(json.dumps(data), encoding="utf-8")
     rc = main(["check-cert", str(cert)])
     out = capsys.readouterr().out
-    assert rc == 0, out
-    assert "valid | 2 terms | integral=True | ring-level only | " in out
+    assert rc == 1
+    assert "INVALID: assumption F1 has a nonzero constant term" in out
+    assert "ring-level only" not in out
 
 
 def test_python_dash_m_runs_the_command_line():

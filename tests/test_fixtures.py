@@ -9,7 +9,7 @@ import pytest
 from opcert.certify import verify_certificate
 from opcert.matcheck import RatMatrix, Realization, evaluate, mp_inverse
 from opcert.quiver import LabelledQuiver
-from opcert.rewrite import BUDGET_EXHAUSTED, CompletionEngine
+from opcert.rewrite import BUDGET_EXHAUSTED, COMPLETE, CompletionEngine
 from opcert.statements import ij_equations, load_problem, run_problem
 from opcert.freealg import FreeAlgebra
 
@@ -88,6 +88,10 @@ def test_nonmember_fixture_budget_exhausts():
     prob = load_problem(FIXTURES / "nonmember.prob")
     _, report = run_problem(prob)
     assert report.results[0].status == BUDGET_EXHAUSTED
+    assert report.results[0].remainder == prob.algebra.parse("b·a")
+    # the queue drained, so no limit stopped the search
+    assert report.stats.completion_status == COMPLETE
+    assert report.stats.tripped_limit is None
 
 
 def test_mp_equations_vanish_on_true_inverse_matrices():
@@ -97,7 +101,7 @@ def test_mp_equations_vanish_on_true_inverse_matrices():
     alg = FreeAlgebra()
     alg.add_pair("x")
     alg.add_pair("y")
-    eqs = ij_equations(alg.gen("x"), alg.gen("y"), (1, 2, 3, 4))
+    eqs = ij_equations(alg.parse("x"), alg.parse("y"), (1, 2, 3, 4))
     rng = random.Random(42)
     quiver = LabelledQuiver(alg, ["v"], [
         ("x", "v", "v"), ("x*", "v", "v"), ("y", "v", "v"), ("y*", "v", "v")])

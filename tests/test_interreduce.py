@@ -93,7 +93,7 @@ def test_worklist_matches_restart(case):
 
 def _letters(n):
     alg = FreeAlgebra()
-    return alg, [alg.gen(alg.add(f"x{k}").name) for k in range(n)]
+    return alg, [alg.parse(alg.add(f"x{k}").name) for k in range(n)]
 
 
 def test_irreducible_generators_take_one_normal_form_each():

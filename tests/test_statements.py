@@ -37,7 +37,7 @@ def mp_algebra():
 
 def test_mp_equations_exact(mp_algebra):
     A = mp_algebra
-    eqs = ij_equations(A.gen("a"), A.gen("a†"), (1, 2, 3, 4))
+    eqs = ij_equations(A.parse("a"), A.parse("a†"), (1, 2, 3, 4))
     assert eqs == [
         A.parse("a·a†·a − a"),
         A.parse("a†·a·a† − a†"),
@@ -51,7 +51,7 @@ def test_mp_equations_accept_products():
     for n in ("a", "b", "c", "m~"):
         A.add_pair(n)
     m = A.parse("a·b·c")
-    eqs = ij_equations(m, A.gen("m~"), (1, 2, 3, 4))
+    eqs = ij_equations(m, A.parse("m~"), (1, 2, 3, 4))
     assert eqs[0] == A.parse("a·b·c·m~·a·b·c − a·b·c")
 
 
@@ -59,7 +59,7 @@ def test_mp_equations_self_adjoint_slot():
     A = FreeAlgebra()
     x = A.add_self_adjoint("x")
     A.add_pair("y")
-    eqs = ij_equations(A.gen("x"), A.gen("y"), (1, 2, 3, 4))
+    eqs = ij_equations(A.parse("x"), A.parse("y"), (1, 2, 3, 4))
     # (xy)* − xy with x* = x
     assert eqs[2] == A.parse("y*·x − x·y")
 
@@ -96,7 +96,7 @@ def test_penrose_equation_matches_operator_form():
 
 def test_ij_equations_subsets(mp_algebra):
     A = mp_algebra
-    a, g = A.gen("a"), A.gen("a†")
+    a, g = A.parse("a"), A.parse("a†")
     assert ij_equations(a, g, {1}) == [A.parse("a·a†·a − a")]
     assert len(ij_equations(a, g, {1, 2, 3})) == 3
     # the selectors are a set: order and repeats do not matter
@@ -110,9 +110,9 @@ def test_ij_equations_subsets(mp_algebra):
 
 def test_identity_axioms_werner(werner_algebra):
     A = werner_algebra
-    out = identity_axioms(A.gen("i"), [
-        (A.gen("a"), "right"), (A.gen("a⁻"), "left"),
-        (A.gen("b"), "left"), (A.gen("b⁻"), "right")])
+    out = identity_axioms(A.parse("i"), [
+        (A.parse("a"), "right"), (A.parse("a⁻"), "left"),
+        (A.parse("b"), "left"), (A.parse("b⁻"), "right")])
     assert out == [A.parse("a·i − a"), A.parse("i·a⁻ − a⁻"),
                    A.parse("i·b − b"), A.parse("b⁻·i − b⁻"),
                    A.parse("i·i − i")]
@@ -120,14 +120,14 @@ def test_identity_axioms_werner(werner_algebra):
 
 def test_identity_axioms_empty_neighbors(werner_algebra):
     A = werner_algebra
-    assert identity_axioms(A.gen("i"), []) == [A.parse("i·i − i")]
+    assert identity_axioms(A.parse("i"), []) == [A.parse("i·i − i")]
 
 
 def test_identity_axioms_closure_adds_adjoints():
     A = FreeAlgebra()
     A.add_pair("a")
     A.add_self_adjoint("j")
-    out = identity_axioms(A.gen("j"), [(A.gen("a"), "right")])
+    out = identity_axioms(A.parse("j"), [(A.parse("a"), "right")])
     closed = involution_closure(out)
     assert A.parse("j·a* − a*") in closed
 
@@ -137,10 +137,10 @@ def test_douglas_factorization_creates_fresh_pair():
     A.add_pair("x")
     A.add_pair("y")
     before = len(A)
-    w, poly = douglas_factorization(A, A.gen("x"), A.gen("y"))
+    w, poly = douglas_factorization(A, A.parse("x"), A.parse("y"))
     assert len(A) == before + 2  # witness and its adjoint
     assert A.adjoint_id(w.iid) is not None
-    assert poly == A.gen("x") - A.gen("y") * A.monomial((w.iid,))
+    assert poly == A.parse("x") - A.parse("y") * A.monomial((w.iid,))
 
 
 def test_hermitian_condition(paired_algebra):
@@ -153,12 +153,12 @@ def test_hermitian_condition(paired_algebra):
 
 def test_ep_condition_two_witnesses(paired_algebra):
     A = paired_algebra
-    out = ep_condition(A, A.gen("a"))
+    out = ep_condition(A, A.parse("a"))
     assert len(out) == 2
     (s, p1), (t, p2) = out
     assert s.iid != t.iid
-    assert p1 == A.gen("a") - A.parse("a*") * A.monomial((s.iid,))
-    assert p2 == A.parse("a*") - A.gen("a") * A.monomial((t.iid,))
+    assert p1 == A.parse("a") - A.parse("a*") * A.monomial((s.iid,))
+    assert p2 == A.parse("a*") - A.parse("a") * A.monomial((t.iid,))
 
 
 def test_involution_closure(paired_algebra):
@@ -176,8 +176,8 @@ def test_fresh_witness_naming_is_deterministic():
     def build():
         A = FreeAlgebra()
         A.add_pair("x")
-        w1, p1 = douglas_factorization(A, A.gen("x"), A.gen("x"))
-        w2, p2 = douglas_factorization(A, A.gen("x"), A.gen("x"))
+        w1, p1 = douglas_factorization(A, A.parse("x"), A.parse("x"))
+        w2, p2 = douglas_factorization(A, A.parse("x"), A.parse("x"))
         return A, (w1, p1), (w2, p2)
 
     A1, (w1a, p1a), (w2a, p2a) = build()
@@ -207,7 +207,7 @@ def test_cancellation_step_checks_its_element(cancel_algebra):
     with pytest.raises(WorkflowError, match="single monomial"):
         CancellabilityStep("right", A.parse("0"))
     with pytest.raises(WorkflowError, match="left or right"):
-        CancellabilityStep("up", A.gen("m"))
+        CancellabilityStep("up", A.parse("m"))
     with pytest.raises(AdjointError):
         CancellabilityStep("right", A.parse("m·u"))
 
@@ -215,7 +215,7 @@ def test_cancellation_step_checks_its_element(cancel_algebra):
 def test_apply_cancellability_success(cancel_algebra):
     A = cancel_algebra
     # right: z·m·m* = 0 gives z·m = 0
-    step = CancellabilityStep("right", A.gen("m"))
+    step = CancellabilityStep("right", A.parse("m"))
     source, conclusion, cert = apply_cancellability(
         step, [A.parse("z·m·m*")], [("g", A.parse("z·m"))])
     assert (source, conclusion) == ("g", A.parse("z·m"))
@@ -227,7 +227,7 @@ def test_apply_cancellability_success(cancel_algebra):
     assert (source, conclusion) == ("g", A.parse("m·z"))
     assert cert.claim == A.parse("2·m*·m·z")
     # a claim's adjoint: m*·z* does not end with m, its adjoint z·m does
-    step = CancellabilityStep("right", A.gen("m"))
+    step = CancellabilityStep("right", A.parse("m"))
     source, conclusion, _ = apply_cancellability(
         step, [A.parse("z·m·m*")], [("g", A.parse("m*·z*"))])
     assert (source, conclusion) == ("g*", A.parse("z·m"))
@@ -237,7 +237,7 @@ def test_cancellation_skips_zero_and_partnerless_claims(cancel_algebra):
     # a zero claim would trivially pass the shape filter and certify; a
     # claim with the partnerless u is offered without its adjoint
     A = cancel_algebra
-    step = CancellabilityStep("right", A.gen("m"))
+    step = CancellabilityStep("right", A.parse("m"))
     claims = [("zero", A.parse("0")), ("h", A.parse("u")),
               ("g", A.parse("z·m"))]
     source, _, _ = apply_cancellability(step, [A.parse("z·m·m*")], claims)
@@ -248,7 +248,7 @@ def test_cancellation_skips_zero_and_partnerless_claims(cancel_algebra):
 
 def test_apply_cancellability_failure_adds_nothing(cancel_algebra):
     A = cancel_algebra
-    step = CancellabilityStep("right", A.gen("m"))
+    step = CancellabilityStep("right", A.parse("m"))
     assumptions = [A.parse("m·m* − m")]
     # a tried candidate makes the failure a limit's: each candidate names
     # the limit that stopped its completion, or the degree bound it reached
@@ -373,16 +373,17 @@ def test_problem_parse_errors_carry_line_numbers():
     # experiment
     "max_degree 0", "max_degree", "max_degree 16",
     # nor is the involution closure: ``translate`` always applies it
-    "closure on", "closure off"])
+    "closure on", "closure off",
+    # nor a constant term: ``certify`` refuses every assumption with one
+    "allow_constant_terms on"])
 def test_bad_option_value_names_its_line(option):
     with pytest.raises(ProblemFileError) as err:
-        parse_problem(
-            f"[ops]\na\n[options]\nallow_constant_terms off\n{option}\n")
+        parse_problem(f"[ops]\na\n[options]\norder a\n{option}\n")
     assert err.value.line_no == 5
     assert str(err.value).startswith("line 5: ")
     key = option.split()[0]
     assert key in str(err.value)
-    if key in ("max_degree", "closure"):
+    if key in ("max_degree", "closure", "allow_constant_terms"):
         assert f"unknown option '{key}'" in str(err.value)
 
 
