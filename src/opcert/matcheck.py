@@ -260,8 +260,8 @@ def mp_inverse(m: RatMatrix) -> RatMatrix:
 
     m = F G with F of full column rank and G of full row rank, then
     pinv = G^T (G G^T)^-1 (F^T F)^-1 F^T = G^T (F^T m G^T)^-1 F^T, one
-    inverse of an invertible r x r matrix.  The result is validated against
-    all four Penrose equations before being returned.
+    inverse of an invertible r x r matrix.  A result that fails any of the
+    four Penrose equations raises RuntimeError, under ``python -O`` too.
     """
     R, pivots = m.rref()
     r = len(pivots)
@@ -269,11 +269,13 @@ def mp_inverse(m: RatMatrix) -> RatMatrix:
         return RatMatrix.zeros(m.cols, m.rows)
     F = m.select_columns(pivots)
     G = RatMatrix._of(R.num[:r], R.den)
-    assert F * G == m, "rank factorization failed"
+    if F * G != m:
+        raise RuntimeError("internal error: rank factorization failed")
     Gt, Ft = G.T, F.T
     pinv = Gt * (Ft * m * Gt).inverse() * Ft
     checks = penrose_check(m, pinv)
-    assert all(checks), f"Penrose residuals nonzero: {checks}"
+    if not all(checks):
+        raise RuntimeError(f"internal error: Penrose check failed: {checks}")
     return pinv
 
 

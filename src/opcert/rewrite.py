@@ -6,8 +6,9 @@ completion (noncommutative Buchberger) grows the basis under explicit
 budgets, and decides the completion status.  The completion processes the
 lowest overlap degree first and builds a degree's obstructions only when it
 reaches that degree (the engine's frontier), so it needs no degree bound;
-``CompletionLimits.max_degree`` is an optional cap for experiments.  Both
-keep exact bookkeeping so that every result can be expanded back into a
+``CompletionLimits.max_degree`` optionally stops the frontier at that
+degree, and no row above it is built or counted.  Both keep exact
+bookkeeping so that every result can be expanded back into a
 two-sided combination of the inputs.
 
 Engine words: inside this module a word is a ``str`` with one character
@@ -67,9 +68,10 @@ from .freealg import (AlgebraError, DegLexOrder, Polynomial, add_terms,
 class CompletionLimits:
     """Budgets for the (generally non-terminating) completion loop.
 
-    ``max_degree`` is an experiment's cap on the overlap degree of the
-    obstructions built; None, the default, builds every degree, and the
-    other budgets stop a completion that does not terminate."""
+    ``max_degree`` stops the frontier at that overlap degree: no
+    obstruction above it is built or counted, so a capped COMPLETE says
+    nothing about higher degrees.  None, the default, builds every degree,
+    and the other budgets stop a completion that does not terminate."""
 
     max_degree: Optional[int] = None
     max_iterations: int = 50_000
@@ -403,11 +405,11 @@ class _Element:
 
 @dataclass
 class CompletionStats:
-    """Work counters.  ``obstructions_skipped_degree`` counts the rows
-    above an explicit ``max_degree``, each when its newer element is added,
-    and is 0 without a cap."""
+    """Work counters."""
 
     obstructions_processed: int = 0
+    # never counted, always 0: perfbench's tracer reads it by name (ROADMAP
+    # item 1 step A drops it)
     obstructions_skipped_degree: int = 0
     elements_added: int = 0
 
@@ -433,12 +435,12 @@ class CompletionEngine:
     then on no active lead is a factor of another, so every row is a proper
     overlap.  The last degree with rows is ``_degree_limit()``.
 
-    Only ``_pair_rows`` reads the prefix and suffix indexes, so without a
-    cap they are built when the frontier first rises (``_index_leads``):
-    intake and ``interreduce`` keep only the reducer and ``_digrams``, and
-    ``_partners`` is None until then.  With a cap they are kept from the
-    start, as ``obstructions_skipped_degree`` counts the partners above the
-    cap of each element when it is added.
+    Only ``_pair_rows`` reads the prefix and suffix indexes, so they are
+    built when the frontier first rises (``_index_leads``): intake and
+    ``interreduce`` keep only the reducer and ``_digrams``, and
+    ``_partners`` is None until then.  ``max_degree`` acts only through
+    ``_degree_limit()``: the frontier stops there, and no row above it is
+    built.
 
     ``queue`` is a ``_Queue`` of rows ``(i, j, len(li), len(lj))``;
     ``_paddings`` rebuilds the padding words from the two leads.  Words are
@@ -463,8 +465,7 @@ class CompletionEngine:
         # prefix list of lead[-k:])`` for each k with one; fixed when idx is
         # added or the indexes are built, as every older partner is active by
         # then.  None while the prefix and suffix indexes are not built
-        self._partners: Optional[dict] = \
-            None if limits.max_degree is None else {}
+        self._partners: Optional[dict] = None
         # two-letter factor of an active lead, as a pair of letters ->
         # ascending idx list, each idx once however often the factor recurs
         # in its lead
@@ -587,20 +588,17 @@ class CompletionEngine:
             self._retire(m)
             self._requeue.append(m)
         # queue obstructions against the still-active leads, then self;
-        # before the lead indexes exist no row is built or skipped
+        # before the lead indexes exist no row is built
         if self._partners is not None:
             frontier = self._frontier
-            cap = self.limits.max_degree
             self._partners[idx] = self._partner_lists(lead)
-            self._push_rows(idx, self._pair_rows(idx, 0, frontier, cap))
+            self._push_rows(idx, self._pair_rows(idx, 0, frontier))
             n = len(lead)
             push = self.queue.push
             for k in self_overlaps(lead):
                 deg = 2 * n - k
                 if deg <= frontier:
                     push(deg, (idx, idx, 0, n - k))
-                elif cap is not None and deg > cap:
-                    self.stats.obstructions_skipped_degree += 1
         self._activate(idx, lead)
         return idx
 
@@ -643,27 +641,23 @@ class CompletionEngine:
                      key=len)
         return find_retirees(lead, [(i, active[i]) for i in fewest])
 
-    def _pair_rows(self, j: int, lo: int, hi: int,
-                   cap: Optional[int] = None) -> list:
+    def _pair_rows(self, j: int, lo: int, hi: int) -> list:
         """Rows ``(i, len(li), len(lj), degree)`` of the overlaps of the
         lead of element ``j`` with the active leads of older partners
         ``i < j``, of degree ``lo < degree <= hi``, in the order of
         ``batch_overlaps``: by partner, then by overlap length, the suffix
-        match first.  With a ``cap``, the partners whose overlap lies above
-        it are counted in ``obstructions_skipped_degree``.
+        match first.
 
         A partner ``u`` overlapping the lead ``v`` in ``k`` letters has
         degree ``len(u) + len(v) - k``.  The partner lists of ``j``
         (``_partners``) hold every older partner still active, ordered by
         (lead length, index), so one ``bisect`` range per ``k`` holds the
-        partners of the window, and one ``bisect`` splits off those above
-        the cap.  Only entries of the window's longest partners are checked
-        against ``j``: the window is one degree, or ``j`` is the newest
-        element.  Rows are made in ``k`` order for each partner, so a stable
-        sort by partner finishes them.
+        partners of the window.  Only entries of the window's longest
+        partners are checked against ``j``: the window is one degree, or
+        ``j`` is the newest element.  Rows are made in ``k`` order for each
+        partner, so a stable sort by partner finishes them.
         """
         nv = len(self.elements[j].lead)
-        skipped = 0
         rows = []
         for k, suf, pre in self._partners[j]:
             # partner lengths lo - nv + k < len(u) <= hi - nv + k, the
@@ -674,16 +668,9 @@ class CompletionEngine:
                 for e in suf[bisect_left(suf, first):bisect_left(suf, last)]:
                     nu = e >> _SHIFT
                     rows.append((e & _IDX, 0, nu - k, nu + nv - k))
-                if cap is not None:
-                    skipped += len(suf) - bisect_left(
-                        suf, (cap - nv + k + 1) << _SHIFT)
             if pre:
                 for e in pre[bisect_left(pre, first):bisect_left(pre, last)]:
                     rows.append((e & _IDX, nv - k, 0, nv + (e >> _SHIFT) - k))
-                if cap is not None:
-                    skipped += len(pre) - bisect_left(
-                        pre, (cap - nv + k + 1) << _SHIFT)
-        self.stats.obstructions_skipped_degree += skipped
         rows.sort(key=operator.itemgetter(0))
         return rows
 

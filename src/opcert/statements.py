@@ -579,6 +579,11 @@ def _parse_statement_line(problem, section, line, auto_names, taken):
         candidate = line[:eq].strip()
         if _is_name(candidate) and not any(
                 candidate.startswith(m + "(") for m in _MACROS):
+            # ``a·b = b·a`` or ``m = a·b`` is an equation, not a label
+            if re.search("[-·*+−()]", candidate) or candidate in \
+                    problem.algebra._by_name.keys() | problem.defs.keys():
+                raise AlgebraError(f"label {candidate!r} is an expression; "
+                                   "write an equation as lhs − rhs")
             name, body = candidate, line[eq + 1:].strip()
     m = re.match(r"([a-z]+)\((.*)\)\s*$", body)
     if m and m.group(1) in _MACROS:

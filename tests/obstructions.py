@@ -119,31 +119,31 @@ class ScanEngine(CompletionEngine):
     Rows come from ``batch_overlaps`` of an element's lead against every
     older active lead, when the element is added and at each frontier step;
     a frontier step takes its self-overlap rows from ``self_overlaps``.
-    Before a degree is built, no active lead may be a factor of another."""
+    Before a degree is built, no active lead may be a factor of another.
+    Under a ``max_degree`` cap, ``events`` count the rows built at the cut
+    (``*_cut_kept``) and the scanned rows one letter above it
+    (``*_cut_skipped``); the stats stay the engine's own."""
 
     def __init__(self, *args, **kwargs):
         self.events = collections.Counter()
         super().__init__(*args, **kwargs)
 
-    def _pair_rows(self, j, lo, hi, cap=None):
+    def _pair_rows(self, j, lo, hi):
         older = [(i, u) for i, u in self._active.items() if i < j]
+        cap = self.limits.max_degree
         rows = []
         for i, li, ri, lj, rj, overlap in batch_overlaps(
                 self.elements[j].lead, older):
             deg = len(overlap)
-            if not (li or ri) or not (lj or rj):
-                # one lead inside the other: only a generator's lead holds
-                # one, and ``interreduce`` removes it before the first row
-                assert self._frontier == 0
-                self.events["containment"] += 1
-                continue
+            # one lead inside the other: ``_activate`` saw it, and
+            # ``interreduce`` removed it before the first row was built
+            assert (li or ri) and (lj or rj)
             index = "suffix" if not li else "prefix"
-            if cap is not None and deg > cap:
-                self.stats.obstructions_skipped_degree += 1
-                if deg == cap + 1:  # one letter beyond the cut
-                    self.events[f"{index}_cut_skipped"] += 1
+            if cap is not None and deg == cap + 1:
+                # one letter beyond the cut, which no window reaches
+                self.events[f"{index}_cut_skipped"] += 1
             if lo < deg <= hi:
-                if deg == self.limits.max_degree:  # at the cut, built
+                if deg == cap:  # at the cut, built
                     self.events[f"{index}_cut_kept"] += 1
                 rows.append((i, len(li), len(lj), deg))
         return rows
@@ -166,6 +166,14 @@ class ScanEngine(CompletionEngine):
                     if 2 * n - k == d:
                         self.queue.push(d, (j, j, 0, n - k))
         return bool(self.queue)
+
+    def _activate(self, idx, w):
+        if any(u in w for u in self._active.values()):
+            # an active lead inside the new one: only a generator's lead
+            # holds one, and no row is built before ``interreduce``
+            assert self._frontier == 0
+            self.events["containment"] += 1
+        super()._activate(idx, w)
 
     def _retirees(self, lead):
         retirees = find_retirees(lead, self._active.items())

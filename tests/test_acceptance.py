@@ -64,13 +64,12 @@ def test_criterion_3_hartwig_v_to_i(tmp_path, recorded_engines):
     assert dt < 300.0
     assert_certificate_file_unchanged(
         res.certificate, "hartwig_v_to_i.rol.cert", tmp_path)
-    # the engine counters at the stop: no cap, so no row is skipped, and
-    # only the rows up to the last degree reached were built
+    # the engine counters at the stop: only the rows up to the last degree
+    # reached were built
     (engine,) = recorded_engines
     assert report.stats.completion_status == "stopped_early"
     assert report.stats.tripped_limit is None
     assert engine.stats.obstructions_processed == 35_697
-    assert engine.stats.obstructions_skipped_degree == 0
     assert engine.stats.elements_added == 6_592
     assert len(engine.active_indices()) == 2_907
     assert len(engine.queue) == 76_024

@@ -628,8 +628,15 @@ def test_huge_matrix_entry_is_cut_short_in_the_error(tmp_path, capsys):
     (("[ops]\na\n", "[ops]\na : v1 -> v2\n"),
      "line 6: ops lines read: name [adjoint [partner] | selfadjoint]; "
      "signatures go in the [quiver] section"),
+    # an equation written with "=" is refused, not read as a label and the
+    # different assumption b·a (or a·a⁻·a)
+    (("f1 = a·a⁻·a − a", "a·b = b·a"),
+     "line 21: label 'a·b' is an expression; write an equation as lhs − rhs"),
+    (("f1 = a·a⁻·a − a", "a = a·a⁻·a"),
+     "line 21: label 'a' is an expression; write an equation as lhs − rhs"),
 ], ids=["inv_subset", "order", "order_repeat", "order_empty",
-        "max_degree", "closure", "signature_pin"])
+        "max_degree", "closure", "signature_pin", "equation_label",
+        "letter_label"])
 def test_compat_names_the_faulty_problem_line(tmp_path, capsys, edit,
                                               message):
     assert edit[0] in _WERNER_PROBLEM

@@ -5,8 +5,9 @@ against full scans.
 reference scan ``rewrite.batch_overlaps`` of an element's lead against
 every older active lead, its rows cut to the queue's ``(i, len(li), len(lj),
 degree)`` and to the degrees being built: up to the frontier when the
-element is added, one degree at each frontier step.  The scan sees
-containments too; the indexed engine never looks for them, and the
+element is added, one degree at each frontier step.  It counts each new
+lead that holds an active lead (a containment), and its scan would see the
+containment rows; the indexed engine never looks for them, and the
 lockstep run shows why: only generators' leads hold an active lead, and
 ``interreduce`` removes each such containment before the first row is
 built.  It finds the leads a new lead retires by
@@ -16,9 +17,11 @@ must build the same queue in the same order and retire the same leads in
 the same order, so everything downstream (counters, basis, traces) is
 identical too.
 
-Without ``max_degree`` the indexed engine builds its prefix and suffix
-indexes only when the frontier first rises: the lockstep checks that they
-are empty before that and equal to indexes built afresh from then on.
+The indexed engine builds its prefix and suffix indexes only when the
+frontier first rises, with or without ``max_degree``: the lockstep checks
+that they are empty before that and equal to indexes built afresh from
+then on.  A cap only stops the frontier, so no row above it is built or
+counted.
 """
 
 import dataclasses
@@ -39,10 +42,10 @@ from obstructions import ScanEngine
 
 class IndexedEngine(CompletionEngine):
     """The engine under test; ``_pair_rows`` builds only the rows of its
-    window of degrees, and counts those beyond ``max_degree``."""
+    window of degrees."""
 
-    def _pair_rows(self, j, lo, hi, cap=None):
-        rows = super()._pair_rows(j, lo, hi, cap)
+    def _pair_rows(self, j, lo, hi):
+        rows = super()._pair_rows(j, lo, hi)
         assert all(lo < deg <= hi for *_, deg in rows)
         return rows
 
@@ -74,7 +77,7 @@ def assert_same_state(indexed, scan):
     assert indexed.active_indices() == scan.active_indices()
     prefixes, suffixes, digrams = rebuilt_indexes(indexed)
     assert indexed._digrams == digrams
-    if indexed._frontier or indexed.limits.max_degree is not None:
+    if indexed._frontier:
         assert (indexed._prefixes, indexed._suffixes) == (prefixes, suffixes)
         assert sorted(indexed._partners) == indexed.active_indices()
     else:  # no row is built before the first rise, so no index either
@@ -244,9 +247,8 @@ def test_hartwig_degree_12_counters(recorded_engines):
     assert report.stats.basis_size == 2_008
     assert engine.stats.obstructions_processed == 11_265
     assert engine.stats.elements_added == 2_214
-    # rows above the cap; a generator lead that holds another lead is not
-    # scanned for the rows of that containment
-    assert engine.stats.obstructions_skipped_degree == 361_181
+    # the cap stopped the frontier; no row above it was built
+    assert engine._frontier == 12
     assert len(engine.active_indices()) == 2_008
     assert len(engine.queue) == 0
     assert engine.retired == 190

@@ -109,6 +109,14 @@ def test_identity_and_zero():
     assert z.shape == (3, 2) and z.is_zero
 
 
+def test_mp_inverse_raises_when_its_check_fails(monkeypatch):
+    # an explicit error, not an ``assert`` that ``python -O`` strips
+    monkeypatch.setattr("opcert.matcheck.penrose_check",
+                        lambda m, g: (True, True, False, True))
+    with pytest.raises(RuntimeError, match="internal error: Penrose"):
+        mp_inverse(RatMatrix.identity(2))
+
+
 def test_mp_inverse_matches_greville_oracle():
     rng = random.Random(9)
     for _ in range(60):
