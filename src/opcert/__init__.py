@@ -9,26 +9,6 @@ operator domains and codomains, and exact rational matrices provide
 counterexample checks.
 """
 
-from .freealg import (AdjointError, AlgebraError, DegLexOrder, FreeAlgebra,
-                      Indeterminate, ParseError, Polynomial)
-from .rewrite import (BUDGET_EXHAUSTED, COMPLETE, STOPPED_EARLY,
-                      CompletionLimits, reduce)
-from .certify import (Certificate, CertifyReport, ClaimResult, Summand,
-                      VerificationResult, certify, load_certificate,
-                      make_certificate, minimize_certificate, save_certificate,
-                      verify_certificate)
-from .quiver import (WILDCARD, Compatibility, LabelledQuiver, ProblemCheck,
-                     check_problem, compatible, infer_signatures,
-                     path_signature)
-from .statements import (CancellabilityStep, Problem, ProblemFileError,
-                         Translation, WorkflowError, WorkflowLimitError,
-                         apply_cancellability, douglas_factorization,
-                         ep_condition, hermitian_condition, identity_axioms,
-                         ij_equations, load_problem, parse_problem,
-                         run_problem, search_rankings, translate)
-from .matcheck import (RatMatrix, Realization, evaluate, example1_check,
-                       example2_check, mp_inverse, penrose_check)
+from . import certify, freealg, matcheck, quiver, rewrite, statements
 
 __version__ = "1.0.0"
-
-__all__ = [name for name in dir() if not name.startswith("_")]

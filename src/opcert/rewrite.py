@@ -860,8 +860,12 @@ class CompletionEngine:
         todo = list(active)
         heapq.heapify(todo)
         irreducible: list = []
-        changes = 0
-        while todo and changes < 10_000 and not self.tripped_limit:
+        while todo and not self.tripped_limit:
+            # a normal form checks the deadline only every 256 steps, so a
+            # run of short ones is stopped here
+            if time.monotonic() > self._deadline:
+                self.tripped_limit = "time_budget"
+                return
             k = heapq.heappop(todo)
             if k not in active:
                 continue
@@ -881,7 +885,6 @@ class CompletionEngine:
             if terms:
                 self._append(terms, steps)
             self._process_requeue()
-            changes += 1
             added = [m for m in range(first, len(elements)) if m in active]
             leads = [elements[m].lead for m in added]
             # an active element holds no added lead in its own lead (that

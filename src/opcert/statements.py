@@ -450,7 +450,9 @@ def _split_top_level(text: str) -> list:
 
 def load_problem(path) -> Problem:
     with open(path, "rb") as fh:
-        raw = fh.read()
+        # a UTF-8 byte-order mark is stripped here, not by the ``utf-8-sig``
+        # codec, whose error offsets would not count it
+        raw = fh.read().removeprefix(b"\xef\xbb\xbf")
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -1,18 +1,17 @@
 import hashlib
-import importlib
 import json
-import sys
 from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-
+import opcert
 from opcert.certify import save_certificate
 from opcert.freealg import FreeAlgebra
 from opcert.rewrite import CompletionEngine
 
-FIXTURES = Path(__file__).resolve().parents[1] / "src" / "opcert" / "fixtures"
+# the problem files bundled with the imported package, which is ``src/``
+# unless a run puts an installed copy first on the path
+FIXTURES = Path(opcert.__file__).parent / "fixtures"
 
 # sha256 of every file ``opcert certify <fixture> --output`` writes; a change
 # that alters certificates on purpose updates this file and says why
@@ -45,9 +44,7 @@ def recorded_engines(monkeypatch):
             self.retired += 1
             super()._retire(idx)
 
-    # the package re-exports the function ``certify`` under the module's name
-    monkeypatch.setattr(importlib.import_module("opcert.certify"),
-                        "CompletionEngine", Recording)
+    monkeypatch.setattr(opcert.certify, "CompletionEngine", Recording)
     return engines
 
 

@@ -11,13 +11,26 @@ from pathlib import Path
 
 import pytest
 
-import opcert.cli
+import opcert
 from opcert.cli import main
 from opcert.statements import (WorkflowLimitError, load_problem,
                                run_problem, seeded_rankings, translate)
-from conftest import FIXTURES
+from conftest import CERT_SHA256, FIXTURES
 
 DATA = Path(__file__).resolve().parent / "data"
+
+
+def _masked(out: str) -> str:
+    """``certify`` stdout with its elapsed seconds masked."""
+    return re.sub(r", \d+\.\d\ds, completion ", ", <elapsed>s, completion ",
+                  out)
+
+
+def _pinned(out: str) -> str:
+    """``certify --output`` stdout as its pins hash it: without the
+    ``wrote`` lines, elapsed seconds masked."""
+    return _masked("".join(line for line in out.splitlines(keepends=True)
+                           if not line.startswith("    wrote ")))
 
 
 def test_certify_werner_writes_certificate(tmp_path, capsys):
@@ -137,9 +150,10 @@ def test_check_cert_says_ring_level_only(tmp_path, capsys):
 
 
 def test_python_dash_m_runs_the_command_line():
-    src = str(Path(__file__).resolve().parents[1] / "src")
+    # the directory the tests imported ``opcert`` from, installed or not
+    home = str(Path(opcert.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+        filter(None, [home, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "opcert", "check-cert", "werner_paper"],
         capture_output=True, text=True, encoding="utf-8", env=env)
@@ -306,11 +320,10 @@ MATCHECK_SHA256 = json.loads((Path(__file__).parent / "matcheck_sha256.json")
 
 
 def test_matcheck_output_is_unchanged(capsys):
-    fixdir = Path(opcert.cli.__file__).parent / "fixtures"
     got = {}
     for argv in MATCHECK_SHA256:
         assert main(argv.split()) == 0
-        out = capsys.readouterr().out.replace(f"{fixdir}{os.sep}",
+        out = capsys.readouterr().out.replace(f"{FIXTURES}{os.sep}",
                                               "<fixtures>/")
         got[argv] = hashlib.sha256(out.encode("utf-8")).hexdigest()
     assert got == MATCHECK_SHA256
@@ -322,15 +335,21 @@ CERTIFY_SHA256 = json.loads((Path(__file__).parent / "certify_stdout_sha256.json
                             .read_text(encoding="utf-8"))
 
 
-def test_certify_output_of_every_fixture_is_unchanged(capsys):
+def test_certify_output_of_every_fixture_is_unchanged(tmp_path, capsys):
     got = {}
     for prob in sorted(FIXTURES.glob("*.prob")):
         want_rc = 2 if prob.stem == "nonmember" else 0
-        assert main(["certify", prob.stem]) == want_rc, prob.stem
-        out = re.sub(r", \d+\.\d\ds, completion ", ", <elapsed>s, completion ",
-                     capsys.readouterr().out)
+        assert main(["certify", prob.stem, "--output", str(tmp_path)]) == \
+            want_rc, prob.stem
+        out = _pinned(capsys.readouterr().out)
         got[prob.stem] = hashlib.sha256(out.encode("utf-8")).hexdigest()
     assert got == CERTIFY_SHA256
+    # exactly the pinned certificate files, with their bytes, each valid
+    written = sorted(tmp_path.iterdir())
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in written} == CERT_SHA256
+    assert main(["check-cert", *map(str, written)]) == 0
+    assert capsys.readouterr().out.count(": valid | ") == len(CERT_SHA256)
 
 
 # for eight bundled problems under ``--order`` set to their operators in
@@ -349,23 +368,13 @@ def test_ranked_outputs_are_unchanged(name, tmp_path, capsys):
     assert order == pins["order"]
     assert main(["certify", name, "--order", order,
                  "--output", str(tmp_path)]) == 0
-    out = "".join(line for line in capsys.readouterr().out
-                  .splitlines(keepends=True)
-                  if not line.startswith("    wrote "))
-    out = re.sub(r", \d+\.\d\ds, completion ", ", <elapsed>s, completion ",
-                 out)
+    out = _pinned(capsys.readouterr().out)
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == pins["certify"]
     assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in tmp_path.iterdir()} == pins["certificates"]
     assert main(["reduce", name, "--order", order]) == 0
     out = capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(out).hexdigest() == pins["reduce"]
-
-
-def _masked(out: str) -> str:
-    """``certify`` stdout with its elapsed seconds masked."""
-    return re.sub(r", \d+\.\d\ds, completion ", ", <elapsed>s, completion ",
-                  out)
 
 
 def test_ranking_search_is_deterministic(tmp_path, capsys):
@@ -566,6 +575,23 @@ def test_problem_file_encoding_error_names_its_line(tmp_path, capsys):
     bad.write_bytes(b"[ops]\na adjoint\n\xe9\n")
     err = _input_error(capsys, ["certify", str(bad)])
     assert err.startswith("error: line 3: not UTF-8 text")
+
+
+def test_problem_file_may_start_with_a_byte_order_mark(tmp_path, capsys):
+    bom = tmp_path / "werner.prob"
+    bom.write_bytes(b"\xef\xbb\xbf" + (FIXTURES / "werner.prob").read_bytes())
+    assert main(["certify", "werner"]) == 0
+    plain = _masked(capsys.readouterr().out)
+    assert main(["certify", str(bom)]) == 0
+    assert _masked(capsys.readouterr().out) == plain
+
+
+def test_encoding_error_after_a_byte_order_mark_names_its_line(tmp_path,
+                                                                capsys):
+    bad = tmp_path / "bom_not_utf8.prob"
+    bad.write_bytes(b"\xef\xbb\xbf[ops]\n\xe9\n")
+    err = _input_error(capsys, ["certify", str(bad)])
+    assert err.startswith("error: line 2: not UTF-8 text")
 
 
 def test_check_cert_names_the_file_and_stops_at_it(tmp_path, capsys):

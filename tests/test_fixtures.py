@@ -1,11 +1,11 @@
 """Every shipped problem fixture runs end to end."""
 
 import dataclasses
-import importlib
 import random
 
 import pytest
 
+import opcert
 from opcert.certify import verify_certificate
 from opcert.matcheck import RatMatrix, Realization, evaluate, mp_inverse
 from opcert.quiver import LabelledQuiver
@@ -59,8 +59,7 @@ def test_certificate_terms_are_the_expanded_trace(path, monkeypatch):
             lengths.append(len(quads))
             return quads
 
-    monkeypatch.setattr(importlib.import_module("opcert.certify"),
-                        "CompletionEngine", Recording)
+    monkeypatch.setattr(opcert.certify, "CompletionEngine", Recording)
     trans, report = run_problem(load_problem(path))
     certs = [wf.certificate for wf in trans.workflow_reports] + \
         [res.certificate for res in report.results if res.certified]

@@ -11,12 +11,15 @@ requeue and tripped limit.  The worklist must also do less work: each
 element that nothing reduces is tried once.
 """
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opcert.certify import certify
 from opcert.freealg import DegLexOrder, FreeAlgebra
-from opcert.rewrite import CompletionEngine, CompletionLimits
+from opcert.rewrite import COMPLETE, CompletionEngine, CompletionLimits
 from opcert.statements import load_problem, translate
 
 from conftest import FIXTURES
@@ -137,3 +140,31 @@ def test_a_new_lead_reopens_an_element_found_irreducible():
              for k in engine.active_indices()]
     assert basis == [alg.parse(s) for s in ("c − a", "b·a − a·a",
                                             "a·a·a − a·a")]
+
+
+def test_interreduce_runs_until_stable_however_many_changes():
+    # a·b reduces each of the other 10,100 generators to zero: interreduce
+    # makes 10,100 changes and leaves a·b alone, with nothing to complete
+    alg = FreeAlgebra()
+    for n in "abcd":
+        alg.add(n)
+    ys = [alg.add(f"y{k}").name for k in range(101)]
+    gens = [alg.parse("a·b")] + [alg.parse(f"{u}·{v}·a·b")
+                                 for u, v in itertools.permutations(ys, 2)]
+    assert len(gens) == 10_101
+    stats = certify(gens, [alg.parse("c·d")]).stats
+    assert (stats.basis_size, stats.obstructions_processed,
+            stats.completion_status, stats.tripped_limit) == \
+        (1, 0, COMPLETE, None)
+
+
+def test_interreduce_stops_at_the_deadline():
+    # x1^k·x0 reduces to zero by x0 in one step, so no normal form runs
+    # long enough to check the deadline itself
+    alg, _ = _letters(2)
+    gens = [alg.parse("·".join(["x1"] * k + ["x0"])) for k in range(50)]
+    engine = CompletionEngine(list(enumerate(gens)), alg.default_order(),
+                              CompletionLimits(time_budget=1e-9))
+    engine.interreduce()
+    assert engine.tripped_limit == "time_budget"
+    assert engine.active_indices() == list(range(50))
