@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .freealg import (AlgebraError, DegLexOrder, FreeAlgebra, Polynomial,
-                      add_terms)
+                      add_terms, read_text)
 from .rewrite import (BUDGET_EXHAUSTED, COMPLETE, CompletionEngine,
                       CompletionLimits)
 
@@ -127,17 +127,15 @@ def minimize_certificate(cert: Certificate) -> Certificate:
     """
     alg = cert.claim.alg
     key = alg.default_order().key
-    # a block is [left, index, right, left key, right key]: the keys are the
-    # cofactors' frozensets, None until a merge needs them, and a merge that
-    # changes a cofactor clears its key, so a pass keys only what changed.
-    # Sign-normalize the right cofactors so mergeable blocks line up; only
-    # the sign moves (anything else could break integrality).  A merge sums
-    # right cofactors whose leads are positive, so the sum's lead is too,
-    # and the blocks stay normalized
+    # a block is [left, index, right], its dicts its own copies, so a merge
+    # sums into them in place.  Sign-normalize the right cofactors so
+    # mergeable blocks line up; only the sign moves (anything else could
+    # break integrality).  A merge sums right cofactors whose leads are
+    # positive, so the sum's lead is too, and the blocks stay normalized
     blocks = [[{w: -c for w, c in s.left._terms.items()}, s.index,
-               {w: -c for w, c in s.right._terms.items()}, None, None]
+               {w: -c for w, c in s.right._terms.items()}]
               if s.right._terms[max(s.right._terms, key=key)] < 0 else
-              [s.left._terms, s.index, s.right._terms, None, None]
+              [dict(s.left._terms), s.index, dict(s.right._terms)]
               for s in cert.summands if s.left and s.right]
     while True:
         before = len(blocks)
@@ -155,26 +153,15 @@ def minimize_certificate(cert: Certificate) -> Certificate:
 
 def _merge(blocks: list, side: int) -> list:
     """Sum the other cofactors of the blocks with equal index and equal
-    ``side`` cofactor (0 left, 2 right), in order of first occurrence, and
-    drop the blocks whose sum is zero.  The first block of a group takes
-    the sum; its ``other`` dict is copied before the first addition, so the
-    input dicts stay untouched, and its key of ``other`` is cleared."""
+    ``side`` cofactor (0 left, 2 right) into the first block of each group,
+    in order of first occurrence, and drop the blocks whose sum is zero."""
     other = 2 - side
-    slot = 3 + side // 2  # the block's key of its ``side`` cofactor
     merged: dict = {}
-    grown = set()  # ids of the blocks that hold a sum of this call
     for block in blocks:
-        cofactor_key = block[slot]
-        if cofactor_key is None:
-            cofactor_key = block[slot] = frozenset(block[side].items())
-        acc = merged.setdefault((block[1], cofactor_key), block)
-        if acc is block:
-            continue
-        if id(acc) not in grown:
-            grown.add(id(acc))
-            acc[other] = dict(acc[other])
-            acc[3 + other // 2] = None
-        add_terms(acc[other], block[other].items())
+        acc = merged.setdefault(
+            (block[1], frozenset(block[side].items())), block)
+        if acc is not block:
+            add_terms(acc[other], block[other].items())
     return [b for b in merged.values() if b[other]]
 
 
@@ -419,7 +406,6 @@ def load_certificate(path) -> Certificate:
     """Read a certificate file; malformed content raises ``AlgebraError``
     naming the file."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return certificate_from_dict(json.load(fh))
-    except (ValueError, RecursionError) as exc:  # AlgebraError; bad UTF-8, JSON
+        return certificate_from_dict(json.loads(read_text(path)))
+    except (ValueError, RecursionError) as exc:  # AlgebraError; bad JSON
         raise AlgebraError(f"{path}: {exc}") from None

@@ -33,6 +33,28 @@ def clip(text: str, limit: int = 60) -> str:
     return text if len(text) <= limit else text[:limit - 1] + "…"
 
 
+class LineError(AlgebraError):
+    """Malformed input at line ``line_no`` (from 1) of a text file."""
+
+    def __init__(self, message: str, line_no: int):
+        super().__init__(f"line {line_no}: {message}")
+        self.line_no = line_no
+
+
+def read_text(path) -> str:
+    """The UTF-8 text of the file at ``path``, without a leading byte-order
+    mark; a byte that is not UTF-8 raises ``LineError`` at its line."""
+    with open(path, "rb") as fh:
+        # the mark is stripped here, not by the ``utf-8-sig`` codec, whose
+        # error offsets would not count it
+        raw = fh.read().removeprefix(b"\xef\xbb\xbf")
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise LineError(f"not UTF-8 text ({exc.reason})",
+                        raw.count(b"\n", 0, exc.start) + 1) from None
+
+
 class AdjointError(AlgebraError):
     """Adjoint requested for an indeterminate without a declared partner."""
 
@@ -303,7 +325,7 @@ class FreeAlgebra:
 class Polynomial:
     """Immutable noncommutative polynomial; arithmetic is exact and pure."""
 
-    __slots__ = ("alg", "_terms", "_hash")
+    __slots__ = ("alg", "_terms")
 
     def __init__(self):
         raise TypeError("use FreeAlgebra constructors (poly/monomial/parse)")
@@ -313,7 +335,6 @@ class Polynomial:
         p = object.__new__(Polynomial)
         p.alg = alg
         p._terms = terms
-        p._hash = None
         return p
 
     # -- inspection --------------------------------------------------------
@@ -406,10 +427,7 @@ class Polynomial:
         return self.alg is other.alg and self._terms == other._terms
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((id(self.alg),
-                               frozenset(self._terms.items())))
-        return self._hash
+        return hash((id(self.alg), frozenset(self._terms.items())))
 
     def __repr__(self):
         return self.alg.render(self)

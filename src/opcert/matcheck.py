@@ -18,7 +18,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .freealg import AlgebraError, Polynomial, clip
+from .freealg import AlgebraError, Polynomial, clip, read_text
 from .quiver import WILDCARD, LabelledQuiver, compatible
 
 
@@ -461,8 +461,7 @@ def load_matrix_fixture(path) -> dict:
     malformed content, or no matrix at all, raises ``AlgebraError`` naming
     the file."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = json.loads(read_text(path))
         if type(data) is not dict or type(data.get("matrices")) is not dict:
             raise AlgebraError('not a matrix file (expected {"matrices": {...}})')
         mats = data["matrices"]
@@ -472,7 +471,7 @@ def load_matrix_fixture(path) -> dict:
             if type(rows) is not list or any(type(r) is not list for r in rows):
                 raise AlgebraError(f"matrix {name!r} must be a list of rows")
         return {name: RatMatrix(rows) for name, rows in mats.items()}
-    except (ValueError, RecursionError) as exc:  # AlgebraError; bad UTF-8, JSON
+    except (ValueError, RecursionError) as exc:  # AlgebraError; bad JSON
         raise AlgebraError(f"{path}: {exc}") from None
 
 

@@ -449,7 +449,6 @@ class CompletionEngine:
 
     def __init__(self, generators, order: DegLexOrder,
                  limits: CompletionLimits):
-        self.order = order
         self.limits = limits
         self.encode_word, self.decode_word = word_codec(order)
         self.reducer = _Reducer()

@@ -17,8 +17,8 @@ from typing import Container, Iterable, Optional, Sequence
 
 from .certify import Certificate, TermBoundExceeded, certify
 from .freealg import (AdjointError, AlgebraError, DegLexOrder, FreeAlgebra,
-                      ParseError, Polynomial, _adjoint_terms, _times,
-                      add_terms, clip, normalize_coeff)
+                      LineError, ParseError, Polynomial, _adjoint_terms,
+                      _times, add_terms, clip, normalize_coeff, read_text)
 from .quiver import LabelledQuiver, ProblemCheck, check_problem, infer_signatures
 from .rewrite import CompletionLimits
 
@@ -426,10 +426,7 @@ _SECTIONS = ("ops", "defs", "quiver", "assume", "workflow", "claim", "options")
 _SUBSET_RE = re.compile(r"\{([0-9,\s]*)\}")
 
 
-class ProblemFileError(AlgebraError):
-    def __init__(self, message: str, line_no: int):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
+ProblemFileError = LineError  # every problem-file error names its line
 
 
 def _split_top_level(text: str) -> list:
@@ -449,16 +446,7 @@ def _split_top_level(text: str) -> list:
 
 
 def load_problem(path) -> Problem:
-    with open(path, "rb") as fh:
-        # a UTF-8 byte-order mark is stripped here, not by the ``utf-8-sig``
-        # codec, whose error offsets would not count it
-        raw = fh.read().removeprefix(b"\xef\xbb\xbf")
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ProblemFileError(f"not UTF-8 text ({exc.reason})",
-                               raw.count(b"\n", 0, exc.start) + 1) from None
-    return parse_problem(text)
+    return parse_problem(read_text(path))
 
 
 def parse_problem(text: str) -> Problem:

@@ -9,7 +9,6 @@ summands in the same order, and the same ``integral`` flag, as the
 """
 
 import collections
-import copy
 import types
 from fractions import Fraction
 
@@ -17,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opcert.certify import (_merge, _quads_to_summands, certificate_to_dict,
+from opcert.certify import (_quads_to_summands, certificate_to_dict,
                             make_certificate, minimize_certificate, Summand)
 from opcert.freealg import FreeAlgebra
 from opcert.rewrite import CompletionEngine, CompletionLimits, _Element
@@ -233,33 +232,6 @@ def test_contexts_shifted_onto_one_pair_merge():
             typed_steps(expected)
 
 
-@pytest.mark.parametrize("side", [0, 2])
-def test_merge_copies_a_block_only_when_another_joins_it(side):
-    def block(shared, index, summed):
-        # [left, index, right, left key, right key], keyed as after a pass
-        b = [None, index, None]
-        b[side], b[2 - side] = shared, summed
-        return b + [frozenset(b[0].items()), frozenset(b[2].items())]
-
-    first = block({(0,): 1}, 0, {(1,): 1})
-    alone = block({(1,): 1}, 1, {(0,): 1})
-    second = block({(0,): 1}, 0, {(1,): 2, (0,): 1})
-    blocks = [first, alone, second]
-    cofactors = [(b[0], b[2]) for b in blocks]
-    before = copy.deepcopy(cofactors)
-    merged, kept = _merge(blocks, side)
-    assert merged is first
-    assert merged[:3] == block({(0,): 1}, 0, {(1,): 3, (0,): 1})[:3]
-    assert all(merged[2 - side] is not pair[1 - side // 2]
-               for pair in cofactors)
-    assert cofactors == before
-    assert kept is alone
-    # the shared side keeps its key, and the summed side's key is cleared
-    assert merged[3 + side // 2] == frozenset({(0,): 1}.items())
-    assert merged[3 + (2 - side) // 2] is None
-    assert kept[3:] == block({(1,): 1}, 1, {(0,): 1})[3:]
-
-
 def test_minimize_keys_a_cofactor_again_after_it_changes():
     """Pass 1 merges a·R and b·R by their right into (a + b)·R; pass 2
     merges that by its new left with (a + b)·S, and the sum by its new right
@@ -271,7 +243,11 @@ def test_minimize_keys_a_cofactor_again_after_it_changes():
                 Summand(ab, 0, r + s)]
     cert = make_certificate(alg.parse("a"), [alg.parse("a·b − b")], ["F1"],
                             summands)
+    given_summands = typed_summands(cert.summands)
     small = minimize_certificate(cert)
+    # the merges sum into the blocks' own dicts, never the summands' (``a``
+    # and ``r`` are each a cofactor of two summands)
+    assert typed_summands(cert.summands) == given_summands
     assert typed_summands(small.summands) == \
         typed_summands([Summand(a + b + ab, 0, r + s)])
     assert typed_summands(small.summands) == \

@@ -594,6 +594,31 @@ def test_encoding_error_after_a_byte_order_mark_names_its_line(tmp_path,
     assert err.startswith("error: line 2: not UTF-8 text")
 
 
+@pytest.mark.parametrize("command, name", [("check-cert", "werner_paper.cert"),
+                                           ("matcheck", "example2_2.mat")])
+def test_certificate_and_matrix_files_may_start_with_a_byte_order_mark(
+        tmp_path, capsys, command, name):
+    outputs = []
+    for folder, mark in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        path = tmp_path / folder / name
+        path.parent.mkdir()
+        path.write_bytes(mark + (FIXTURES / name).read_bytes())
+        assert main([command, str(path)]) == 0
+        outputs.append(capsys.readouterr().out.replace(str(path.parent), ""))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("name", ["not_utf8.cert", "not_utf8.mat"])
+@pytest.mark.parametrize("mark", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+def test_certificate_and_matrix_encoding_errors_name_their_line(
+        tmp_path, capsys, name, mark):
+    bad = tmp_path / name
+    bad.write_bytes(mark + b'{\n  "claim": "a",\n\xff\n}\n')
+    command = "check-cert" if name.endswith(".cert") else "matcheck"
+    err = _input_error(capsys, [command, str(bad)])
+    assert err == f"error: {bad}: line 3: not UTF-8 text (invalid start byte)\n"
+
+
 def test_check_cert_names_the_file_and_stops_at_it(tmp_path, capsys):
     bad = tmp_path / "claim_number.cert"
     bad.write_bytes(_werner_cert(claim=5))

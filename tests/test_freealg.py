@@ -349,6 +349,24 @@ def test_scalar_arithmetic(werner_algebra):
     assert (p - p).is_zero
 
 
+def test_equal_polynomials_hash_equal(werner_algebra):
+    A = werner_algebra
+    a, b = A.parse("a"), A.parse("b")
+    built = [a + b, b + a, 2 * a - a + b]
+    assert all(p == built[0] for p in built)
+    assert {hash(p) for p in built} == {hash(built[0])}
+    assert set(built) == {built[0]}
+    assert {p: i for i, p in enumerate(built)} == {built[0]: 2}
+    # the same terms over another algebra are another polynomial
+    other = FreeAlgebra()
+    for name in A.names:
+        other.add(name)
+    twin = other.parse("a + b")
+    assert twin._terms == built[0]._terms
+    assert twin != built[0]
+    assert len({twin, *built}) == 2
+
+
 def test_product_stores_an_int_where_exact(werner_algebra):
     A = werner_algebra
     terms = (A.parse("1/2 a") * A.parse("2 b"))._terms
